@@ -26,6 +26,7 @@ void BM_QosSchedulerRound(benchmark::State& state) {
   core::SchedulerShared shared;
   shared.read_ratio.Observe(0, false, 1000.0);
   core::RequestCostModel cost_model(10.0, 0.5);
+  shared.be_token_rate = 1e6;
   core::QosScheduler sched(shared, cost_model);
   std::vector<std::unique_ptr<core::Tenant>> tenants;
   for (int i = 0; i < num_tenants; ++i) {
@@ -34,7 +35,7 @@ void BM_QosSchedulerRound(benchmark::State& state) {
         i % 2 == 0 ? core::TenantClass::kLatencyCritical
                    : core::TenantClass::kBestEffort,
         core::SloSpec{});
-    t->set_token_rate(1e6);
+    t->set_token_rate(1e6);  // LC reservation; BE tenants share 1e6
     sched.AddTenant(t.get());
     tenants.push_back(std::move(t));
   }

@@ -157,19 +157,24 @@ sim::Task KvStore::FlushTask(sim::VoidPromise promise) {
     co_await waiter_future;
   }
 
-  std::vector<KvEntry> entries;
-  entries.reserve(memtable_.size());
-  for (auto& [k, v] : memtable_) {
-    entries.push_back(KvEntry{k, v.value, v.tombstone});
-  }
+  // The flushing memtable stays readable until its L0 table is
+  // installed: a Get in between must not fall through to an older
+  // version of the key.
+  flushing_ = std::move(memtable_);
   memtable_.clear();
   memtable_size_bytes_ = 0;
+  std::vector<KvEntry> entries;
+  entries.reserve(flushing_.size());
+  for (auto& [k, v] : flushing_) {
+    entries.push_back(KvEntry{k, v.value, v.tombstone});
+  }
 
   sim::Promise<TableRef> table_promise(sim_);
   auto table_future = table_promise.GetFuture();
   WriteTable(std::move(entries), std::move(table_promise));
   TableRef table = co_await table_future;
   l0_.push_back(table);
+  flushing_.clear();
   ++stats_.memtable_flushes;
   stats_.bytes_flushed += static_cast<int64_t>(table->data_bytes);
 
@@ -339,9 +344,11 @@ sim::Task KvStore::GetTask(std::string key,
   co_await sim::Delay(sim_, options_.cpu_per_get);
 
   GetResult result;
-  // Memtable (checked synchronously: a consistent snapshot).
-  auto mt = memtable_.find(key);
-  if (mt != memtable_.end()) {
+  // Memtable, then the memtable being flushed (checked synchronously:
+  // a consistent snapshot).
+  for (const auto* mem : {&memtable_, &flushing_}) {
+    auto mt = mem->find(key);
+    if (mt == mem->end()) continue;
     if (!mt->second.tombstone) {
       result.found = true;
       result.value = mt->second.value;

@@ -93,7 +93,8 @@ class KvStore {
   void set_wal_enabled(bool enabled) { wal_enabled_ = enabled; }
   bool wal_enabled() const { return wal_enabled_; }
 
-  /** Point lookup through memtable, L0 (newest first), then L1. */
+  /** Point lookup through the memtable, the memtable being flushed,
+   * L0 (newest first), then L1. */
   sim::Future<GetResult> Get(std::string key);
 
   /** Flushes the memtable to an L0 SSTable (if non-empty). */
@@ -145,6 +146,8 @@ class KvStore {
   };
   std::map<std::string, MemValue> memtable_;
   uint64_t memtable_size_bytes_ = 0;
+  /** Memtable whose L0 table is being written (empty otherwise). */
+  std::map<std::string, MemValue> flushing_;
 
   std::vector<TableRef> l0_;  // newest last
   std::vector<TableRef> l1_;  // sorted by first_key, non-overlapping

@@ -32,8 +32,7 @@ Tenant* ControlPlane::TryRegister(const SloSpec& slo, TenantClass cls,
     sim::TimeNs strictest = slo.latency;
     double lc_rate_sum =
         server_.cost_model().TokenRateForSlo(slo);
-    for (Tenant* t : server_.tenants()) {
-      if (!t->active() || !t->IsLatencyCritical()) continue;
+    for (const Tenant* t : lc_tenants_) {
       strictest = std::min(strictest, t->slo().latency);
       lc_rate_sum += t->token_rate();
     }
@@ -48,6 +47,11 @@ Tenant* ControlPlane::TryRegister(const SloSpec& slo, TenantClass cls,
   Tenant* tenant = server_.CreateTenant(slo, cls);
   const int thread_idx = PickThreadForTenant();
   server_.thread(thread_idx).AdoptTenant(tenant);
+  if (tenant->IsLatencyCritical()) {
+    lc_tenants_.push_back(tenant);
+  } else {
+    ++num_be_tenants_;
+  }
   RecomputeRates();
   set_status(ReqStatus::kOk);
   return tenant;
@@ -57,6 +61,12 @@ void ControlPlane::Unregister(Tenant* tenant) {
   REFLEX_CHECK(tenant != nullptr);
   if (!tenant->active()) return;
   tenant->set_active(false);
+  if (tenant->IsLatencyCritical()) {
+    lc_tenants_.erase(
+        std::find(lc_tenants_.begin(), lc_tenants_.end(), tenant));
+  } else {
+    --num_be_tenants_;
+  }
   server_.thread(tenant->thread_index()).DropTenant(tenant);
   RecomputeRates();
 }
@@ -72,20 +82,16 @@ void ControlPlane::OnNegLimit(Tenant& tenant) {
 
 void ControlPlane::RecomputeRates() {
   // Token cap: the rate the device sustains at the strictest LC SLO;
-  // without LC tenants, BE traffic may use full device capacity.
+  // without LC tenants, BE traffic may use full device capacity. Only
+  // LC tenants are visited: every BE tenant reads the one shared BE
+  // share, so registering N tenants costs O(N * LC), not O(N^2).
   sim::TimeNs strictest = std::numeric_limits<sim::TimeNs>::max();
   double lc_rate_sum = 0.0;
-  int num_be = 0;
-  for (Tenant* t : server_.tenants()) {
-    if (!t->active()) continue;
-    if (t->IsLatencyCritical()) {
-      strictest = std::min(strictest, t->slo().latency);
-      const double rate = server_.cost_model().TokenRateForSlo(t->slo());
-      t->set_token_rate(rate);
-      lc_rate_sum += rate;
-    } else {
-      ++num_be;
-    }
+  for (Tenant* t : lc_tenants_) {
+    strictest = std::min(strictest, t->slo().latency);
+    const double rate = server_.cost_model().TokenRateForSlo(t->slo());
+    t->set_token_rate(rate);
+    lc_rate_sum += rate;
   }
   if (strictest == std::numeric_limits<sim::TimeNs>::max()) {
     strictest_slo_ = 0;
@@ -96,16 +102,15 @@ void ControlPlane::RecomputeRates() {
         server_.calibration().MaxTokenRateForSlo(strictest);
   }
   double be_share =
-      num_be > 0
-          ? std::max(0.0, scheduler_token_rate_ - lc_rate_sum) / num_be
+      num_be_tenants_ > 0
+          ? std::max(0.0, scheduler_token_rate_ - lc_rate_sum) /
+                num_be_tenants_
           : 0.0;
   // Shed best-effort load while the device is browned out or errors
   // are elevated: LC reservations are untouched, BE tenants are
   // throttled to a trickle until the fault clears.
   if (be_shed_active()) be_share *= server_.options().be_shed_factor;
-  for (Tenant* t : server_.tenants()) {
-    if (t->active() && !t->IsLatencyCritical()) t->set_token_rate(be_share);
-  }
+  server_.shared().be_token_rate = be_share;
 }
 
 void ControlPlane::OnBrownout(bool active) {

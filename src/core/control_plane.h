@@ -122,6 +122,10 @@ class ControlPlane {
   void UpdateErrorRates(sim::TimeNs window);
 
   ReflexServer& server_;
+  /** Active LC tenants in registration order, and the active BE
+   * count: all that admission and RecomputeRates read. */
+  std::vector<Tenant*> lc_tenants_;
+  int num_be_tenants_ = 0;
   double scheduler_token_rate_ = 0.0;
   sim::TimeNs strictest_slo_ = 0;
   int64_t neg_limit_notifications_ = 0;

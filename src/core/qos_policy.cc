@@ -108,6 +108,26 @@ void TokenBucketPolicy::FinishBe(Tenant& t) {
   }
 }
 
+void TokenBucketPolicy::CreditIdleBe(int64_t count, double dt) {
+  // An idle tenant's visit: AccrueBe generates gen = rate * dt onto a
+  // zero balance, its deficit (0 - gen) claims nothing, and FinishBe
+  // donates all of gen. Every BE tenant shares one rate, so the run
+  // donates `count` equal amounts; DonateEach rounds each to
+  // micro-tokens on its own, leaving the bucket's integer state where
+  // `count` visits would. Only the float ledgers and counters add
+  // count * gen in one step instead of `count` steps.
+  const double gen = ctx_.shared->be_token_rate * dt;
+  if (gen <= 0.0) return;
+  const double total = static_cast<double>(count) * gen;
+  ctx_.shared->tokens_generated_total += total;
+  ctx_.shared->global_bucket.DonateEach(gen, count);
+  ctx_.shared->tokens_donated_total += total;
+  if (ctx_.metrics->enabled()) {
+    ctx_.metrics->tokens_generated->Add(total);
+    ctx_.metrics->tokens_donated->Add(total);
+  }
+}
+
 // --- QwinPolicy (window-sized quotas for LC tenants) ---
 
 sim::TimeNs QwinPolicy::WindowLength(const Tenant& t) const {

@@ -117,6 +117,8 @@ struct QosPolicyContext {
  *   AdmitLc/AdmitBe   per queued request: may the front submit?
  *   FinishLc/FinishBe per tenant, after its service loop: donation /
  *                     spill / anti-hoarding reset
+ *   CreditIdleBe      once per run of idle BE tenants, in place of
+ *                     their AccrueBe/FinishBe visits
  *   OnSubmit          after a request was granted (spend already
  *                     booked), for policies tracking inflight state
  *
@@ -150,6 +152,15 @@ class QosPolicy {
   virtual void AccrueBe(Tenant& t, sim::TimeNs now, double dt) = 0;
   virtual bool AdmitBe(const Tenant& t, const PendingIo& io) const = 0;
   virtual void FinishBe(Tenant& /*t*/) {}
+
+  /**
+   * Credits `count` idle BE tenants (empty queue, zero balance) that
+   * the round skips instead of visiting. Must leave the global bucket
+   * exactly where AccrueBe + FinishBe on each of them would, since the
+   * scheduler calls it at the point of the rotation where those visits
+   * would have happened.
+   */
+  virtual void CreditIdleBe(int64_t count, double dt) = 0;
 
   /** A request of tenant `t` was granted and handed to the device. */
   virtual void OnSubmit(Tenant& /*t*/, const PendingIo& /*io*/) {}
@@ -193,6 +204,7 @@ class TokenBucketPolicy : public QosPolicy {
   void AccrueBe(Tenant& t, sim::TimeNs now, double dt) override;
   bool AdmitBe(const Tenant& t, const PendingIo& io) const override;
   void FinishBe(Tenant& t) override;
+  void CreditIdleBe(int64_t count, double dt) override;
 
  protected:
   /** Shared accrual: rate * dt into the balance + conservation ledger. */

@@ -1,6 +1,8 @@
 #include "core/qos_scheduler.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
 
 #include "sim/logging.h"
 
@@ -15,37 +17,76 @@ QosScheduler::QosScheduler(SchedulerShared& shared,
 
 void QosScheduler::AddTenant(Tenant* tenant) {
   REFLEX_CHECK(tenant != nullptr);
+  REFLEX_CHECK(tenant->scheduler_ == nullptr);
+  tenant->scheduler_ = this;
+  queued_requests_ += static_cast<int64_t>(tenant->queue_.size());
   if (tenant->IsLatencyCritical()) {
     lc_tenants_.push_back(tenant);
   } else {
+    const size_t slot = be_tenants_.size();
     be_tenants_.push_back(tenant);
+    tenant->be_slot_ = slot;
+    tenant->shared_rate_ = &shared_.be_token_rate;
+    if (slot % 64 == 0) be_backlog_.push_back(0);
+    if (!tenant->queue_.empty()) SetBacklogged(slot);
   }
   policy_->OnAddTenant(*tenant);
 }
 
 void QosScheduler::RemoveTenant(Tenant* tenant) {
-  auto erase_from = [tenant](std::vector<Tenant*>& v) {
-    auto it = std::find(v.begin(), v.end(), tenant);
-    if (it == v.end()) return false;
-    v.erase(it);
-    return true;
-  };
+  REFLEX_CHECK(tenant != nullptr);
+  REFLEX_CHECK(tenant->scheduler_ == this);
   // A retiring tenant takes its balance with it; record the amount so
-  // the token-conservation ledger still closes.
+  // the token-conservation ledger still closes. Its queue (if any)
+  // leaves with it too: to a new owner, or to DropTenant's TakeQueue.
   shared_.tokens_retired_total += tenant->tokens_;
   tenant->tokens_ = 0.0;
-  if (!erase_from(lc_tenants_)) {
-    auto it = std::find(be_tenants_.begin(), be_tenants_.end(), tenant);
-    REFLEX_CHECK(it != be_tenants_.end());
-    const size_t idx = static_cast<size_t>(it - be_tenants_.begin());
-    be_tenants_.erase(it);
+  queued_requests_ -= static_cast<int64_t>(tenant->queue_.size());
+  if (tenant->IsLatencyCritical()) {
+    lc_tenants_.erase(
+        std::find(lc_tenants_.begin(), lc_tenants_.end(), tenant));
+  } else {
+    const size_t idx = tenant->be_slot_;
+    be_tenants_.erase(be_tenants_.begin() + static_cast<ptrdiff_t>(idx));
     // Erasing below the cursor shifts every later tenant down one
     // slot; keep the cursor pointing at the same next-to-serve tenant
     // so the round-robin rotation is unaffected by removals.
     if (idx < be_cursor_) --be_cursor_;
     if (be_cursor_ >= be_tenants_.size()) be_cursor_ = 0;
+    RebuildBeSlots();
+    // Unbound, the tenant keeps reporting the last share it was given.
+    tenant->token_rate_ = shared_.be_token_rate;
+    tenant->shared_rate_ = nullptr;
   }
+  tenant->scheduler_ = nullptr;
   policy_->OnRemoveTenant(*tenant);
+}
+
+void QosScheduler::RebuildBeSlots() {
+  be_backlog_.assign((be_tenants_.size() + 63) / 64, 0);
+  for (size_t slot = 0; slot < be_tenants_.size(); ++slot) {
+    be_tenants_[slot]->be_slot_ = slot;
+    if (!be_tenants_[slot]->queue_.empty()) SetBacklogged(slot);
+  }
+}
+
+void QosScheduler::ClearBacklogged(const Tenant& t) {
+  // The walk credits an idle tenant without visiting it, which is
+  // exact only while the tenant holds nothing: FinishBe donated its
+  // balance and SubmitFront zeroed its queued cost.
+  REFLEX_CHECK(t.tokens_ == 0.0 && t.queued_cost_ == 0.0);
+  be_backlog_[t.be_slot_ / 64] &= ~(uint64_t{1} << (t.be_slot_ % 64));
+}
+
+size_t QosScheduler::NextBacklogged(size_t from, size_t end) const {
+  while (from < end) {
+    const uint64_t word = be_backlog_[from / 64] >> (from % 64);
+    if (word != 0) {
+      return std::min(end, from + static_cast<size_t>(std::countr_zero(word)));
+    }
+    from = (from / 64 + 1) * 64;
+  }
+  return end;
 }
 
 void QosScheduler::Enqueue(sim::TimeNs now, Tenant* tenant, PendingIo io) {
@@ -63,27 +104,14 @@ void QosScheduler::Enqueue(sim::TimeNs now, Tenant* tenant, PendingIo io) {
   io.MarkStage(obs::Stage::kEnqueued, now);
   tenant->queue_.push_back(std::move(io));
   tenant->queued_cost_ += tenant->queue_.back().cost;
-}
-
-bool QosScheduler::HasPendingDemand() const {
-  for (const Tenant* t : lc_tenants_) {
-    if (!t->queue_.empty()) return true;
+  // An unbound tenant's queue is counted by whichever scheduler adopts
+  // it next (AddTenant).
+  if (tenant->scheduler_ == nullptr) return;
+  REFLEX_CHECK(tenant->scheduler_ == this);
+  ++queued_requests_;
+  if (!tenant->IsLatencyCritical() && tenant->queue_.size() == 1) {
+    SetBacklogged(tenant->be_slot_);
   }
-  for (const Tenant* t : be_tenants_) {
-    if (!t->queue_.empty()) return true;
-  }
-  return false;
-}
-
-int64_t QosScheduler::QueuedRequests() const {
-  int64_t queued = 0;
-  for (const Tenant* t : lc_tenants_) {
-    queued += static_cast<int64_t>(t->queue_.size());
-  }
-  for (const Tenant* t : be_tenants_) {
-    queued += static_cast<int64_t>(t->queue_.size());
-  }
-  return queued;
 }
 
 bool QosScheduler::FrontBlockedByBarrier(const Tenant& t) {
@@ -95,8 +123,11 @@ void QosScheduler::SubmitFront(sim::TimeNs now, Tenant& t,
                                const SubmitFn& submit) {
   PendingIo io = std::move(t.queue_.front());
   t.queue_.pop_front();
+  --queued_requests_;
   t.queued_cost_ -= io.cost;
-  if (t.queued_cost_ < 0.0) t.queued_cost_ = 0.0;
+  // An empty queue costs exactly nothing: no float residue is left
+  // behind to leak into the next deficit.
+  if (t.queued_cost_ < 0.0 || t.queue_.empty()) t.queued_cost_ = 0.0;
   if (!config_.enforce) {
     // Pass-through mode generates no tokens in RunRound, but spend
     // accounting below still runs (the spent counters feed exported
@@ -153,11 +184,15 @@ int QosScheduler::RunRound(sim::TimeNs now, const SubmitFn& submit) {
         ++submitted;
       }
     }
-    for (Tenant* tp : be_tenants_) {
-      while (!tp->queue_.empty() && !FrontBlockedByBarrier(*tp)) {
-        SubmitFront(now, *tp, submit);
+    const size_t n = be_tenants_.size();
+    for (size_t slot = NextBacklogged(0, n); slot < n;
+         slot = NextBacklogged(slot + 1, n)) {
+      Tenant& t = *be_tenants_[slot];
+      while (!t.queue_.empty() && !FrontBlockedByBarrier(t)) {
+        SubmitFront(now, t, submit);
         ++submitted;
       }
+      if (t.queue_.empty()) ClearBacklogged(t);
     }
     MarkRoundComplete();
     return submitted;
@@ -178,20 +213,47 @@ int QosScheduler::RunRound(sim::TimeNs now, const SubmitFn& submit) {
   }
 
   // --- Best-effort tenants, round-robin (Alg. 1 lines 13-21) ---
-  const size_t n = be_tenants_.size();
-  for (size_t k = 0; k < n; ++k) {
-    Tenant& t = *be_tenants_[(be_cursor_ + k) % n];
-    policy_->AccrueBe(t, now, dt);
-    while (!t.queue_.empty() && policy_->AdmitBe(t, t.queue_.front()) &&
-           !FrontBlockedByBarrier(t)) {
-      SubmitFront(now, t, submit);
-      ++submitted;
-    }
-    policy_->FinishBe(t);
-  }
-  if (n > 0) be_cursor_ = (be_cursor_ + 1) % n;
+  submitted += RunBeRound(now, dt, submit);
 
   MarkRoundComplete();
+  return submitted;
+}
+
+int QosScheduler::RunBeRound(sim::TimeNs now, double dt,
+                             const SubmitFn& submit) {
+  const size_t n = be_tenants_.size();
+  if (n == 0) return 0;
+  int submitted = 0;
+  // Visits the backlogged tenants in rotation order from the cursor:
+  // slots [cursor, n), then [0, cursor). Idle tenants between two
+  // backlogged ones are credited in one step right before the next
+  // backlogged tenant is served, where a visit-every-tenant walk would
+  // have made their donations, so every claim sees the same bucket.
+  int64_t idle = 0;
+  const std::pair<size_t, size_t> spans[] = {{be_cursor_, n},
+                                             {0, be_cursor_}};
+  for (const auto& [begin, end] : spans) {
+    size_t pos = begin;
+    for (size_t slot = NextBacklogged(pos, end); slot < end;
+         slot = NextBacklogged(pos, end)) {
+      idle += static_cast<int64_t>(slot - pos);
+      if (idle > 0) policy_->CreditIdleBe(idle, dt);
+      idle = 0;
+      Tenant& t = *be_tenants_[slot];
+      policy_->AccrueBe(t, now, dt);
+      while (!t.queue_.empty() && policy_->AdmitBe(t, t.queue_.front()) &&
+             !FrontBlockedByBarrier(t)) {
+        SubmitFront(now, t, submit);
+        ++submitted;
+      }
+      policy_->FinishBe(t);
+      if (t.queue_.empty()) ClearBacklogged(t);
+      pos = slot + 1;
+    }
+    idle += static_cast<int64_t>(end - pos);
+  }
+  if (idle > 0) policy_->CreditIdleBe(idle, dt);
+  be_cursor_ = (be_cursor_ + 1) % n;
   return submitted;
 }
 

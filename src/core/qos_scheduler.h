@@ -44,6 +44,16 @@ struct SchedulerShared {
     reset_epoch.fetch_add(1, std::memory_order_acq_rel);
   }
 
+  /**
+   * Token rate (tokens/sec) of every best-effort tenant on this device:
+   * the fair share of the throughput LC reservations leave unallocated.
+   * Written by ControlPlane::RecomputeRates; read through
+   * Tenant::token_rate() and by the scheduler's idle-run credit. One
+   * value instead of one per tenant is what lets a scheduling round
+   * credit a run of idle BE tenants in one step.
+   */
+  double be_token_rate = 0.0;
+
   /** Cumulative tokens spent across all threads (Figure 6a metric). */
   double tokens_spent_total = 0.0;
 
@@ -114,11 +124,11 @@ class QosScheduler {
    */
   int RunRound(sim::TimeNs now, const SubmitFn& submit);
 
-  /** True if any tenant on this thread has queued requests. */
-  bool HasPendingDemand() const;
+  /** True if any tenant on this thread has queued requests. O(1). */
+  bool HasPendingDemand() const { return queued_requests_ > 0; }
 
-  /** Requests queued across every tenant bound to this thread. */
-  int64_t QueuedRequests() const;
+  /** Requests queued across every tenant bound to this thread. O(1). */
+  int64_t QueuedRequests() const { return queued_requests_; }
 
   /** Number of tenants bound to this scheduler. */
   int NumTenants() const {
@@ -149,6 +159,23 @@ class QosScheduler {
   void SubmitFront(sim::TimeNs now, Tenant& t, const SubmitFn& submit);
   void MarkRoundComplete();
 
+  /** Serves BE tenants in rotation order, crediting idle runs. */
+  int RunBeRound(sim::TimeNs now, double dt, const SubmitFn& submit);
+
+  /** Backlog bitmap over be_tenants_ slots. */
+  bool Backlogged(size_t slot) const {
+    return (be_backlog_[slot / 64] >> (slot % 64)) & 1;
+  }
+  void SetBacklogged(size_t slot) {
+    be_backlog_[slot / 64] |= uint64_t{1} << (slot % 64);
+  }
+  /** Clears the bit of a BE tenant whose queue has emptied. */
+  void ClearBacklogged(const Tenant& t);
+  /** First backlogged slot in [from, end), or `end` if none. */
+  size_t NextBacklogged(size_t from, size_t end) const;
+  /** Recomputes slots and the bitmap from be_tenants_. */
+  void RebuildBeSlots();
+
   SchedulerShared& shared_;
   const RequestCostModel& cost_model_;
   Config config_;
@@ -162,7 +189,16 @@ class QosScheduler {
 
   std::vector<Tenant*> lc_tenants_;
   std::vector<Tenant*> be_tenants_;
+  /**
+   * One bit per be_tenants_ slot, set iff that tenant's queue is
+   * non-empty. A clear bit means the tenant is idle: empty queue, zero
+   * balance and zero queued cost, so its whole round is "generate
+   * rate * dt, donate it" and the walk credits it without visiting it.
+   */
+  std::vector<uint64_t> be_backlog_;
   size_t be_cursor_ = 0;
+  /** Sum of queue_depth() over every bound tenant. */
+  int64_t queued_requests_ = 0;
 
   sim::TimeNs prev_round_time_ = 0;
   bool has_run_ = false;

@@ -7,10 +7,12 @@
 
 #include "core/protocol.h"
 #include "core/slo.h"
+#include "sim/logging.h"
 #include "sim/time.h"
 
 namespace reflex::core {
 
+class QosScheduler;
 class ServerConnection;
 
 /** A read/write request queued in a tenant's software queue. */
@@ -61,10 +63,14 @@ class Tenant {
 
   /**
    * Token generation rate (tokens/sec). For LC tenants this is the
-   * SLO reservation; for BE tenants the fair share of unallocated
-   * throughput. Maintained by the control plane.
+   * SLO reservation, set by the control plane. For a BE tenant bound
+   * to a scheduler it is the device-wide fair share of unallocated
+   * throughput (SchedulerShared::be_token_rate), one value for every
+   * BE tenant; set_token_rate does not override it while bound.
    */
-  double token_rate() const { return token_rate_; }
+  double token_rate() const {
+    return shared_rate_ != nullptr ? *shared_rate_ : token_rate_;
+  }
   void set_token_rate(double rate) { token_rate_ = rate; }
 
   /** Sum of priced costs of queued requests ("demand" in Alg. 1). */
@@ -78,8 +84,13 @@ class Tenant {
   bool active() const { return active_; }
   void set_active(bool active) { active_ = active; }
 
-  /** Removes and returns all queued requests (unregistration path). */
+  /**
+   * Removes and returns all queued requests (unregistration path).
+   * Only valid once the tenant is unbound: a bound tenant's queue is
+   * counted by its scheduler.
+   */
   std::deque<PendingIo> TakeQueue() {
+    REFLEX_CHECK(scheduler_ == nullptr);
     queued_cost_ = 0.0;
     std::deque<PendingIo> q;
     q.swap(queue_);
@@ -115,6 +126,12 @@ class Tenant {
   bool active_ = true;
 
   // Scheduler state (owned by the tenant's thread scheduler).
+  /** Scheduler this tenant is bound to (null while unbound). */
+  const QosScheduler* scheduler_ = nullptr;
+  /** BE tenants: slot in the scheduler's BE list and backlog bitmap. */
+  size_t be_slot_ = 0;
+  /** BE tenants: the shared fair share while bound. */
+  const double* shared_rate_ = nullptr;
   double tokens_ = 0.0;
   std::deque<PendingIo> queue_;
   double queued_cost_ = 0.0;

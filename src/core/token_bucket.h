@@ -31,6 +31,17 @@ class GlobalTokenBucket {
   }
 
   /**
+   * Adds `count` donations of `tokens` each in one step. Each donation
+   * rounds to micro-tokens on its own, so the bucket ends exactly where
+   * `count` calls of Donate(tokens) would leave it.
+   */
+  void DonateEach(double tokens, int64_t count) {
+    if (tokens <= 0.0 || count <= 0) return;
+    micro_tokens_.fetch_add(count * ToMicro(tokens),
+                            std::memory_order_relaxed);
+  }
+
+  /**
    * Atomically claims up to `want` tokens; returns the amount claimed
    * (possibly 0, never negative, never more than the bucket held).
    */

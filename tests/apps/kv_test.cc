@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+
 #include "apps/kv/db_bench.h"
 #include "apps/kv/sstable.h"
 #include "baseline/local_spdk.h"
@@ -140,6 +143,45 @@ TEST_F(KvStoreTest, GetFromFlushedTable) {
     ASSERT_TRUE(r.found) << i;
     EXPECT_EQ(r.value, DbBench::ValueFor(i, 64));
   }
+}
+
+// Regression: the flush used to empty the memtable before its L0 table
+// was installed, so a Get racing the table write fell through to an
+// older table and returned the previous value.
+TEST_F(KvStoreTest, GetSeesKeysWhileTheirFlushIsInFlight) {
+  KvStore store(sim_, backend_, SmallOptions());
+  Await(store.Put("k", "old"));
+  Await(store.Flush());
+  ASSERT_EQ(store.l0_tables(), 1);
+
+  // Overwrite k, then fill the memtable until a Put starts a flush; that
+  // Put resolves only once the flush has installed its table.
+  Await(store.Put("k", "new"));
+  int last = -1;
+  std::optional<sim::Future<bool>> flushing_put;
+  for (int i = 0; last < 0; ++i) {
+    flushing_put.emplace(
+        store.Put(DbBench::KeyFor(i), DbBench::ValueFor(i, 100)));
+    while (!flushing_put->Ready() && store.memtable_entries() > 0) {
+      sim_.RunUntil(sim_.Now() + sim::Micros(1));
+    }
+    if (!flushing_put->Ready()) last = i;
+  }
+  ASSERT_EQ(store.l0_tables(), 1) << "flush still writing its table";
+
+  sim::Future<GetResult> overwritten = store.Get("k");
+  sim::Future<GetResult> last_get = store.Get(DbBench::KeyFor(last));
+  while (!overwritten.Ready() || !last_get.Ready()) {
+    sim_.RunUntil(sim_.Now() + sim::Micros(1));
+  }
+  ASSERT_EQ(store.l0_tables(), 1) << "lookups must race the table write";
+  EXPECT_EQ(overwritten.Get().value, "new");
+  ASSERT_TRUE(last_get.Get().found);
+  EXPECT_EQ(last_get.Get().value, DbBench::ValueFor(last, 100));
+  sim_.Run();
+  EXPECT_TRUE(flushing_put->Ready());
+  EXPECT_EQ(store.l0_tables(), 2);
+  EXPECT_EQ(Await(store.Get("k")).value, "new");
 }
 
 TEST_F(KvStoreTest, CompactionPreservesAllData) {

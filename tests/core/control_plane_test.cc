@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "client/load_generator.h"
 #include "client/reflex_client.h"
 #include "testing/harness.h"
@@ -166,6 +169,98 @@ TEST(ControlPlaneTest, ServerStillServesAfterRescaling) {
   auto io3 = session->Read(1600, 8);
   ASSERT_TRUE(h.RunUntilReady([&] { return io3.Ready(); }));
   EXPECT_TRUE(io3.Get().ok());
+}
+
+// Every thread's O(1) queued-request count must equal the queue depths
+// of the tenants it owns, whichever path moved the requests.
+void ExpectQueueCountsMatch(core::ReflexServer& server, const char* when) {
+  for (int i = 0; i < server.num_threads(); ++i) {
+    int64_t queued = 0;
+    for (const core::Tenant* t : server.tenants()) {
+      if (t->active() && t->thread_index() == i) {
+        queued += static_cast<int64_t>(t->queue_depth());
+      }
+    }
+    const core::QosScheduler& sched = server.thread(i).scheduler();
+    EXPECT_EQ(sched.QueuedRequests(), queued) << when << ", thread " << i;
+    EXPECT_EQ(sched.HasPendingDemand(), queued > 0)
+        << when << ", thread " << i;
+  }
+}
+
+TEST(ControlPlaneTest, QueueCountsFollowEveryPathThatMovesRequests) {
+  core::ServerOptions options;
+  options.num_threads = 2;
+  options.max_threads = 2;
+  Harness h(options);
+  // Tiny reservations: each tenant bursts 50 tokens, then drains about
+  // one request per millisecond, so a burst of reads stays queued.
+  core::Tenant* a = h.LcTenant(1000, 1.0, Millis(2));  // thread 0
+  core::Tenant* b = h.LcTenant(1000, 1.0, Millis(2));  // thread 1
+  core::Tenant* c = h.LcTenant(1000, 1.0, Millis(2));  // thread 0
+  ASSERT_EQ(b->thread_index(), 1);
+
+  ASSERT_TRUE(h.server.control_plane().ScaleTo(1));
+  ExpectQueueCountsMatch(h.server, "after shrink");
+  ASSERT_EQ(b->thread_index(), 0);
+
+  // b's connection is opened while b lives on thread 0, so it keeps
+  // polling there after b moves.
+  client::ReflexClient client(h.sim, h.server, h.client_machine, {});
+  auto session_a = client.AttachSession(a->handle());
+  auto session_b = client.AttachSession(b->handle());
+  auto session_c = client.AttachSession(c->handle());
+  std::vector<sim::Future<client::IoResult>> ios;
+  auto burst = [&](client::TenantSession& s, int n) {
+    for (int i = 0; i < n; ++i) ios.push_back(s.Read(8 * i, 8));
+  };
+  auto run_checked = [&](sim::TimeNs span, const char* when) {
+    const sim::TimeNs end = h.sim.Now() + span;
+    while (h.sim.Now() < end) {
+      h.sim.RunUntil(h.sim.Now() + Micros(100));
+      ExpectQueueCountsMatch(h.server, when);
+    }
+  };
+  // Each move retires a tenant's debt and grants a fresh 50-token
+  // burst, so the backlog must outlast several moves.
+  burst(*session_b, 300);
+  burst(*session_c, 300);
+  run_checked(Millis(5), "backlog building on one thread");
+  ASSERT_GT(b->queue_depth(), 0u);
+
+  // Growing rebalances: b (handle order, equal rates) moves to the
+  // restarted thread 1 with its backlog.
+  ASSERT_TRUE(h.server.control_plane().ScaleTo(2));
+  ASSERT_EQ(b->thread_index(), 1);
+  ASSERT_GT(b->queue_depth(), 0u);
+  ExpectQueueCountsMatch(h.server, "after grow + rebalance");
+
+  // b's new requests arrive on thread 0 and queue on thread 1.
+  const int64_t rx0 = h.server.thread(0).stats().requests_rx;
+  const int64_t rx1 = h.server.thread(1).stats().requests_rx;
+  burst(*session_b, 40);
+  run_checked(Millis(2), "cross-thread enqueue");
+  EXPECT_EQ(h.server.thread(0).stats().requests_rx - rx0, 40);
+  EXPECT_EQ(h.server.thread(1).stats().requests_rx, rx1);
+
+  ASSERT_GT(c->queue_depth(), 0u);
+  ASSERT_TRUE(h.server.UnregisterTenant(c->handle()));
+  ExpectQueueCountsMatch(h.server, "after unregistering a backlogged tenant");
+  run_checked(Millis(1), "after unregister");
+
+  ASSERT_GT(b->queue_depth(), 0u);
+  h.server.control_plane().RebalanceTenants();
+  ExpectQueueCountsMatch(h.server, "after rebalance");
+  ASSERT_TRUE(h.server.control_plane().ScaleTo(1));
+  ExpectQueueCountsMatch(h.server, "after shrinking a backlogged thread");
+
+  burst(*session_a, 10);
+  ASSERT_TRUE(h.RunUntilReady([&] {
+    return std::all_of(ios.begin(), ios.end(),
+                       [](const auto& io) { return io.Ready(); });
+  }));
+  ExpectQueueCountsMatch(h.server, "drained");
+  EXPECT_FALSE(h.server.thread(0).scheduler().HasPendingDemand());
 }
 
 TEST(ControlPlaneTest, PersistentBurstersGetFlagged) {

@@ -155,7 +155,7 @@ TEST_F(QosPolicyTest, QwinOverdrawIsRepaidFromNextQuota) {
 TEST_F(QosPolicyTest, AdaptiveBeCapsInflightAtMinCapWhileUnprimed) {
   auto sched = NewSched(QosPolicyKind::kAdaptiveBe);
   Tenant t(1, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1e6);
+  shared_.be_token_rate = 1e6;
   sched->AddTenant(&t);
 
   EnqueueN(*sched, &t, 100, ReqType::kRead);
@@ -182,7 +182,7 @@ TEST_F(QosPolicyTest, AdaptiveBeRaisesCapWithMeasuredServiceRate) {
   auto sched =
       std::make_unique<QosScheduler>(shared_, cost_model_, config);
   Tenant t(1, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1e6);
+  shared_.be_token_rate = 1e6;
   sched->AddTenant(&t);
 
   EnqueueN(*sched, &t, 100, ReqType::kRead);
@@ -227,7 +227,7 @@ TEST_F(QosPolicyTest, ConservationLedgerClosesUnderEveryPolicy) {
     Tenant lc(1, TenantClass::kLatencyCritical, slo);
     lc.set_token_rate(50000.0);
     Tenant be(2, TenantClass::kBestEffort, SloSpec{});
-    be.set_token_rate(20000.0);
+    shared.be_token_rate = 20000.0;
     sched.AddTenant(&lc);
     sched.AddTenant(&be);
 

@@ -161,7 +161,7 @@ TEST_F(QosSchedulerTest, LcDonatesOnlyExcessAbovePosLimit) {
 
 TEST_F(QosSchedulerTest, BeRequiresTokensBeforeSubmitting) {
   Tenant t(2, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1000.0);
+  shared_.be_token_rate = 1000.0;
   sched_.AddTenant(&t);
   EnqueueN(&t, 10, ReqType::kRead);
   // First round: dt = 0 => no tokens => nothing may submit (BE tenants
@@ -175,7 +175,7 @@ TEST_F(QosSchedulerTest, BeRequiresTokensBeforeSubmitting) {
 
 TEST_F(QosSchedulerTest, BeClaimsFromGlobalBucket) {
   Tenant t(2, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(0.0);  // no share of its own
+  shared_.be_token_rate = 0.0;  // no share of its own
   sched_.AddTenant(&t);
   EnqueueN(&t, 10, ReqType::kRead);
   shared_.global_bucket.Donate(6.0);
@@ -186,7 +186,7 @@ TEST_F(QosSchedulerTest, BeClaimsFromGlobalBucket) {
 
 TEST_F(QosSchedulerTest, IdleBeDonatesInsteadOfHoarding) {
   Tenant t(2, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1000.0);
+  shared_.be_token_rate = 1000.0;
   sched_.AddTenant(&t);
   shared_.num_threads = 2;  // defer the end-of-round bucket reset
   // Tenant has no demand; its generated tokens must flow to the global
@@ -223,7 +223,7 @@ TEST_F(QosSchedulerTest, LcServedBeforeBe) {
   Tenant lc(1, TenantClass::kLatencyCritical, SloSpec{});
   Tenant be(2, TenantClass::kBestEffort, SloSpec{});
   lc.set_token_rate(10000.0);
-  be.set_token_rate(10000.0);
+  shared_.be_token_rate = 10000.0;
   sched_.AddTenant(&lc);
   sched_.AddTenant(&be);
   EnqueueN(&lc, 5, ReqType::kRead);
@@ -306,7 +306,7 @@ TEST_F(QosSchedulerTest, TokensSpentTracked) {
 
 TEST_F(QosSchedulerTest, RemoveTenantStopsService) {
   Tenant t(1, TenantClass::kBestEffort, SloSpec{});
-  t.set_token_rate(1e6);
+  shared_.be_token_rate = 1e6;
   sched_.AddTenant(&t);
   EXPECT_EQ(sched_.NumBeTenants(), 1);
   sched_.RemoveTenant(&t);

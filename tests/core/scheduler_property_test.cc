@@ -46,12 +46,18 @@ TEST_P(SchedulerPropertyTest, InvariantsUnderRandomTraffic) {
         i + 1,
         lc ? TenantClass::kLatencyCritical : TenantClass::kBestEffort,
         SloSpec{});
-    const double rate = 1000.0 + rng.NextDouble() * 200000.0;
-    t->set_token_rate(rate);
-    total_rate += rate;
+    if (lc) {
+      const double rate = 1000.0 + rng.NextDouble() * 200000.0;
+      t->set_token_rate(rate);
+      total_rate += rate;
+    }
     sched_.AddTenant(t.get());
     tenants.push_back(std::move(t));
   }
+  // LC tenants reserve their own rates; every BE tenant gets the one
+  // shared fair share, as the control plane assigns it.
+  shared_.be_token_rate = 1000.0 + rng.NextDouble() * 200000.0;
+  total_rate += shared_.be_token_rate * num_be;
   shared_.num_threads = 2;  // keep the bucket across rounds
 
   // Per-tenant FIFO bookkeeping: cookies must submit in enqueue order.
@@ -103,9 +109,10 @@ TEST_P(SchedulerPropertyTest, InvariantsUnderRandomTraffic) {
   EXPECT_EQ(submitted + still_queued, enqueued);
 
   // Token conservation: tokens spent cannot exceed tokens generated
-  // (rates x elapsed time) plus the LC burst allowance.
+  // (rates x elapsed time) plus the LC burst allowance: down to
+  // NEG_LIMIT, overshot by at most one request's cost.
   const double generated =
-      total_rate * sim::ToSeconds(now) + 50.0 * (num_lc + num_be);
+      total_rate * sim::ToSeconds(now) + (50.0 + 80.0) * num_lc;
   EXPECT_LE(shared_.tokens_spent_total, generated + 1.0);
 }
 
