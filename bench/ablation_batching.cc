@@ -11,7 +11,6 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "client/flash_service.h"
 #include "client/reflex_client.h"
 
 namespace reflex {
@@ -31,15 +30,14 @@ void RunPoint(int max_batch) {
   client::ReflexClient client(world.sim, *world.server,
                               world.client_machines[0], copts);
   auto session = client.AttachSession(tenant->handle());
-  client::ReflexService service(*session);
 
   // Peak: heavy open-loop overload, count what gets through.
   bench::LoadPoint peak = bench::MeasureOpenLoop(
-      world, {&service}, 1200000.0, 1.0, 2, sim::Millis(50),
+      world, {session.get()}, 1200000.0, 1.0, 2, sim::Millis(50),
       sim::Millis(200));
   // Moderate load: 300K IOPS, look at the tail.
   bench::LoadPoint moderate = bench::MeasureOpenLoop(
-      world, {&service}, 300000.0, 1.0, 2, sim::Millis(50),
+      world, {session.get()}, 300000.0, 1.0, 2, sim::Millis(50),
       sim::Millis(200));
 
   std::printf("%9d %14.0f %18.1f %18.1f\n", max_batch, peak.achieved_iops,

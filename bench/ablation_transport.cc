@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "bench/common.h"
-#include "client/flash_service.h"
 #include "client/reflex_client.h"
 
 namespace reflex {
@@ -31,18 +30,16 @@ void RunTransport(net::Transport transport, const char* name) {
   client::ReflexClient client(world.sim, *world.server,
                               world.client_machines[0], copts);
   auto lc_session = client.AttachSession(lc->handle());
-  client::ReflexService lc_service(*lc_session);
 
   sim::Histogram unloaded =
-      bench::ProbeLatency(world, lc_service, true, 400);
+      bench::ProbeLatency(world, *lc_session, true, 400);
 
   core::Tenant* be = world.server->RegisterTenant(
       core::SloSpec{}, core::TenantClass::kBestEffort);
   // Second tenant over the same client: shares the connection pool.
   auto be_session = client.AttachSession(be->handle());
-  client::ReflexService be_service(*be_session);
   bench::LoadPoint peak = bench::MeasureOpenLoop(
-      world, {&be_service}, 1300000.0, 1.0, 2, sim::Millis(50),
+      world, {be_session.get()}, 1300000.0, 1.0, 2, sim::Millis(50),
       sim::Millis(200));
 
   std::printf("%-6s %14.1f %14.1f %16.0f\n", name, unloaded.Mean() / 1e3,

@@ -9,7 +9,7 @@
 #include <utility>
 #include <vector>
 
-#include "client/flash_service.h"
+#include "client/io_session.h"
 #include "core/reflex_server.h"
 #include "flash/calibration.h"
 #include "flash/flash_device.h"
@@ -155,40 +155,21 @@ inline double CheckBreakdownReconciles(const obs::BreakdownTable& table,
 }
 
 /**
- * QD-1 latency probe over any FlashService: issues `samples` random
- * 4KB I/Os one at a time and returns the latency histogram (the
+ * QD-1 latency probe over any IoSession: issues `samples` random 4KB
+ * I/Os one at a time and returns the latency histogram (the
  * methodology of the paper's Table 2 and of mutilate's latency agent).
  */
 inline sim::Histogram ProbeLatency(BenchWorld& world,
-                                   client::FlashService& service,
-                                   bool is_read, int samples,
-                                   uint64_t seed = 7) {
+                                   client::IoSession& session, bool is_read,
+                                   int samples, uint64_t seed = 7) {
   sim::Histogram hist;
   sim::Rng rng(seed, "bench_probe");
   for (int i = 0; i < samples; ++i) {
     const uint64_t lba = rng.NextBounded(4000000) * 8;
-    auto f = service.SubmitIo(is_read ? client::IoDesc::Read(lba, 8)
-                                      : client::IoDesc::Write(lba, 8));
+    auto f = is_read ? session.Read(lba, 8) : session.Write(lba, 8);
     hist.Record(world.Await(std::move(f)).Latency());
   }
   return hist;
-}
-
-/** Closed-loop saturation driver over a FlashService. */
-inline sim::Task SaturationWorker(sim::Simulator& sim,
-                                  client::FlashService& service,
-                                  sim::TimeNs end, uint32_t sectors,
-                                  double read_fraction, int64_t* completed,
-                                  uint64_t salt) {
-  sim::Rng rng(salt, "bench_saturate");
-  while (sim.Now() < end) {
-    const uint64_t lba = rng.NextBounded(4000000) * 8;
-    const bool is_read = rng.NextBernoulli(read_fraction);
-    co_await service.SubmitIo(is_read
-                                  ? client::IoDesc::Read(lba, sectors)
-                                  : client::IoDesc::Write(lba, sectors));
-    ++*completed;
-  }
 }
 
 /** One measured point of a latency-throughput curve. */
@@ -201,14 +182,14 @@ struct LoadPoint {
 
 namespace internal {
 
-/** Open-loop Poisson generator over a set of FlashServices. */
+/** Open-loop Poisson generator over a set of IoSessions. */
 class OpenLoopDriver {
  public:
-  OpenLoopDriver(sim::Simulator& sim, std::vector<client::FlashService*> svcs,
+  OpenLoopDriver(sim::Simulator& sim, std::vector<client::IoSession*> sessions,
                  double offered_iops, double read_fraction,
                  uint32_t sectors, uint64_t seed)
       : sim_(sim),
-        services_(std::move(svcs)),
+        sessions_(std::move(sessions)),
         read_fraction_(read_fraction),
         sectors_(sectors),
         rng_(seed, "open_loop_driver"),
@@ -238,18 +219,21 @@ class OpenLoopDriver {
     sim_.ScheduleAfter(gap, [this] {
       if (sim_.Now() >= end_) return;
       ++outstanding_;
-      IssueOne(services_[next_service_]);
-      next_service_ = (next_service_ + 1) % services_.size();
+      IssueOne(sessions_[next_session_]);
+      next_session_ = (next_session_ + 1) % sessions_.size();
       ScheduleNext();
     });
   }
 
-  sim::Task IssueOne(client::FlashService* service) {
+  sim::Task IssueOne(client::IoSession* session) {
     const bool is_read = rng_.NextBernoulli(read_fraction_);
     const uint64_t lba = rng_.NextBounded(4000000) * 8;
-    client::IoResult r = co_await service->SubmitIo(
-        is_read ? client::IoDesc::Read(lba, sectors_)
-                : client::IoDesc::Write(lba, sectors_));
+    client::IoResult r;
+    if (is_read) {
+      r = co_await session->Read(lba, sectors_);
+    } else {
+      r = co_await session->Write(lba, sectors_);
+    }
     --outstanding_;
     if (r.ok() && r.complete_time >= warm_end_ && r.complete_time < end_) {
       ++ops_in_window_;
@@ -258,14 +242,14 @@ class OpenLoopDriver {
   }
 
   sim::Simulator& sim_;
-  std::vector<client::FlashService*> services_;
+  std::vector<client::IoSession*> sessions_;
   double read_fraction_;
   uint32_t sectors_;
   sim::Rng rng_;
   double mean_gap_;
   sim::TimeNs warm_end_ = 0;
   sim::TimeNs end_ = 0;
-  size_t next_service_ = 0;
+  size_t next_session_ = 0;
   int64_t outstanding_ = 0;
   int64_t ops_in_window_ = 0;
   sim::Histogram hist_;
@@ -275,30 +259,30 @@ class OpenLoopDriver {
 
 /**
  * Measures one open-loop point: `offered_iops` spread round-robin over
- * the given services (Poisson arrivals). Returns achieved throughput
+ * the given sessions (Poisson arrivals). Returns achieved throughput
  * and read-latency stats over the window.
  */
 inline LoadPoint MeasureOpenLoop(sim::Simulator& sim,
-                                 std::vector<client::FlashService*> services,
+                                 std::vector<client::IoSession*> sessions,
                                  double offered_iops, double read_fraction,
                                  uint32_t sectors,
                                  sim::TimeNs warmup = sim::Millis(50),
                                  sim::TimeNs duration = sim::Millis(250),
                                  uint64_t seed = 9) {
-  internal::OpenLoopDriver driver(sim, std::move(services), offered_iops,
+  internal::OpenLoopDriver driver(sim, std::move(sessions), offered_iops,
                                   read_fraction, sectors, seed);
   return driver.Measure(warmup, duration);
 }
 
 /** Convenience overload over a BenchWorld's simulator. */
 inline LoadPoint MeasureOpenLoop(BenchWorld& world,
-                                 std::vector<client::FlashService*> services,
+                                 std::vector<client::IoSession*> sessions,
                                  double offered_iops, double read_fraction,
                                  uint32_t sectors,
                                  sim::TimeNs warmup = sim::Millis(50),
                                  sim::TimeNs duration = sim::Millis(250),
                                  uint64_t seed = 9) {
-  return MeasureOpenLoop(world.sim, std::move(services), offered_iops,
+  return MeasureOpenLoop(world.sim, std::move(sessions), offered_iops,
                          read_fraction, sectors, warmup, duration, seed);
 }
 

@@ -15,7 +15,6 @@
 #include "baseline/kernel_server.h"
 #include "baseline/local_spdk.h"
 #include "bench/common.h"
-#include "client/flash_service.h"
 #include "client/reflex_client.h"
 
 namespace reflex {
@@ -60,8 +59,7 @@ void RunReflex(int threads) {
   // one thread; the paper scales tenants with threads).
   std::vector<std::unique_ptr<client::ReflexClient>> clients;
   std::vector<std::unique_ptr<client::TenantSession>> sessions;
-  std::vector<std::unique_ptr<client::ReflexService>> services;
-  std::vector<client::FlashService*> svc_ptrs;
+  std::vector<client::IoSession*> session_ptrs;
   for (int t = 0; t < threads; ++t) {
     core::Tenant* tenant = world.server->RegisterTenant(
         core::SloSpec{}, core::TenantClass::kBestEffort);
@@ -77,9 +75,7 @@ void RunReflex(int threads) {
         world.sim, *world.server,
         world.client_machines[t % world.client_machines.size()], copts));
     sessions.push_back(clients.back()->AttachSession(tenant->handle()));
-    services.push_back(
-        std::make_unique<client::ReflexService>(*sessions.back()));
-    svc_ptrs.push_back(services.back().get());
+    session_ptrs.push_back(sessions.back().get());
   }
 
   const double cap = threads == 1 ? 880000.0 : 1140000.0;
@@ -88,7 +84,7 @@ void RunReflex(int threads) {
   for (double offered : Sweep(cap)) {
     before = world.server->AggregateStats();  // snapshot before last point
     world.server->tracer().Reset();  // breakdown covers the last point
-    pts.push_back(bench::MeasureOpenLoop(world, svc_ptrs, offered, 1.0, 2));
+    pts.push_back(bench::MeasureOpenLoop(world, session_ptrs, offered, 1.0, 2));
   }
   char name[32];
   std::snprintf(name, sizeof(name), "ReFlex-%dT", threads);
@@ -123,7 +119,7 @@ void RunLibaio(int threads) {
       world.device,
       baseline::BaselineCosts::Libaio(net::StackCosts::IxDataplane(),
                                       threads),
-      threads * 32, "libaio");
+      threads * 32);
   const double cap = threads * 78000.0;
   std::vector<bench::LoadPoint> pts;
   for (double offered : Sweep(cap)) {

@@ -29,7 +29,6 @@ constexpr sim::TimeNs kSloP95 = sim::Micros(500);
 struct Driver {
   std::unique_ptr<cluster::ClusterClient> client;
   std::unique_ptr<cluster::ClusterSession> session;
-  std::unique_ptr<client::ReflexService> service;
 };
 
 double RunPoint(int num_shards, double* worst_shard_p95_us) {
@@ -59,7 +58,7 @@ double RunPoint(int num_shards, double* worst_shard_p95_us) {
   // Four client machines, each with its own per-shard connection pools
   // and session over the shared tenant.
   std::vector<Driver> drivers;
-  std::vector<client::FlashService*> services;
+  std::vector<client::IoSession*> sessions;
   for (int i = 0; i < 4; ++i) {
     Driver d;
     cluster::ClusterClient::Options copts;
@@ -74,16 +73,14 @@ double RunPoint(int num_shards, double* worst_shard_p95_us) {
       std::fprintf(stderr, "cluster session refused\n");
       std::abort();
     }
-    d.service =
-        std::make_unique<client::ReflexService>(*d.session, "ReFlex cluster");
+    sessions.push_back(d.session.get());
     drivers.push_back(std::move(d));
-    services.push_back(drivers.back().service.get());
   }
 
   // 4KB reads, stripe-aligned (64KB stripes), offered at the full
   // reservation.
   bench::LoadPoint point = bench::MeasureOpenLoop(
-      sim, services, num_shards * kPerShardIops, /*read_fraction=*/1.0,
+      sim, sessions, num_shards * kPerShardIops, /*read_fraction=*/1.0,
       /*sectors=*/8);
 
   // Worst per-shard p95 across every driver's scatter-gather extents:

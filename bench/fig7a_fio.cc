@@ -52,8 +52,7 @@ void Run() {
     baseline::LocalNvmeDriver::Options o;
     o.num_contexts = 5;  // paper: 5 FIO threads saturate local
     baseline::LocalNvmeDriver local(world.sim, world.device, o);
-    client::ServiceStorageAdapter backend(
-        local, world.device.profile().capacity_sectors * 512ULL);
+    client::SessionStorageBackend backend(local);
     RunCurve("Local", world, backend, 5);
   }
   {
@@ -61,9 +60,8 @@ void Run() {
     baseline::KernelStorageServer iscsi(
         world.sim, world.net, world.client_machines[0],
         world.server_machine, world.device,
-        baseline::BaselineCosts::Iscsi(), 12, "iSCSI");
-    client::ServiceStorageAdapter backend(
-        iscsi, world.device.profile().capacity_sectors * 512ULL);
+        baseline::BaselineCosts::Iscsi(), 12);
+    client::SessionStorageBackend backend(iscsi);
     RunCurve("iSCSI", world, backend, 3);  // paper: 3 iSCSI threads
   }
   {

@@ -72,7 +72,7 @@ void Run() {
     baseline::LocalNvmeDriver::Options o;
     o.num_contexts = 5;
     baseline::LocalNvmeDriver local(world.sim, world.device, o);
-    client::ServiceStorageAdapter backend(local, 64ULL << 30);
+    client::SessionStorageBackend backend(local);
     std::printf("# Local (kernel NVMe driver)\n");
     local_t = RunAll(world, backend, edges);
   }
@@ -82,8 +82,8 @@ void Run() {
     baseline::KernelStorageServer iscsi(
         world.sim, world.net, world.client_machines[0],
         world.server_machine, world.device,
-        baseline::BaselineCosts::Iscsi(), 12, "iSCSI");
-    client::ServiceStorageAdapter backend(iscsi, 64ULL << 30);
+        baseline::BaselineCosts::Iscsi(), 12);
+    client::SessionStorageBackend backend(iscsi);
     std::printf("# iSCSI\n");
     iscsi_t = RunAll(world, backend, edges);
   }

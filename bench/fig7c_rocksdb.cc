@@ -65,7 +65,7 @@ void Run() {
     baseline::LocalNvmeDriver::Options o;
     o.num_contexts = 5;
     baseline::LocalNvmeDriver local(world.sim, world.device, o);
-    client::ServiceStorageAdapter backend(local, 16ULL << 30);
+    client::SessionStorageBackend backend(local);
     std::printf("# Local (kernel NVMe driver)\n");
     local_t = RunAll(world, backend);
   }
@@ -75,8 +75,8 @@ void Run() {
     baseline::KernelStorageServer iscsi(
         world.sim, world.net, world.client_machines[0],
         world.server_machine, world.device,
-        baseline::BaselineCosts::Iscsi(), 12, "iSCSI");
-    client::ServiceStorageAdapter backend(iscsi, 16ULL << 30);
+        baseline::BaselineCosts::Iscsi(), 12);
+    client::SessionStorageBackend backend(iscsi);
     std::printf("# iSCSI\n");
     iscsi_t = RunAll(world, backend);
   }

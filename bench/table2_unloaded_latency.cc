@@ -16,7 +16,6 @@
 #include "baseline/kernel_server.h"
 #include "baseline/local_spdk.h"
 #include "bench/common.h"
-#include "client/flash_service.h"
 #include "client/reflex_client.h"
 
 namespace reflex {
@@ -28,12 +27,12 @@ struct Row {
   double paper_write_avg, paper_write_p95;
 };
 
-void Measure(bench::BenchWorld& world, client::FlashService& service,
+void Measure(bench::BenchWorld& world, client::IoSession& session,
              const Row& row, int samples) {
   sim::Histogram reads =
-      bench::ProbeLatency(world, service, /*is_read=*/true, samples);
+      bench::ProbeLatency(world, session, /*is_read=*/true, samples);
   sim::Histogram writes =
-      bench::ProbeLatency(world, service, /*is_read=*/false, samples);
+      bench::ProbeLatency(world, session, /*is_read=*/false, samples);
   std::printf(
       "%-24s %6.0f %6.0f  (paper %3.0f/%3.0f) | %6.0f %6.0f  "
       "(paper %3.0f/%3.0f)\n",
@@ -62,22 +61,21 @@ void Run() {
   {
     baseline::KernelStorageServer iscsi(
         world.sim, world.net, client, world.server_machine, world.device,
-        baseline::BaselineCosts::Iscsi(), 4, "iSCSI");
+        baseline::BaselineCosts::Iscsi(), 4);
     Measure(world, iscsi, {"iSCSI", 211, 251, 155, 215}, kSamples);
   }
   {
     baseline::KernelStorageServer libaio_linux(
         world.sim, world.net, client, world.server_machine, world.device,
         baseline::BaselineCosts::Libaio(net::StackCosts::LinuxBlocking()),
-        4, "Libaio (Linux client)");
+        4);
     Measure(world, libaio_linux, {"Libaio (Linux client)", 183, 205, 180, 205},
             kSamples);
   }
   {
     baseline::KernelStorageServer libaio_ix(
         world.sim, world.net, client, world.server_machine, world.device,
-        baseline::BaselineCosts::Libaio(net::StackCosts::IxDataplane()), 4,
-        "Libaio (IX client)");
+        baseline::BaselineCosts::Libaio(net::StackCosts::IxDataplane()), 4);
     Measure(world, libaio_ix, {"Libaio (IX client)", 121, 139, 117, 144},
             kSamples);
   }
@@ -109,13 +107,13 @@ void Run() {
     // session (the dataplane reroutes by tenant handle per request).
     auto rd_session = rc.AttachSession(read_tenant->handle());
     auto wr_session = rc.AttachSession(write_tenant->handle());
-    client::ReflexService rd(*rd_session);
-    client::ReflexService wr(*wr_session);
     world.server->tracer().Reset();
-    sim::Histogram reads = bench::ProbeLatency(world, rd, true, kSamples);
+    sim::Histogram reads =
+        bench::ProbeLatency(world, *rd_session, true, kSamples);
     const obs::BreakdownTable read_table = world.server->tracer().Table();
     world.server->tracer().Reset();
-    sim::Histogram writes = bench::ProbeLatency(world, wr, false, kSamples);
+    sim::Histogram writes =
+        bench::ProbeLatency(world, *wr_session, false, kSamples);
     const obs::BreakdownTable write_table = world.server->tracer().Table();
     std::printf(
         "%-24s %6.0f %6.0f  (paper %3.0f/%3.0f) | %6.0f %6.0f  "

@@ -1,7 +1,6 @@
 #include "baseline/kernel_server.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/protocol.h"
 #include "sim/logging.h"
@@ -41,17 +40,13 @@ BaselineCosts BaselineCosts::Iscsi(int server_threads) {
 KernelStorageServer::KernelStorageServer(
     sim::Simulator& sim, net::Network& net, net::Machine* client_machine,
     net::Machine* server_machine, flash::FlashDevice& device,
-    BaselineCosts costs, int num_connections, const char* name,
-    uint64_t seed)
-    : sim_(sim),
-      device_(device),
+    BaselineCosts costs, int num_connections, uint64_t seed)
+    : DeviceSession(sim, device, num_connections),
       costs_(costs),
-      name_(name),
       rng_(seed, "kernel_server"),
       qp_(device.AllocQueuePair()),
       server_core_free_(costs.server_threads, 0) {
   REFLEX_CHECK(qp_ != nullptr);
-  REFLEX_CHECK(num_connections >= 1);
   REFLEX_CHECK(costs_.server_threads >= 1);
   for (int i = 0; i < num_connections; ++i) {
     conns_.emplace_back(std::make_unique<net::TcpConnection>(
@@ -61,17 +56,6 @@ KernelStorageServer::KernelStorageServer(
 
 KernelStorageServer::~KernelStorageServer() {
   if (qp_->Outstanding() == 0) device_.FreeQueuePair(qp_);
-}
-
-sim::Future<client::IoResult> KernelStorageServer::SubmitIo(
-    const client::IoDesc& io) {
-  sim::Promise<client::IoResult> promise(sim_);
-  auto future = promise.GetFuture();
-  const int conn = next_conn_;
-  next_conn_ = (next_conn_ + 1) % static_cast<int>(conns_.size());
-  DoIo(conn, io.is_read(), io.lba, io.sectors, io.data,
-       std::move(promise));
-  return future;
 }
 
 sim::Task KernelStorageServer::DoIo(int conn_index, bool is_read,

@@ -5,7 +5,7 @@
 #include <memory>
 #include <vector>
 
-#include "client/flash_service.h"
+#include "baseline/device_session.h"
 #include "flash/flash_device.h"
 #include "net/network.h"
 #include "net/stack_costs.h"
@@ -67,36 +67,28 @@ struct BaselineCosts {
  * A remote Flash service over the Linux kernel stack: requests travel
  * client -> TCP -> server event loop -> Flash -> back. Server threads
  * are FIFO CPU resources, so per-core IOPS ceilings and queueing
- * latency under load emerge naturally (Figure 4 "Libaio-nT").
+ * latency under load emerge naturally (Figure 4 "Libaio-nT"). One
+ * lane per client connection.
  */
-class KernelStorageServer : public client::FlashService {
+class KernelStorageServer : public DeviceSession {
  public:
   KernelStorageServer(sim::Simulator& sim, net::Network& net,
                       net::Machine* client_machine,
                       net::Machine* server_machine,
                       flash::FlashDevice& device, BaselineCosts costs,
-                      int num_connections, const char* name,
-                      uint64_t seed = 55);
+                      int num_connections, uint64_t seed = 55);
   ~KernelStorageServer() override;
-
-  sim::Future<client::IoResult> SubmitIo(const client::IoDesc& io) override;
-
-  const char* name() const override { return name_; }
 
  private:
   sim::Task DoIo(int conn_index, bool is_read, uint64_t lba,
                  uint32_t sectors, uint8_t* data,
-                 sim::Promise<client::IoResult> promise);
+                 sim::Promise<client::IoResult> promise) override;
 
-  sim::Simulator& sim_;
-  flash::FlashDevice& device_;
   BaselineCosts costs_;
-  const char* name_;
   sim::Rng rng_;
   flash::QueuePair* qp_;
   std::vector<std::unique_ptr<net::TcpConnection>> conns_;
   std::vector<sim::TimeNs> server_core_free_;
-  int next_conn_ = 0;
 };
 
 }  // namespace reflex::baseline

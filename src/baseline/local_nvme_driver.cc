@@ -1,7 +1,6 @@
 #include "baseline/local_nvme_driver.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "core/protocol.h"
 #include "sim/logging.h"
@@ -11,12 +10,10 @@ namespace reflex::baseline {
 LocalNvmeDriver::LocalNvmeDriver(sim::Simulator& sim,
                                  flash::FlashDevice& device,
                                  Options options)
-    : sim_(sim),
-      device_(device),
+    : DeviceSession(sim, device, options.num_contexts),
       options_(options),
       rng_(options.seed, "local_nvme_driver"),
       contexts_(options.num_contexts) {
-  REFLEX_CHECK(options_.num_contexts >= 1);
   for (auto& ctx : contexts_) {
     ctx.qp = device_.AllocQueuePair();
     REFLEX_CHECK(ctx.qp != nullptr);
@@ -27,16 +24,6 @@ LocalNvmeDriver::~LocalNvmeDriver() {
   for (auto& ctx : contexts_) {
     if (ctx.qp->Outstanding() == 0) device_.FreeQueuePair(ctx.qp);
   }
-}
-
-sim::Future<client::IoResult> LocalNvmeDriver::SubmitIo(
-    const client::IoDesc& io) {
-  sim::Promise<client::IoResult> promise(sim_);
-  auto future = promise.GetFuture();
-  const int ctx = next_ctx_;
-  next_ctx_ = (next_ctx_ + 1) % options_.num_contexts;
-  DoIo(ctx, io.is_read(), io.lba, io.sectors, io.data, std::move(promise));
-  return future;
 }
 
 sim::Task LocalNvmeDriver::DoIo(int ctx_index, bool is_read, uint64_t lba,

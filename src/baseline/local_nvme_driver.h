@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "client/flash_service.h"
+#include "baseline/device_session.h"
 #include "flash/flash_device.h"
 #include "sim/random.h"
 #include "sim/simulator.h"
@@ -17,9 +17,10 @@ namespace reflex::baseline {
  * when Flash is local (Figure 7 "Local"). Models the Linux block layer
  * (blk-mq contexts, one per core), interrupt-driven completions and
  * per-request kernel CPU costs. Slower per-core than SPDK polling but
- * scales with contexts until the device saturates.
+ * scales with contexts until the device saturates. One lane per
+ * context.
  */
-class LocalNvmeDriver : public client::FlashService {
+class LocalNvmeDriver : public DeviceSession {
  public:
   struct Options {
     /** blk-mq hardware contexts (application threads). */
@@ -41,10 +42,6 @@ class LocalNvmeDriver : public client::FlashService {
                   Options options);
   ~LocalNvmeDriver() override;
 
-  sim::Future<client::IoResult> SubmitIo(const client::IoDesc& io) override;
-
-  const char* name() const override { return "Local (kernel NVMe)"; }
-
  private:
   struct Context {
     flash::QueuePair* qp = nullptr;
@@ -54,14 +51,11 @@ class LocalNvmeDriver : public client::FlashService {
 
   sim::Task DoIo(int ctx_index, bool is_read, uint64_t lba,
                  uint32_t sectors, uint8_t* data,
-                 sim::Promise<client::IoResult> promise);
+                 sim::Promise<client::IoResult> promise) override;
 
-  sim::Simulator& sim_;
-  flash::FlashDevice& device_;
   Options options_;
   sim::Rng rng_;
   std::vector<Context> contexts_;
-  int next_ctx_ = 0;
 };
 
 }  // namespace reflex::baseline

@@ -1,7 +1,6 @@
 #include "baseline/local_spdk.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "sim/logging.h"
 
@@ -10,8 +9,7 @@ namespace reflex::baseline {
 LocalSpdkService::LocalSpdkService(sim::Simulator& sim,
                                    flash::FlashDevice& device,
                                    Options options)
-    : sim_(sim), device_(device), options_(options) {
-  REFLEX_CHECK(options_.num_threads >= 1);
+    : DeviceSession(sim, device, options.num_threads), options_(options) {
   for (int i = 0; i < options_.num_threads; ++i) {
     flash::QueuePair* qp = device_.AllocQueuePair();
     REFLEX_CHECK(qp != nullptr);
@@ -24,17 +22,6 @@ LocalSpdkService::~LocalSpdkService() {
   for (flash::QueuePair* qp : qps_) {
     if (qp->Outstanding() == 0) device_.FreeQueuePair(qp);
   }
-}
-
-sim::Future<client::IoResult> LocalSpdkService::SubmitIo(
-    const client::IoDesc& io) {
-  sim::Promise<client::IoResult> promise(sim_);
-  auto future = promise.GetFuture();
-  const int thread = next_thread_;
-  next_thread_ = (next_thread_ + 1) % options_.num_threads;
-  DoIo(thread, io.is_read(), io.lba, io.sectors, io.data,
-       std::move(promise));
-  return future;
 }
 
 sim::Task LocalSpdkService::DoIo(int thread, bool is_read, uint64_t lba,

@@ -4,7 +4,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "client/flash_service.h"
+#include "baseline/device_session.h"
 #include "flash/flash_device.h"
 #include "sim/simulator.h"
 #include "sim/task.h"
@@ -17,9 +17,9 @@ namespace reflex::baseline {
  * (Table 2 "Local", Figure 4 "Local-nT"). Each thread polls its own
  * queue pair; the per-request CPU cost reproduces the paper's
  * observation that one core sustains ~870K IOPS and two cores saturate
- * a 1M IOPS device.
+ * a 1M IOPS device. One lane per thread.
  */
-class LocalSpdkService : public client::FlashService {
+class LocalSpdkService : public DeviceSession {
  public:
   struct Options {
     int num_threads = 1;
@@ -34,20 +34,14 @@ class LocalSpdkService : public client::FlashService {
                    Options options);
   ~LocalSpdkService() override;
 
-  sim::Future<client::IoResult> SubmitIo(const client::IoDesc& io) override;
-
-  const char* name() const override { return "Local (SPDK)"; }
-
  private:
   sim::Task DoIo(int thread, bool is_read, uint64_t lba, uint32_t sectors,
-                 uint8_t* data, sim::Promise<client::IoResult> promise);
+                 uint8_t* data,
+                 sim::Promise<client::IoResult> promise) override;
 
-  sim::Simulator& sim_;
-  flash::FlashDevice& device_;
   Options options_;
   std::vector<flash::QueuePair*> qps_;
   std::vector<sim::TimeNs> core_free_;
-  int next_thread_ = 0;
 };
 
 }  // namespace reflex::baseline

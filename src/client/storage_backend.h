@@ -3,7 +3,6 @@
 
 #include <cstdint>
 
-#include "client/flash_service.h"
 #include "client/io_result.h"
 #include "client/io_session.h"
 #include "core/protocol.h"
@@ -14,10 +13,11 @@ namespace reflex::client {
 /**
  * Byte-addressed storage interface used by the applications (FIO, the
  * graph engine, the LSM key-value store). Implemented by the legacy
- * BlockDevice driver (remote ReFlex) and by ServiceStorageAdapter for
- * any FlashService (local NVMe, iSCSI), so each application runs
- * unmodified on every system under comparison -- exactly how the
- * paper's Figure 7 swaps block devices under unchanged binaries.
+ * BlockDevice driver (remote ReFlex) and by SessionStorageBackend over
+ * any IoSession (a baseline, a ReFlex tenant or a cluster), so each
+ * application runs unmodified on every system under comparison --
+ * exactly how the paper's Figure 7 swaps block devices under unchanged
+ * binaries.
  */
 class StorageBackend {
  public:
@@ -37,50 +37,15 @@ class StorageBackend {
   virtual const char* name() const = 0;
 };
 
-/** Adapts a sector-addressed FlashService to the byte interface. */
-class ServiceStorageAdapter : public StorageBackend {
- public:
-  ServiceStorageAdapter(FlashService& service, uint64_t capacity_bytes)
-      : service_(service), capacity_bytes_(capacity_bytes) {}
-
-  sim::Future<IoResult> ReadBytes(uint64_t offset, uint32_t bytes,
-                                  uint8_t* data) override {
-    return service_.SubmitIo(IoDesc::Read(offset / core::kSectorBytes,
-                                          SectorsFor(offset, bytes), data));
-  }
-
-  sim::Future<IoResult> WriteBytes(uint64_t offset, uint32_t bytes,
-                                   const uint8_t* data) override {
-    return service_.SubmitIo(
-        IoDesc::Write(offset / core::kSectorBytes, SectorsFor(offset, bytes),
-                      const_cast<uint8_t*>(data)));
-  }
-
-  uint64_t CapacityBytes() const override { return capacity_bytes_; }
-  const char* name() const override { return service_.name(); }
-
- private:
-  static uint32_t SectorsFor(uint64_t offset, uint32_t bytes) {
-    const uint64_t first = offset / core::kSectorBytes;
-    const uint64_t end =
-        (offset + bytes + core::kSectorBytes - 1) / core::kSectorBytes;
-    return static_cast<uint32_t>(end - first);
-  }
-
-  FlashService& service_;
-  uint64_t capacity_bytes_;
-};
-
 /**
  * Byte-addressed backend over any IoSession. The session supplies its
  * own capacity, so the applications (FIO, graph engine, LSM store)
- * run identically on a single server or a sharded cluster.
+ * run identically on a local baseline, a single server or a sharded
+ * cluster. A byte range maps to the sectors that cover it.
  */
 class SessionStorageBackend : public StorageBackend {
  public:
-  explicit SessionStorageBackend(IoSession& session,
-                                 const char* name = "ReFlex")
-      : session_(session), name_(name) {}
+  explicit SessionStorageBackend(IoSession& session) : session_(session) {}
 
   sim::Future<IoResult> ReadBytes(uint64_t offset, uint32_t bytes,
                                   uint8_t* data) override {
@@ -100,7 +65,7 @@ class SessionStorageBackend : public StorageBackend {
            static_cast<uint64_t>(session_.sector_bytes());
   }
 
-  const char* name() const override { return name_; }
+  const char* name() const override { return "IoSession"; }
 
  private:
   static uint32_t SectorsFor(uint64_t offset, uint32_t bytes) {
@@ -111,7 +76,6 @@ class SessionStorageBackend : public StorageBackend {
   }
 
   IoSession& session_;
-  const char* name_;
 };
 
 }  // namespace reflex::client

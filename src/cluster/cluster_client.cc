@@ -82,50 +82,49 @@ uint32_t ClusterSession::sectors_per_page() const {
 sim::Future<client::IoResult> ClusterSession::Read(uint64_t lba,
                                                    uint32_t sectors,
                                                    uint8_t* data, int lane) {
-  return Submit(client::IoOp::kRead, lba, sectors, data, lane);
+  return Submit(/*is_read=*/true, lba, sectors, data, lane);
 }
 
 sim::Future<client::IoResult> ClusterSession::Write(uint64_t lba,
                                                     uint32_t sectors,
                                                     uint8_t* data,
                                                     int lane) {
-  return Submit(client::IoOp::kWrite, lba, sectors, data, lane);
+  return Submit(/*is_read=*/false, lba, sectors, data, lane);
 }
 
-sim::Future<client::IoResult> ClusterSession::Submit(client::IoOp op,
+sim::Future<client::IoResult> ClusterSession::Submit(bool is_read,
                                                      uint64_t lba,
                                                      uint32_t sectors,
-                                                     uint8_t* data,
-                                                     int lane) {
+                                                     uint8_t* data, int lane) {
   ++requests_issued_;
   sim::Simulator& sim = client_.cluster().sim();
   sim::Promise<client::IoResult> promise(sim);
   auto future = promise.GetFuture();
-  Dispatch(op, lba, sectors, data, lane, /*attempt=*/0, sim.Now(),
+  Dispatch(is_read, lba, sectors, data, lane, /*attempt=*/0, sim.Now(),
            std::move(promise));
   return future;
 }
 
-void ClusterSession::Dispatch(client::IoOp op, uint64_t lba,
-                              uint32_t sectors, uint8_t* data, int lane,
-                              int attempt, sim::TimeNs issue_time,
+void ClusterSession::Dispatch(bool is_read, uint64_t lba, uint32_t sectors,
+                              uint8_t* data, int lane, int attempt,
+                              sim::TimeNs issue_time,
                               sim::Promise<client::IoResult> promise) {
   // Route through the client's local map copy: a migration that
   // commits on the master is invisible here until RefreshMap(), which
   // is exactly the staleness kWrongShard exists to catch.
   std::vector<ShardExtent> extents = client_.local_map().Split(lba, sectors);
   if (attempt == 0 && extents.size() > 1) ++requests_split_;
-  if (op == client::IoOp::kRead) {
-    FanOutRead(std::move(extents), data, lane, op, lba, sectors, attempt,
+  if (is_read) {
+    FanOutRead(std::move(extents), data, lane, lba, sectors, attempt,
                issue_time, std::move(promise));
   } else {
-    FanOutWrite(std::move(extents), data, lane, op, lba, sectors, attempt,
+    FanOutWrite(std::move(extents), data, lane, lba, sectors, attempt,
                 issue_time, std::move(promise));
   }
 }
 
 sim::Task ClusterSession::RetryWrongShard(
-    client::IoOp op, uint64_t lba, uint32_t sectors, uint8_t* data, int lane,
+    bool is_read, uint64_t lba, uint32_t sectors, uint8_t* data, int lane,
     int attempt, sim::TimeNs issue_time,
     sim::Promise<client::IoResult> promise) {
   const uint64_t frame_id = next_frame_id_++;
@@ -137,7 +136,7 @@ sim::Task ClusterSession::RetryWrongShard(
   // that is still bouncing writes.
   co_await sim::Delay(client_.cluster().sim(),
                       kWrongShardBackoffBase << attempt);
-  Dispatch(op, lba, sectors, data, lane, attempt + 1, issue_time,
+  Dispatch(is_read, lba, sectors, data, lane, attempt + 1, issue_time,
            std::move(promise));
   io_frames_.erase(frame_id);
 }
@@ -193,8 +192,7 @@ size_t ClusterSession::SteerChoice(
 }
 
 sim::Task ClusterSession::FanOutRead(std::vector<ShardExtent> extents,
-                                     uint8_t* data, int lane,
-                                     client::IoOp op, uint64_t lba,
+                                     uint8_t* data, int lane, uint64_t lba,
                                      uint32_t sectors, int attempt,
                                      sim::TimeNs issue_time,
                                      sim::Promise<client::IoResult> promise) {
@@ -302,8 +300,8 @@ sim::Task ClusterSession::FanOutRead(std::vector<ShardExtent> extents,
     }
   }
   if (saw_wrong_shard && attempt < kMaxWrongShardRetries) {
-    RetryWrongShard(op, lba, sectors, data, lane, attempt, issue_time,
-                    std::move(promise));
+    RetryWrongShard(/*is_read=*/true, lba, sectors, data, lane, attempt,
+                    issue_time, std::move(promise));
     io_frames_.erase(frame_id);
     co_return;
   }
@@ -313,8 +311,7 @@ sim::Task ClusterSession::FanOutRead(std::vector<ShardExtent> extents,
 }
 
 sim::Task ClusterSession::FanOutWrite(std::vector<ShardExtent> extents,
-                                      uint8_t* data, int lane,
-                                      client::IoOp op, uint64_t lba,
+                                      uint8_t* data, int lane, uint64_t lba,
                                       uint32_t sectors, int attempt,
                                       sim::TimeNs issue_time,
                                       sim::Promise<client::IoResult> promise) {
@@ -400,8 +397,8 @@ sim::Task ClusterSession::FanOutWrite(std::vector<ShardExtent> extents,
     // Reissuing the whole request is idempotent (same payload, every
     // replica rewritten) and the refreshed map routes the bounced
     // extent to its post-migration owner.
-    RetryWrongShard(op, lba, sectors, data, lane, attempt, issue_time,
-                    std::move(promise));
+    RetryWrongShard(/*is_read=*/false, lba, sectors, data, lane, attempt,
+                    issue_time, std::move(promise));
     io_frames_.erase(frame_id);
     co_return;
   }

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "client/flash_service.h"
 #include "client/io_result.h"
 #include "client/io_session.h"
 #include "client/reflex_client.h"
@@ -138,11 +137,11 @@ class ClusterSession : public client::IoSession {
                  std::vector<std::unique_ptr<client::TenantSession>> sessions,
                  bool owns_tenant);
 
-  sim::Future<client::IoResult> Submit(client::IoOp op, uint64_t lba,
+  sim::Future<client::IoResult> Submit(bool is_read, uint64_t lba,
                                        uint32_t sectors, uint8_t* data,
                                        int lane);
   /** Splits via the client's local map and fans the attempt out. */
-  void Dispatch(client::IoOp op, uint64_t lba, uint32_t sectors,
+  void Dispatch(bool is_read, uint64_t lba, uint32_t sectors,
                 uint8_t* data, int lane, int attempt, sim::TimeNs issue_time,
                 sim::Promise<client::IoResult> promise);
   /**
@@ -151,17 +150,17 @@ class ClusterSession : public client::IoSession {
    * attempt) and reissues the whole logical request; once the budget
    * is spent the kWrongShard surfaces to the caller.
    */
-  sim::Task RetryWrongShard(client::IoOp op, uint64_t lba, uint32_t sectors,
+  sim::Task RetryWrongShard(bool is_read, uint64_t lba, uint32_t sectors,
                             uint8_t* data, int lane, int attempt,
                             sim::TimeNs issue_time,
                             sim::Promise<client::IoResult> promise);
   sim::Task FanOutRead(std::vector<ShardExtent> extents, uint8_t* data,
-                       int lane, client::IoOp op, uint64_t lba,
-                       uint32_t sectors, int attempt, sim::TimeNs issue_time,
+                       int lane, uint64_t lba, uint32_t sectors, int attempt,
+                       sim::TimeNs issue_time,
                        sim::Promise<client::IoResult> promise);
   sim::Task FanOutWrite(std::vector<ShardExtent> extents, uint8_t* data,
-                        int lane, client::IoOp op, uint64_t lba,
-                        uint32_t sectors, int attempt, sim::TimeNs issue_time,
+                        int lane, uint64_t lba, uint32_t sectors, int attempt,
+                        sim::TimeNs issue_time,
                         sim::Promise<client::IoResult> promise);
 
   /** Live (non-dirty) placements of `e`, primary first; empty when

@@ -17,7 +17,7 @@ class FioTest : public ::testing::Test {
   FioTest()
       : device_(sim_, flash::DeviceProfile::DeviceA(), 9),
         local_(sim_, device_, baseline::LocalSpdkService::Options{2, sim::TimeNs(1150), 33}),
-        backend_(local_, 64ULL << 30) {}
+        backend_(local_) {}
 
   FioResult RunJob(FioJob job, sim::TimeNs warm = Millis(20),
                    sim::TimeNs end = Millis(120)) {
@@ -33,7 +33,7 @@ class FioTest : public ::testing::Test {
   sim::Simulator sim_;
   flash::FlashDevice device_;
   baseline::LocalSpdkService local_;
-  client::ServiceStorageAdapter backend_;
+  client::SessionStorageBackend backend_;
 };
 
 TEST_F(FioTest, RandReadProducesThroughputAndLatency) {

@@ -154,7 +154,7 @@ class GraphEngineTest : public ::testing::Test {
   GraphEngineTest()
       : device_(sim_, flash::DeviceProfile::DeviceA(), 3),
         local_(sim_, device_, baseline::LocalSpdkService::Options{}),
-        backend_(local_, 64ULL << 30),
+        backend_(local_),
         edges_(GenerateRmat(kN, kM, 99)) {
     auto meta_future =
         BuildGraphOnFlash(sim_, backend_, edges_, kN, /*base=*/4096 * 16);
@@ -179,7 +179,7 @@ class GraphEngineTest : public ::testing::Test {
   sim::Simulator sim_;
   flash::FlashDevice device_;
   baseline::LocalSpdkService local_;
-  client::ServiceStorageAdapter backend_;
+  client::SessionStorageBackend backend_;
   std::vector<Edge> edges_;
   GraphMeta meta_;
   std::unique_ptr<GraphEngine> engine_;

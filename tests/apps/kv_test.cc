@@ -78,7 +78,7 @@ class KvStoreTest : public ::testing::Test {
   KvStoreTest()
       : device_(sim_, flash::DeviceProfile::DeviceA(), 5),
         local_(sim_, device_, baseline::LocalSpdkService::Options{}),
-        backend_(local_, 8ULL << 30) {}
+        backend_(local_) {}
 
   KvStore::Options SmallOptions() {
     KvStore::Options o;
@@ -101,7 +101,7 @@ class KvStoreTest : public ::testing::Test {
   sim::Simulator sim_;
   flash::FlashDevice device_;
   baseline::LocalSpdkService local_;
-  client::ServiceStorageAdapter backend_;
+  client::SessionStorageBackend backend_;
 };
 
 TEST_F(KvStoreTest, PutGetRoundTrip) {
@@ -344,7 +344,7 @@ TEST_F(KvStoreTest, DeterministicAcrossRuns) {
     flash::FlashDevice device(sim, flash::DeviceProfile::DeviceA(), 5);
     baseline::LocalSpdkService local(
         sim, device, baseline::LocalSpdkService::Options{});
-    client::ServiceStorageAdapter backend(local, 8ULL << 30);
+    client::SessionStorageBackend backend(local);
     KvStore store(sim, backend, SmallOptions());
     for (int i = 0; i < 500; ++i) {
       auto f = store.Put(DbBench::KeyFor(i), DbBench::ValueFor(i, 100));

@@ -18,7 +18,7 @@ class PageCacheTest : public ::testing::Test {
   PageCacheTest()
       : device_(sim_, flash::DeviceProfile::DeviceA(), 3),
         local_(sim_, device_, baseline::LocalSpdkService::Options{}),
-        backend_(local_, 1ULL << 30) {}
+        backend_(local_) {}
 
   void WritePattern(uint64_t page, uint8_t fill) {
     std::vector<uint8_t> buf(4096, fill);
@@ -30,7 +30,7 @@ class PageCacheTest : public ::testing::Test {
   sim::Simulator sim_;
   flash::FlashDevice device_;
   baseline::LocalSpdkService local_;
-  ServiceStorageAdapter backend_;
+  SessionStorageBackend backend_;
 };
 
 TEST_F(PageCacheTest, MissThenHit) {
