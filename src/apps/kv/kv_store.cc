@@ -406,8 +406,10 @@ sim::Task KvStore::SearchTable(TableRef table, std::string key, bool* found,
   // SSTable blocks have no replica to fall back to: treat persistent
   // storage failure as fatal.
   REFLEX_CHECK(page != nullptr);
-  co_await sim::Delay(sim_, options_.cpu_per_block_search);
+  // Parse before the search delay: the page pointer is only valid
+  // until this task next suspends (a concurrent fetch may evict it).
   std::vector<KvEntry> entries = ParseBlock(page);
+  co_await sim::Delay(sim_, options_.cpu_per_block_search);
   const KvEntry* e = FindInBlock(entries, key);
   if (e != nullptr) {
     if (e->tombstone) {

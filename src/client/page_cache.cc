@@ -1,5 +1,6 @@
 #include "client/page_cache.h"
 
+#include <bit>
 #include <utility>
 
 #include "sim/logging.h"
@@ -25,35 +26,35 @@ sim::Future<const uint8_t*> PageCache::GetPage(uint64_t byte_offset) {
   sim::Promise<const uint8_t*> promise(sim_);
   auto future = promise.GetFuture();
 
+  uint32_t e = Find(page_id);
   // A hit on a readahead-produced page extends its stream so that
   // steady sequential consumption never stalls.
-  auto stream_it = stream_pages_.find(page_id);
-  if (stream_it != stream_pages_.end()) {
-    stream_pages_.erase(stream_it);
+  if (e != kNil && entries_[e].stream) {
+    entries_[e].stream = false;
     StartFetch(page_id + static_cast<uint64_t>(readahead_pages_));
+    // A backend that completes inline lets that fetch insert (and so
+    // evict) before StartFetch returns: look the page up again.
+    e = Find(page_id);
   }
 
-  auto it = pages_.find(page_id);
-  if (it != pages_.end()) {
+  if (e != kNil) {
+    // Cached, or a fetch is already outstanding and this reader waits
+    // for it. Both count as hits: one Flash access serves all readers.
     ++stats_.hits;
-    Touch(page_id, it->second);
-    promise.Set(it->second.data.get());
-    return future;
-  }
-
-  auto fl = in_flight_.find(page_id);
-  if (fl != in_flight_.end()) {
-    // A fetch is already outstanding; wait for it (counts as a hit:
-    // one Flash access serves all waiters).
-    ++stats_.hits;
-    fl->second.push_back(std::move(promise));
+    Entry& entry = entries_[e];
+    if (entry.cached) {
+      Touch(e);
+      promise.Set(entry.data.get());
+    } else {
+      entry.waiters.push_back(std::move(promise));
+    }
     return future;
   }
 
   ++stats_.misses;
-  auto& waiters = in_flight_[page_id];
-  waiters.push_back(std::move(promise));
-  Fetch(page_id);
+  e = NewEntry(page_id);
+  entries_[e].waiters.push_back(std::move(promise));
+  Fetch(e);
   // Readahead only on sequential misses (the page following a recent
   // miss), so random access patterns do not flood the device.
   bool sequential = false;
@@ -74,27 +75,30 @@ sim::Future<const uint8_t*> PageCache::GetPage(uint64_t byte_offset) {
 }
 
 void PageCache::StartFetch(uint64_t page_id) {
-  if (pages_.count(page_id) > 0 || in_flight_.count(page_id) > 0) return;
+  if (Find(page_id) != kNil) return;
   ++stats_.readaheads;
-  stream_pages_.insert(page_id);
-  in_flight_.emplace(page_id,
-                     std::vector<sim::Promise<const uint8_t*>>());
-  Fetch(page_id);
+  const uint32_t e = NewEntry(page_id);
+  entries_[e].stream = true;
+  Fetch(e);
 }
 
-sim::Task PageCache::Fetch(uint64_t page_id) {
+sim::Task PageCache::Fetch(uint32_t e) {
   co_await io_slots_.Acquire();
-  auto data = std::make_unique<uint8_t[]>(kPageBytes);
+  entries_[e].data = TakeBuffer();
+  uint8_t* const data = entries_[e].data.get();
+  const uint64_t offset = entries_[e].page_id * kPageBytes;
   client::IoResult r;
   int attempt = 0;
   for (;;) {
-    r = co_await backend_.ReadBytes(page_id * kPageBytes, kPageBytes,
-                                    data.get());
+    r = co_await backend_.ReadBytes(offset, kPageBytes, data);
     ++attempt;
+    Entry& entry = entries_[e];
+    if (!r.ok()) entry.tainted = true;
     // If the range was invalidated while this read was outstanding,
     // the buffer may hold pre-invalidation data: re-read. Does not
     // count against the failure-retry budget.
-    if (invalidated_in_flight_.erase(page_id) > 0) {
+    if (entry.invalidated) {
+      entry.invalidated = false;
       ++stats_.invalidated_refetches;
       continue;
     }
@@ -108,60 +112,184 @@ sim::Task PageCache::Fetch(uint64_t page_id) {
     // panicking the whole simulation; callers decide whether a
     // missing page is fatal.
     ++stats_.fetch_failures;
-    auto fl = in_flight_.find(page_id);
-    REFLEX_CHECK(fl != in_flight_.end());
-    for (auto& waiter : fl->second) waiter.Set(nullptr);
-    in_flight_.erase(fl);
-    stream_pages_.erase(page_id);
+    for (auto& waiter : entries_[e].waiters) waiter.Set(nullptr);
+    FreeEntry(e);
     co_return;
   }
 
   EvictIfNeeded();
-  PageEntry entry;
-  entry.data = std::move(data);
-  lru_.push_front(page_id);
-  entry.lru_it = lru_.begin();
-  const uint8_t* raw = entry.data.get();
-  pages_.emplace(page_id, std::move(entry));
-
-  auto fl = in_flight_.find(page_id);
-  REFLEX_CHECK(fl != in_flight_.end());
-  for (auto& waiter : fl->second) waiter.Set(raw);
-  in_flight_.erase(fl);
+  Entry& entry = entries_[e];
+  entry.cached = true;
+  ++cached_pages_;
+  LinkFront(e);
+  for (auto& waiter : entry.waiters) waiter.Set(data);
+  entry.waiters.clear();
 }
 
 void PageCache::Invalidate(uint64_t byte_offset, uint64_t bytes) {
   const uint64_t first = byte_offset / kPageBytes;
   const uint64_t last = (byte_offset + bytes + kPageBytes - 1) / kPageBytes;
   for (uint64_t page = first; page < last; ++page) {
-    auto it = pages_.find(page);
-    if (it != pages_.end()) {
-      lru_.erase(it->second.lru_it);
-      pages_.erase(it);
+    const uint32_t e = Find(page);
+    if (e == kNil) continue;
+    Entry& entry = entries_[e];
+    if (entry.cached) {
+      Unlink(e);
+      --cached_pages_;
+      FreeEntry(e);
+      continue;
     }
     // A page being fetched right now may complete with data read
     // before this invalidation; flag it so the fetch re-reads instead
     // of inserting stale bytes. Also forget any readahead-stream
     // claim on the range.
-    stream_pages_.erase(page);
-    if (in_flight_.count(page) > 0) invalidated_in_flight_.insert(page);
+    entry.stream = false;
+    entry.invalidated = true;
   }
 }
 
-void PageCache::Touch(uint64_t page_id, PageEntry& entry) {
-  lru_.erase(entry.lru_it);
-  lru_.push_front(page_id);
-  entry.lru_it = lru_.begin();
+void PageCache::Touch(uint32_t e) {
+  if (lru_head_ == e) return;
+  Unlink(e);
+  LinkFront(e);
 }
 
 void PageCache::EvictIfNeeded() {
-  while (pages_.size() >= capacity_pages_) {
-    const uint64_t victim = lru_.back();
-    lru_.pop_back();
-    pages_.erase(victim);
-    stream_pages_.erase(victim);
+  while (cached_pages_ >= capacity_pages_) {
+    const uint32_t victim = lru_tail_;
+    Unlink(victim);
+    --cached_pages_;
+    FreeEntry(victim);
     ++stats_.evictions;
   }
+}
+
+uint32_t PageCache::NewEntry(uint64_t page_id) {
+  uint32_t e;
+  if (free_entries_.empty()) {
+    e = static_cast<uint32_t>(entries_.size());
+    REFLEX_CHECK(e != kNil);
+    entries_.emplace_back();
+  } else {
+    e = free_entries_.back();
+    free_entries_.pop_back();
+  }
+  entries_[e].page_id = page_id;
+  IndexInsert(e);
+  return e;
+}
+
+std::unique_ptr<uint8_t[]> PageCache::TakeBuffer() {
+  // Recycling bounds live buffers by capacity_pages + max_outstanding:
+  // one is taken only by a fetch holding an I/O slot, and a new one
+  // only when every earlier one is cached or fetching.
+  if (free_buffers_.empty()) return std::make_unique<uint8_t[]>(kPageBytes);
+  std::unique_ptr<uint8_t[]> buffer = std::move(free_buffers_.back());
+  free_buffers_.pop_back();
+  return buffer;
+}
+
+void PageCache::FreeEntry(uint32_t e) {
+  Entry& entry = entries_[e];
+  IndexErase(entry.page_id);
+  // A buffer that saw a failed read is dropped, not recycled: with
+  // client retries on, a timed-out read's device completion can still
+  // copy into it, which would corrupt whichever page reused it.
+  if (entry.data != nullptr && !entry.tainted) {
+    free_buffers_.push_back(std::move(entry.data));
+  }
+  entry.data.reset();
+  entry.cached = false;
+  entry.stream = false;
+  entry.invalidated = false;
+  entry.tainted = false;
+  entry.waiters.clear();
+  free_entries_.push_back(e);
+}
+
+void PageCache::LinkFront(uint32_t e) {
+  Entry& entry = entries_[e];
+  entry.prev = kNil;
+  entry.next = lru_head_;
+  if (lru_head_ != kNil) {
+    entries_[lru_head_].prev = e;
+  } else {
+    lru_tail_ = e;
+  }
+  lru_head_ = e;
+}
+
+void PageCache::Unlink(uint32_t e) {
+  Entry& entry = entries_[e];
+  if (entry.prev != kNil) {
+    entries_[entry.prev].next = entry.next;
+  } else {
+    lru_head_ = entry.next;
+  }
+  if (entry.next != kNil) {
+    entries_[entry.next].prev = entry.prev;
+  } else {
+    lru_tail_ = entry.prev;
+  }
+  entry.prev = kNil;
+  entry.next = kNil;
+}
+
+size_t PageCache::Home(uint64_t page_id) const {
+  // Fibonacci hashing: page ids are mostly dense runs, and the
+  // multiply spreads them over the top bits.
+  return static_cast<size_t>((page_id * 0x9E3779B97F4A7C15ull) >>
+                             index_shift_);
+}
+
+uint32_t PageCache::Find(uint64_t page_id) const {
+  if (index_.empty()) return kNil;
+  const size_t mask = index_.size() - 1;
+  for (size_t i = Home(page_id);; i = (i + 1) & mask) {
+    const uint32_t e = index_[i];
+    if (e == kNil || entries_[e].page_id == page_id) return e;
+  }
+}
+
+void PageCache::IndexInsert(uint32_t e) {
+  // Every entry not on the free list is indexed, this one included.
+  const size_t live = entries_.size() - free_entries_.size();
+  if (2 * live > index_.size()) {
+    // Grow to keep the load at most 1/2 and rehash. The slot order is
+    // never observed, so it cannot leak into simulated behaviour.
+    std::vector<uint32_t> old(index_.empty() ? 16 : 2 * index_.size(),
+                              kNil);
+    old.swap(index_);
+    index_shift_ = 64 - std::countr_zero(index_.size());
+    for (uint32_t moved : old) {
+      if (moved != kNil) Place(moved);
+    }
+  }
+  Place(e);
+}
+
+void PageCache::Place(uint32_t e) {
+  const size_t mask = index_.size() - 1;
+  size_t i = Home(entries_[e].page_id);
+  while (index_[i] != kNil) i = (i + 1) & mask;
+  index_[i] = e;
+}
+
+void PageCache::IndexErase(uint64_t page_id) {
+  const size_t mask = index_.size() - 1;
+  size_t hole = Home(page_id);
+  while (entries_[index_[hole]].page_id != page_id) hole = (hole + 1) & mask;
+  // Backward-shift delete: pull later members of the probe run into
+  // the hole when the hole lies between their home and their slot, so
+  // no tombstones are needed.
+  for (size_t i = (hole + 1) & mask; index_[i] != kNil; i = (i + 1) & mask) {
+    const size_t home = Home(entries_[index_[i]].page_id);
+    if (((i - home) & mask) >= ((i - hole) & mask)) {
+      index_[hole] = index_[i];
+      hole = i;
+    }
+  }
+  index_[hole] = kNil;
 }
 
 }  // namespace reflex::client

@@ -3,10 +3,7 @@
 
 #include <cstdint>
 #include <array>
-#include <list>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "client/storage_backend.h"
@@ -61,10 +58,12 @@ class PageCache {
 
   /**
    * Returns a pointer to the page containing `byte_offset` (rounded
-   * down to a page boundary). The pointer stays valid until the page
-   * is evicted -- callers must copy out what they need before the next
-   * co_await on the cache. Resolves to nullptr if the backend read
-   * failed persistently (after RetryPolicy::max_attempts tries).
+   * down to a page boundary). Once the co_await returns, the pointer
+   * is valid only until the caller suspends again, by any co_await at
+   * all: any other process may then evict or invalidate the page, and
+   * its buffer is recycled for another page. Copy or parse what you
+   * need first. Resolves to nullptr if the backend read failed
+   * persistently (after RetryPolicy::max_attempts tries).
    */
   sim::Future<const uint8_t*> GetPage(uint64_t byte_offset);
 
@@ -79,15 +78,53 @@ class PageCache {
   uint32_t capacity_pages() const { return capacity_pages_; }
 
  private:
-  struct PageEntry {
+  static constexpr uint32_t kNil = UINT32_MAX;
+
+  /**
+   * One page that is cached or being fetched (never both). Entries
+   * live in `entries_` and are addressed by index, so a Fetch survives
+   * the pool growing under it.
+   */
+  struct Entry {
+    uint64_t page_id = 0;
+    /** Buffer; nullptr until the fetch holds an I/O slot. */
     std::unique_ptr<uint8_t[]> data;
-    std::list<uint64_t>::iterator lru_it;
+    /** Intrusive LRU links; used only while cached. */
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+    bool cached = false;
+    /** Fetched by readahead; a hit on it extends its stream. */
+    bool stream = false;
+    /**
+     * Invalidated while being fetched: the outstanding read may return
+     * pre-invalidation data, so the fetch re-reads the backend before
+     * inserting the page.
+     */
+    bool invalidated = false;
+    /** A read into `data` failed: a late completion may still land. */
+    bool tainted = false;
+    /** Readers queued behind the fetch (capacity kept across reuse). */
+    std::vector<sim::Promise<const uint8_t*>> waiters;
   };
 
-  sim::Task Fetch(uint64_t page_id);
+  sim::Task Fetch(uint32_t entry);
   void StartFetch(uint64_t page_id);
-  void Touch(uint64_t page_id, PageEntry& entry);
+  void Touch(uint32_t entry);
   void EvictIfNeeded();
+
+  std::unique_ptr<uint8_t[]> TakeBuffer();
+  uint32_t NewEntry(uint64_t page_id);
+  /** Unindexes the entry and recycles its buffer unless tainted. */
+  void FreeEntry(uint32_t entry);
+  void LinkFront(uint32_t entry);
+  void Unlink(uint32_t entry);
+
+  /** Open-addressed page index: entry index or kNil. */
+  uint32_t Find(uint64_t page_id) const;
+  void IndexInsert(uint32_t entry);
+  void Place(uint32_t entry);
+  void IndexErase(uint64_t page_id);
+  size_t Home(uint64_t page_id) const;
 
   sim::Simulator& sim_;
   client::StorageBackend& backend_;
@@ -98,19 +135,17 @@ class PageCache {
   /** Recent miss pages, for sequential-pattern detection. */
   std::array<uint64_t, 8> recent_misses_{};
   size_t recent_cursor_ = 0;
-  /** Pages fetched by readahead; a hit on one extends its stream. */
-  std::set<uint64_t> stream_pages_;
 
-  std::map<uint64_t, PageEntry> pages_;
-  std::list<uint64_t> lru_;  // front = most recent
-  /** Pages currently being fetched: waiters queue behind the fetch. */
-  std::map<uint64_t, std::vector<sim::Promise<const uint8_t*>>> in_flight_;
-  /**
-   * In-flight pages invalidated after their fetch was issued: the
-   * outstanding read may return pre-invalidation data, so the fetch
-   * re-reads the backend before inserting into the cache.
-   */
-  std::set<uint64_t> invalidated_in_flight_;
+  std::vector<Entry> entries_;
+  std::vector<uint32_t> free_entries_;
+  /** Power-of-two slots, linear probing, load kept at most 1/2. */
+  std::vector<uint32_t> index_;
+  int index_shift_ = 0;
+  uint32_t lru_head_ = kNil;  // most recent
+  uint32_t lru_tail_ = kNil;
+  uint32_t cached_pages_ = 0;
+  /** Buffers of evicted or invalidated pages, reused by fetches. */
+  std::vector<std::unique_ptr<uint8_t[]>> free_buffers_;
   Stats stats_;
 };
 

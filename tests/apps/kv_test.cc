@@ -4,6 +4,8 @@
 
 #include <optional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "apps/kv/db_bench.h"
 #include "apps/kv/sstable.h"
@@ -142,6 +144,37 @@ TEST_F(KvStoreTest, GetFromFlushedTable) {
     GetResult r = Await(store.Get(DbBench::KeyFor(i)));
     ASSERT_TRUE(r.found) << i;
     EXPECT_EQ(r.value, DbBench::ValueFor(i, 64));
+  }
+}
+
+// Regression: SearchTable held the cache page pointer across its
+// block-search delay, so with a one-block cache a concurrent Get's
+// fetch evicted the page and the parse read a freed (or, once the
+// buffer was recycled, another block's) buffer. A long search delay
+// and staggered Gets let later fetches reuse evicted buffers while
+// earlier searches are still in their delay.
+TEST_F(KvStoreTest, ConcurrentGetsSurviveBlockEviction) {
+  KvStore::Options o = SmallOptions();
+  o.block_cache_blocks = 1;
+  o.cpu_per_block_search = Millis(1);
+  KvStore store(sim_, backend_, o);
+  const int kKeys = 400;
+  for (int i = 0; i < kKeys; ++i) {
+    Await(store.Put(DbBench::KeyFor(i), DbBench::ValueFor(i, 100)));
+  }
+  Await(store.Flush());
+  ASSERT_EQ(store.memtable_entries(), 0u);
+  // About one key per 4 KB block, all looked up at once.
+  std::vector<std::pair<int, sim::Future<GetResult>>> gets;
+  for (int i = 0; i < kKeys; i += 36) {
+    gets.emplace_back(i, store.Get(DbBench::KeyFor(i)));
+    sim_.RunUntil(sim_.Now() + sim::Micros(30));
+  }
+  sim_.Run();
+  for (auto& [i, f] : gets) {
+    ASSERT_TRUE(f.Ready()) << i;
+    ASSERT_TRUE(f.Get().found) << i;
+    EXPECT_EQ(f.Get().value, DbBench::ValueFor(i, 100)) << i;
   }
 }
 
