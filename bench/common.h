@@ -10,6 +10,8 @@
 #include <vector>
 
 #include "client/io_session.h"
+#include "client/load_generator.h"
+#include "client/reflex_client.h"
 #include "core/reflex_server.h"
 #include "flash/calibration.h"
 #include "flash/flash_device.h"
@@ -17,9 +19,7 @@
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "sim/histogram.h"
-#include "sim/random.h"
 #include "sim/simulator.h"
-#include "sim/task.h"
 
 namespace reflex::bench {
 
@@ -63,6 +63,23 @@ inline flash::CalibrationResult CalibrationA() {
   return c;
 }
 
+/**
+ * Steps the simulator in 1ms slices until the future resolves; aborts
+ * the bench if the simulated clock reaches `deadline` first.
+ */
+template <typename T>
+T Await(sim::Simulator& sim, sim::Future<T> future,
+        sim::TimeNs deadline = sim::Seconds(600)) {
+  while (!future.Ready() && sim.Now() < deadline) {
+    sim.RunUntil(sim.Now() + sim::Millis(1));
+  }
+  if (!future.Ready()) {
+    std::fprintf(stderr, "bench deadline exceeded\n");
+    std::abort();
+  }
+  return future.Get();
+}
+
 /** A complete ReFlex deployment for benches. */
 struct BenchWorld {
   explicit BenchWorld(core::ServerOptions options = core::ServerOptions(),
@@ -77,17 +94,10 @@ struct BenchWorld {
         sim, net, server_machine, device, CalibrationA(), options);
   }
 
-  /** Steps the simulator until the future resolves. */
+  /** Steps the simulator until the future resolves; see bench::Await. */
   template <typename T>
   T Await(sim::Future<T> future, sim::TimeNs deadline = sim::Seconds(600)) {
-    while (!future.Ready() && sim.Now() < deadline) {
-      sim.RunUntil(sim.Now() + sim::Millis(1));
-    }
-    if (!future.Ready()) {
-      std::fprintf(stderr, "bench deadline exceeded\n");
-      std::abort();
-    }
-    return future.Get();
+    return bench::Await(sim, std::move(future), deadline);
   }
 
   void RunFor(sim::TimeNs duration) { sim.RunUntil(sim.Now() + duration); }
@@ -155,6 +165,12 @@ inline double CheckBreakdownReconciles(const obs::BreakdownTable& table,
 }
 
 /**
+ * Address span of the bench load drivers: 4M pages of 4KB, the range
+ * the paper's random-I/O experiments spread over.
+ */
+constexpr uint64_t kBenchSpanSectors = 32'000'000;
+
+/**
  * QD-1 latency probe over any IoSession: issues `samples` random 4KB
  * I/Os one at a time and returns the latency histogram (the
  * methodology of the paper's Table 2 and of mutilate's latency agent).
@@ -162,14 +178,16 @@ inline double CheckBreakdownReconciles(const obs::BreakdownTable& table,
 inline sim::Histogram ProbeLatency(BenchWorld& world,
                                    client::IoSession& session, bool is_read,
                                    int samples, uint64_t seed = 7) {
-  sim::Histogram hist;
-  sim::Rng rng(seed, "bench_probe");
-  for (int i = 0; i < samples; ++i) {
-    const uint64_t lba = rng.NextBounded(4000000) * 8;
-    auto f = is_read ? session.Read(lba, 8) : session.Write(lba, 8);
-    hist.Record(world.Await(std::move(f)).Latency());
-  }
-  return hist;
+  client::LoadGenSpec spec;
+  spec.read_fraction = is_read ? 1.0 : 0.0;
+  spec.queue_depth = 1;
+  spec.stop_after_ops = samples;
+  spec.lba_span_sectors = kBenchSpanSectors;
+  spec.seed = seed;
+  client::LoadGenerator probe(world.sim, session, spec);
+  probe.Run(0, 0);
+  world.Await(probe.Done());
+  return is_read ? probe.read_latency() : probe.write_latency();
 }
 
 /** One measured point of a latency-throughput curve. */
@@ -180,87 +198,10 @@ struct LoadPoint {
   sim::TimeNs read_mean = 0;
 };
 
-namespace internal {
-
-/** Open-loop Poisson generator over a set of IoSessions. */
-class OpenLoopDriver {
- public:
-  OpenLoopDriver(sim::Simulator& sim, std::vector<client::IoSession*> sessions,
-                 double offered_iops, double read_fraction,
-                 uint32_t sectors, uint64_t seed)
-      : sim_(sim),
-        sessions_(std::move(sessions)),
-        read_fraction_(read_fraction),
-        sectors_(sectors),
-        rng_(seed, "open_loop_driver"),
-        mean_gap_(1e9 / offered_iops) {}
-
-  LoadPoint Measure(sim::TimeNs warmup, sim::TimeNs duration) {
-    warm_end_ = sim_.Now() + warmup;
-    end_ = warm_end_ + duration;
-    ScheduleNext();
-    while ((sim_.Now() < end_ || outstanding_ > 0) &&
-           sim_.Now() < end_ + sim::Seconds(5)) {
-      sim_.RunUntil(sim_.Now() + sim::Millis(1));
-    }
-    LoadPoint point;
-    point.offered_iops = 1e9 / mean_gap_;
-    point.achieved_iops =
-        static_cast<double>(ops_in_window_) / sim::ToSeconds(end_ - warm_end_);
-    point.read_p95 = hist_.Percentile(0.95);
-    point.read_mean = static_cast<sim::TimeNs>(hist_.Mean());
-    return point;
-  }
-
- private:
-  void ScheduleNext() {
-    const auto gap = static_cast<sim::TimeNs>(
-        rng_.NextExponential(mean_gap_));
-    sim_.ScheduleAfter(gap, [this] {
-      if (sim_.Now() >= end_) return;
-      ++outstanding_;
-      IssueOne(sessions_[next_session_]);
-      next_session_ = (next_session_ + 1) % sessions_.size();
-      ScheduleNext();
-    });
-  }
-
-  sim::Task IssueOne(client::IoSession* session) {
-    const bool is_read = rng_.NextBernoulli(read_fraction_);
-    const uint64_t lba = rng_.NextBounded(4000000) * 8;
-    client::IoResult r;
-    if (is_read) {
-      r = co_await session->Read(lba, sectors_);
-    } else {
-      r = co_await session->Write(lba, sectors_);
-    }
-    --outstanding_;
-    if (r.ok() && r.complete_time >= warm_end_ && r.complete_time < end_) {
-      ++ops_in_window_;
-      if (is_read && r.issue_time >= warm_end_) hist_.Record(r.Latency());
-    }
-  }
-
-  sim::Simulator& sim_;
-  std::vector<client::IoSession*> sessions_;
-  double read_fraction_;
-  uint32_t sectors_;
-  sim::Rng rng_;
-  double mean_gap_;
-  sim::TimeNs warm_end_ = 0;
-  sim::TimeNs end_ = 0;
-  size_t next_session_ = 0;
-  int64_t outstanding_ = 0;
-  int64_t ops_in_window_ = 0;
-  sim::Histogram hist_;
-};
-
-}  // namespace internal
-
 /**
- * Measures one open-loop point: `offered_iops` spread round-robin over
- * the given sessions (Poisson arrivals). Returns achieved throughput
- * and read-latency stats over the window.
+ * Measures one open-loop point: `offered_iops` split evenly over the
+ * given sessions, each driven by its own Poisson generator. Returns
+ * achieved throughput and read-latency stats over the window.
  */
 inline LoadPoint MeasureOpenLoop(sim::Simulator& sim,
                                  std::vector<client::IoSession*> sessions,
@@ -269,9 +210,33 @@ inline LoadPoint MeasureOpenLoop(sim::Simulator& sim,
                                  sim::TimeNs warmup = sim::Millis(50),
                                  sim::TimeNs duration = sim::Millis(250),
                                  uint64_t seed = 9) {
-  internal::OpenLoopDriver driver(sim, std::move(sessions), offered_iops,
-                                  read_fraction, sectors, seed);
-  return driver.Measure(warmup, duration);
+  const sim::TimeNs warm_end = sim.Now() + warmup;
+  const sim::TimeNs end = warm_end + duration;
+  std::vector<std::unique_ptr<client::LoadGenerator>> generators;
+  for (size_t i = 0; i < sessions.size(); ++i) {
+    client::LoadGenSpec spec;
+    spec.read_fraction = read_fraction;
+    spec.request_bytes = sectors * sessions[i]->sector_bytes();
+    spec.offered_iops = offered_iops / static_cast<double>(sessions.size());
+    spec.lba_span_sectors = kBenchSpanSectors;
+    spec.seed = seed + i;
+    generators.push_back(
+        std::make_unique<client::LoadGenerator>(sim, *sessions[i], spec));
+  }
+  for (auto& g : generators) g->Run(warm_end, end);
+  sim::Histogram reads;
+  int64_t ops = 0;
+  for (auto& g : generators) {
+    Await(sim, g->Done(), end + sim::Seconds(5));
+    reads.Merge(g->read_latency());
+    ops += g->ops_in_window();
+  }
+  LoadPoint point;
+  point.offered_iops = offered_iops;
+  point.achieved_iops = static_cast<double>(ops) / sim::ToSeconds(duration);
+  point.read_p95 = reads.Percentile(0.95);
+  point.read_mean = static_cast<sim::TimeNs>(reads.Mean());
+  return point;
 }
 
 /** Convenience overload over a BenchWorld's simulator. */
@@ -284,6 +249,113 @@ inline LoadPoint MeasureOpenLoop(BenchWorld& world,
                                  uint64_t seed = 9) {
   return MeasureOpenLoop(world.sim, std::move(sessions), offered_iops,
                          read_fraction, sectors, warmup, duration, seed);
+}
+
+/**
+ * One of the four Figure 5 tenants, A-D, with its client, session and
+ * load generator.
+ */
+struct QosTenant {
+  const char* name = "";
+  core::TenantClass cls = core::TenantClass::kBestEffort;
+  core::SloSpec slo;  // LC only
+  std::unique_ptr<client::ReflexClient> client;
+  std::unique_ptr<client::TenantSession> session;
+  std::unique_ptr<client::LoadGenerator> generator;
+
+  bool lc() const { return cls == core::TenantClass::kLatencyCritical; }
+};
+
+/** The single-threaded server the four-tenant QoS benches share. */
+inline core::ServerOptions QosServerOptions() {
+  core::ServerOptions options;
+  options.num_threads = 1;
+  // NEG_LIMIT is an empirical knob (the paper uses -50 on its device);
+  // our device needs a slightly deeper burst allowance to absorb runs
+  // of 10-token writes from tenant B without queueing its reads.
+  options.qos.neg_limit = -150.0;
+  return options;
+}
+
+/**
+ * Registers the Figure 5 tenants on `world`'s server and builds their
+ * load: A (LC, 120K IOPS, 100% reads) and B (LC, `b_offered_iops`, 80%
+ * reads) paced open loop; C (BE, 95% reads) and D (BE, 25% reads)
+ * closed loop at QD32. `trace_sample_every` is passed to every client.
+ */
+inline std::vector<QosTenant> AddQosTenants(BenchWorld& world,
+                                            double b_offered_iops,
+                                            uint32_t trace_sample_every = 0) {
+  struct Mix {
+    const char* name;
+    core::TenantClass cls;
+    core::SloSpec slo;
+    double offered_iops;  // 0 => closed loop
+    double read_fraction;
+  };
+  // SLOs carry ~8% headroom over the offered load: a token bucket
+  // drained at exactly its fill rate is a critically-loaded queue
+  // whose delay grows without bound, so any real SLO reservation must
+  // exceed the expected demand (see EXPERIMENTS.md).
+  const Mix mix[] = {
+      {"A(LC,100%rd)", core::TenantClass::kLatencyCritical,
+       {130000, 1.0, sim::Micros(500), 0.95, 4096}, 120000, 1.0},
+      {"B(LC,80%rd)", core::TenantClass::kLatencyCritical,
+       {76000, 0.8, sim::Micros(500), 0.95, 4096}, b_offered_iops, 0.8},
+      {"C(BE,95%rd)", core::TenantClass::kBestEffort, {}, 0, 0.95},
+      {"D(BE,25%rd)", core::TenantClass::kBestEffort, {}, 0, 0.25},
+  };
+  std::vector<QosTenant> tenants;
+  int idx = 0;
+  for (const Mix& m : mix) {
+    QosTenant t;
+    t.name = m.name;
+    t.cls = m.cls;
+    t.slo = m.slo;
+    core::Tenant* tenant = world.server->RegisterTenant(m.slo, m.cls);
+    if (tenant == nullptr) {
+      std::fprintf(stderr, "tenant %s inadmissible!\n", m.name);
+      std::abort();
+    }
+    client::ReflexClient::Options copts;
+    copts.stack = net::StackCosts::IxDataplane();
+    copts.num_connections = 8;
+    copts.seed = 500 + idx;
+    copts.trace_sample_every = trace_sample_every;
+    t.client = std::make_unique<client::ReflexClient>(
+        world.sim, *world.server,
+        world.client_machines[idx % world.client_machines.size()], copts);
+    t.session = t.client->AttachSession(tenant->handle());
+
+    client::LoadGenSpec spec;
+    spec.read_fraction = m.read_fraction;
+    if (m.offered_iops > 0) {
+      spec.offered_iops = m.offered_iops;
+      // LC load is paced (mutilate agents driving a fixed rate).
+      spec.poisson_arrivals = false;
+    } else {
+      spec.queue_depth = 32;
+    }
+    spec.seed = 900 + idx;
+    t.generator = std::make_unique<client::LoadGenerator>(
+        world.sim, *t.session, spec);
+    tenants.push_back(std::move(t));
+    ++idx;
+  }
+  return tenants;
+}
+
+/** Measurement window [kQosWarmEnd, kQosEnd) of the QoS benches. */
+constexpr sim::TimeNs kQosWarmEnd = sim::Millis(150);
+constexpr sim::TimeNs kQosEnd = sim::Millis(650);
+
+/** Runs every tenant's load over the window and waits for the drain. */
+inline void RunQosTenants(BenchWorld& world,
+                          std::vector<QosTenant>& tenants) {
+  for (QosTenant& t : tenants) t.generator->Run(kQosWarmEnd, kQosEnd);
+  for (QosTenant& t : tenants) {
+    world.Await(t.generator->Done(), sim::Seconds(120));
+  }
 }
 
 }  // namespace reflex::bench

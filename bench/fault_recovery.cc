@@ -17,11 +17,9 @@
 
 #include <cinttypes>
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/common.h"
-#include "client/reflex_client.h"
 #include "sim/fault.h"
 
 namespace reflex {
@@ -38,112 +36,7 @@ constexpr sim::TimeNs kBucket = Millis(20);
 constexpr sim::TimeNs kSloP95 = Millis(1);
 constexpr double kLcOfferedIops = 50000.0;
 
-/** Per-20ms-bucket latency/error accounting for the LC tenant. */
-struct Timeline {
-  std::vector<sim::Histogram> lat;
-  std::vector<int64_t> errors;
-
-  Timeline()
-      : lat(static_cast<size_t>(kRunEnd / kBucket)),
-        errors(static_cast<size_t>(kRunEnd / kBucket), 0) {}
-
-  size_t BucketFor(sim::TimeNs t) const {
-    const size_t b = static_cast<size_t>(t / kBucket);
-    return b < lat.size() ? b : lat.size() - 1;
-  }
-  void Record(const client::IoResult& r) {
-    const size_t b = BucketFor(r.complete_time);
-    if (r.ok()) {
-      lat[b].Record(r.Latency());
-    } else {
-      ++errors[b];
-    }
-  }
-};
-
-/**
- * Open-loop paced read load for the LC tenant, recorded per bucket.
- * Pacing (not Poisson) keeps every scenario's arrival sequence
- * identical, so timelines are comparable across fault classes.
- */
-class LcDriver {
- public:
-  LcDriver(bench::BenchWorld& world, client::TenantSession& session)
-      : world_(world),
-        session_(session),
-        rng_(17, "fault_recovery_lc"),
-        gap_(static_cast<sim::TimeNs>(1e9 / kLcOfferedIops)) {}
-
-  void Start() { ScheduleNext(); }
-  const Timeline& timeline() const { return timeline_; }
-  int64_t outstanding() const { return outstanding_; }
-
- private:
-  void ScheduleNext() {
-    world_.sim.ScheduleAfter(gap_, [this] {
-      if (world_.sim.Now() < kRunEnd) {
-        ++outstanding_;
-        IssueOne();
-        ScheduleNext();
-      }
-    });
-  }
-  sim::Task IssueOne() {
-    const uint64_t lba = rng_.NextBounded(4000000) * 8;
-    client::IoResult r = co_await session_.Read(lba, 8);
-    --outstanding_;
-    timeline_.Record(r);
-  }
-
-  bench::BenchWorld& world_;
-  client::TenantSession& session_;
-  sim::Rng rng_;
-  sim::TimeNs gap_;
-  int64_t outstanding_ = 0;
-  Timeline timeline_;
-};
-
-/** Closed-loop best-effort load with per-bucket completion counts. */
-class BeDriver {
- public:
-  BeDriver(bench::BenchWorld& world, client::TenantSession& session)
-      : world_(world), session_(session),
-        completed_per_bucket_(static_cast<size_t>(kRunEnd / kBucket), 0) {}
-
-  void Start(int workers) {
-    for (int i = 0; i < workers; ++i) Worker(1000 + i);
-  }
-  int64_t outstanding() const { return outstanding_; }
-  const std::vector<int64_t>& completed_per_bucket() const {
-    return completed_per_bucket_;
-  }
-
- private:
-  sim::Task Worker(uint64_t salt) {
-    sim::Rng rng(salt, "fault_recovery_be");
-    ++outstanding_;
-    while (world_.sim.Now() < kRunEnd) {
-      const uint64_t lba = rng.NextBounded(4000000) * 8;
-      client::IoResult r =
-          rng.NextBernoulli(0.5)
-              ? co_await session_.Read(lba, 8)
-              : co_await session_.Write(lba, 8);
-      if (r.ok()) {
-        size_t b = static_cast<size_t>(r.complete_time / kBucket);
-        if (b >= completed_per_bucket_.size()) {
-          b = completed_per_bucket_.size() - 1;
-        }
-        ++completed_per_bucket_[b];
-      }
-    }
-    --outstanding_;
-  }
-
-  bench::BenchWorld& world_;
-  client::TenantSession& session_;
-  int64_t outstanding_ = 0;
-  std::vector<int64_t> completed_per_bucket_;
-};
+using Bins = std::vector<client::LoadGenerator::Bin>;
 
 client::ReflexClient::Options RetryingClient(uint64_t seed) {
   client::ReflexClient::Options copts;
@@ -168,28 +61,28 @@ double RegistryCounter(core::ReflexServer& server, const char* name) {
 }
 
 /** p95 over the final 100ms of the run (fault cleared at 300ms). */
-sim::TimeNs RecoveredP95(const Timeline& t) {
+sim::TimeNs RecoveredP95(const Bins& t) {
   sim::Histogram tail;
   const size_t first = static_cast<size_t>((kRunEnd - Millis(100)) / kBucket);
-  for (size_t b = first; b < t.lat.size(); ++b) tail.Merge(t.lat[b]);
+  for (size_t b = first; b < t.size(); ++b) tail.Merge(t[b].reads);
   return tail.Percentile(0.95);
 }
 
-void PrintTimeline(const Timeline& t) {
+void PrintBins(const Bins& t) {
   std::printf("  %-8s %12s %10s %8s\n", "t_ms", "p95_read_us", "errors",
               "in_slo");
-  for (size_t b = 0; b < t.lat.size(); ++b) {
+  for (size_t b = 0; b < t.size(); ++b) {
     const int64_t ms = (b * kBucket) / 1000000;
-    if (t.lat[b].Count() == 0) {
+    if (t[b].reads.Count() == 0) {
       std::printf("  %-8lld %12s %10lld %8s\n",
                   static_cast<long long>(ms), "-",
-                  static_cast<long long>(t.errors[b]), "-");
+                  static_cast<long long>(t[b].errors), "-");
       continue;
     }
-    const sim::TimeNs p95 = t.lat[b].Percentile(0.95);
+    const sim::TimeNs p95 = t[b].reads.Percentile(0.95);
     std::printf("  %-8lld %12.1f %10lld %8s\n",
                 static_cast<long long>(ms), p95 / 1e3,
-                static_cast<long long>(t.errors[b]),
+                static_cast<long long>(t[b].errors),
                 p95 <= kSloP95 ? "yes" : "NO");
   }
 }
@@ -296,35 +189,48 @@ bool RunScenario(Scenario scenario) {
       break;
   }
 
-  LcDriver lc_load(world, *lc_session);
-  BeDriver be_load(world, *be_session);
-  // 4 closed-loop BE workers: enough to make brownout shedding
-  // visible, but intrinsically bounded below the leftover token share
-  // so the device runs with latency headroom (a BE pool that soaks the
-  // whole cap pins the LC p95 exactly at its SLO by construction).
-  lc_load.Start();
-  be_load.Start(/*workers=*/4);
-
-  while ((world.sim.Now() < kRunEnd || lc_load.outstanding() > 0 ||
-          be_load.outstanding() > 0) &&
-         world.sim.Now() < kRunEnd + sim::Seconds(5)) {
-    world.sim.RunUntil(world.sim.Now() + Millis(1));
-  }
+  // LC: open-loop paced reads. Pacing (not Poisson) keeps every
+  // scenario's arrival sequence identical, so timelines are comparable
+  // across fault classes.
+  client::LoadGenSpec lc_spec;
+  lc_spec.offered_iops = kLcOfferedIops;
+  lc_spec.poisson_arrivals = false;
+  lc_spec.lba_span_sectors = bench::kBenchSpanSectors;
+  lc_spec.bin_width = kBucket;
+  lc_spec.seed = 17;
+  client::LoadGenerator lc_load(world.sim, *lc_session, lc_spec);
+  // BE: 4 closed-loop workers at 50% reads: enough to make brownout
+  // shedding visible, but intrinsically bounded below the leftover
+  // token share so the device runs with latency headroom (a BE pool
+  // that soaks the whole cap pins the LC p95 exactly at its SLO by
+  // construction).
+  client::LoadGenSpec be_spec;
+  be_spec.read_fraction = 0.5;
+  be_spec.queue_depth = 4;
+  be_spec.lba_span_sectors = bench::kBenchSpanSectors;
+  be_spec.bin_width = kBucket;
+  be_spec.seed = 1000;
+  client::LoadGenerator be_load(world.sim, *be_session, be_spec);
+  lc_load.Run(0, kRunEnd);
+  be_load.Run(0, kRunEnd);
+  world.Await(lc_load.Done(), kRunEnd + sim::Seconds(5));
+  world.Await(be_load.Done(), kRunEnd + sim::Seconds(5));
 
   std::printf("Scenario %s (fault window [%lld ms, %lld ms)):\n",
               ScenarioName(scenario),
               static_cast<long long>(kFaultStart / 1000000),
               static_cast<long long>((kFaultStart + kFaultDuration) /
                                      1000000));
-  PrintTimeline(lc_load.timeline());
+  PrintBins(lc_load.bins());
 
   if (scenario == Scenario::kBrownout) {
     // BE throughput in thirds: nominal / shed / recovered.
-    const auto& per_bucket = be_load.completed_per_bucket();
+    const Bins& per_bucket = be_load.bins();
     const size_t third = per_bucket.size() / 3;
     int64_t phases[3] = {0, 0, 0};
     for (size_t b = 0; b < per_bucket.size(); ++b) {
-      phases[b < third ? 0 : (b < 2 * third ? 1 : 2)] += per_bucket[b];
+      phases[b < third ? 0 : (b < 2 * third ? 1 : 2)] +=
+          per_bucket[b].completions;
     }
     std::printf("  BE completions: before=%" PRId64 " during=%" PRId64
                 " after=%" PRId64 " (shed while browned out)\n",
@@ -333,7 +239,7 @@ bool RunScenario(Scenario scenario) {
 
   PrintFaultCounters(world, lc_client, plan);
 
-  const sim::TimeNs recovered = RecoveredP95(lc_load.timeline());
+  const sim::TimeNs recovered = RecoveredP95(lc_load.bins());
   const bool ok = recovered > 0 && recovered <= kSloP95;
   std::printf("  recovery: p95 over final 100ms = %.1f us (SLO %.0f us) "
               "=> %s\n\n",

@@ -17,120 +17,26 @@
 // split the leftover throughput (D lower than C: its writes cost 10x).
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "bench/common.h"
-#include "client/load_generator.h"
-#include "client/reflex_client.h"
 
 namespace reflex {
 namespace {
 
-struct TenantSetup {
-  const char* name;
-  core::TenantClass cls;
-  core::SloSpec slo;        // LC only
-  double offered_iops;      // open loop (LC); 0 => closed loop QD32 (BE)
-  double read_fraction;
-  core::Tenant* tenant = nullptr;
-  std::unique_ptr<client::ReflexClient> client;
-  std::unique_ptr<client::TenantSession> session;
-  std::unique_ptr<client::LoadGenerator> generator;
-};
-
 void RunScenario(int scenario, bool sched_enabled) {
-  core::ServerOptions options;
-  options.num_threads = 1;
+  core::ServerOptions options = bench::QosServerOptions();
   options.qos.enforce = sched_enabled;
-  // NEG_LIMIT is an empirical knob (the paper uses -50 on its device);
-  // our device needs a slightly deeper burst allowance to absorb runs
-  // of 10-token writes from tenant B without queueing its reads.
-  options.qos.neg_limit = -150.0;
   bench::BenchWorld world(options);
 
-  const double b_offered = scenario == 1 ? 70000.0 : 45000.0;
+  // Trace every request: the latency-breakdown table below must
+  // reconcile with the generator histograms, so both populations
+  // need to be (nearly) the same.
+  std::vector<bench::QosTenant> tenants = bench::AddQosTenants(
+      world, scenario == 1 ? 70000.0 : 45000.0, /*trace_sample_every=*/1);
 
-  // SLOs carry ~8% headroom over the offered load: a token bucket
-  // drained at exactly its fill rate is a critically-loaded queue
-  // whose delay grows without bound, so any real SLO reservation must
-  // exceed the expected demand (mutilate's Poisson arrivals make this
-  // visible; see EXPERIMENTS.md).
-  std::vector<TenantSetup> setups;
-  {
-    TenantSetup a;
-    a.name = "A(LC,100%rd)";
-    a.cls = core::TenantClass::kLatencyCritical;
-    a.slo = {130000, 1.0, sim::Micros(500), 0.95, 4096};
-    a.offered_iops = 120000;
-    a.read_fraction = 1.0;
-    setups.push_back(std::move(a));
-  }
-  {
-    TenantSetup b;
-    b.name = "B(LC,80%rd)";
-    b.cls = core::TenantClass::kLatencyCritical;
-    b.slo = {76000, 0.8, sim::Micros(500), 0.95, 4096};
-    b.offered_iops = b_offered;
-    b.read_fraction = 0.8;
-    setups.push_back(std::move(b));
-  }
-  {
-    TenantSetup c;
-    c.name = "C(BE,95%rd)";
-    c.cls = core::TenantClass::kBestEffort;
-    c.offered_iops = 0;
-    c.read_fraction = 0.95;
-    setups.push_back(std::move(c));
-  }
-  {
-    TenantSetup d;
-    d.name = "D(BE,25%rd)";
-    d.cls = core::TenantClass::kBestEffort;
-    d.offered_iops = 0;
-    d.read_fraction = 0.25;
-    setups.push_back(std::move(d));
-  }
-
-  int idx = 0;
-  for (TenantSetup& s : setups) {
-    core::ReqStatus status;
-    s.tenant = world.server->RegisterTenant(s.slo, s.cls, &status);
-    if (s.tenant == nullptr) {
-      std::fprintf(stderr, "tenant %s inadmissible!\n", s.name);
-      std::abort();
-    }
-    client::ReflexClient::Options copts;
-    copts.stack = net::StackCosts::IxDataplane();
-    copts.num_connections = 8;
-    copts.seed = 500 + idx;
-    // Trace every request: the latency-breakdown table below must
-    // reconcile with the generator histograms, so both populations
-    // need to be (nearly) the same.
-    copts.trace_sample_every = 1;
-    s.client = std::make_unique<client::ReflexClient>(
-        world.sim, *world.server,
-        world.client_machines[idx % world.client_machines.size()], copts);
-    s.session = s.client->AttachSession(s.tenant->handle());
-
-    client::LoadGenSpec spec;
-    spec.read_fraction = s.read_fraction;
-    spec.request_bytes = 4096;
-    if (s.offered_iops > 0) {
-      spec.offered_iops = s.offered_iops;
-      // LC load is paced (mutilate agents driving a fixed rate).
-      spec.poisson_arrivals = false;
-    } else {
-      spec.queue_depth = 32;
-    }
-    spec.seed = 900 + idx;
-    s.generator = std::make_unique<client::LoadGenerator>(
-        world.sim, *s.session, spec);
-    ++idx;
-  }
-
-  const sim::TimeNs warm = sim::Millis(150);
-  const sim::TimeNs end = sim::Millis(650);
+  const sim::TimeNs warm = bench::kQosWarmEnd;
+  const sim::TimeNs end = bench::kQosEnd;
   // Align the trace population with the measurement window: count
   // only spans issued after warmup, and capture the table at `end`
   // (the generators keep draining past it).
@@ -141,21 +47,17 @@ void RunScenario(int scenario, bool sched_enabled) {
   world.sim.ScheduleAt(end, [&world, &window_table] {
     window_table = world.server->tracer().Table();
   });
-  for (TenantSetup& s : setups) s.generator->Run(warm, end);
-  for (TenantSetup& s : setups) {
-    world.Await(s.generator->Done(), sim::Seconds(120));
-  }
+  bench::RunQosTenants(world, tenants);
 
   std::printf("Scenario %d, I/O sched %s:\n", scenario,
               sched_enabled ? "ENABLED" : "DISABLED");
   std::printf("  %-14s %12s %12s %10s\n", "tenant", "iops",
               "p95_read_us", "SLO_us");
-  for (TenantSetup& s : setups) {
-    const bool lc = s.cls == core::TenantClass::kLatencyCritical;
-    std::printf("  %-14s %12.0f %12.1f %10s\n", s.name,
-                s.generator->AchievedIops(),
-                s.generator->read_latency().Percentile(0.95) / 1e3,
-                lc ? "500" : "-");
+  for (const bench::QosTenant& t : tenants) {
+    std::printf("  %-14s %12.0f %12.1f %10s\n", t.name,
+                t.generator->AchievedIops(),
+                t.generator->read_latency().Percentile(0.95) / 1e3,
+                t.lc() ? "500" : "-");
   }
 
   // Machine-readable per-stage latency breakdown from the trace spans,
@@ -165,9 +67,9 @@ void RunScenario(int scenario, bool sched_enabled) {
   std::snprintf(label, sizeof(label), "s%d_%s", scenario,
                 sched_enabled ? "on" : "off");
   sim::Histogram merged;
-  for (TenantSetup& s : setups) {
-    merged.Merge(s.generator->read_latency());
-    merged.Merge(s.generator->write_latency());
+  for (const bench::QosTenant& t : tenants) {
+    merged.Merge(t.generator->read_latency());
+    merged.Merge(t.generator->write_latency());
   }
   bench::DumpBreakdown(*world.server, window_table, "fig5_qos", label);
   bench::CheckBreakdownReconciles(window_table, merged.Mean() / 1e3, label);

@@ -5,7 +5,7 @@
 //
 // Each (N shards, R replicas) config runs four latency-critical
 // tenants with Zipfian skew across tenants (offered rate of tenant k
-// proportional to 1/(k+1)) and Zipfian stripe popularity within each
+// proportional to 1/(k+1)) and Zipfian page popularity within each
 // tenant. Reads are steered power-of-two over piggybacked per-shard
 // queue-depth hints; writes fan out to every replica. Mid-run one
 // replica's machine link is cut for 50ms: writes keep committing on
@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench/common.h"
+#include "client/load_generator.h"
 #include "cluster/cluster_client.h"
 #include "sim/fault.h"
 
@@ -58,108 +59,10 @@ struct ConfigResult {
   bool ok = false;
 };
 
-/**
- * Open-loop Poisson driver for one tenant session: Zipfian stripe
- * popularity, reads steered by the session, read latency recorded
- * both overall and into 10ms timeline bins for the re-convergence
- * measurement.
- */
-class TenantDriver {
- public:
-  TenantDriver(sim::Simulator& sim, cluster::ClusterSession& session,
-               double iops, uint64_t num_stripes, uint32_t stripe_sectors,
-               uint64_t seed, uint64_t salt)
-      : sim_(sim),
-        session_(session),
-        rng_(seed, "fig6d_replication"),
-        mean_gap_(1e9 / iops),
-        num_stripes_(num_stripes),
-        stripe_sectors_(stripe_sectors),
-        salt_(salt),
-        bins_(kNumBins) {}
-
-  void Start(sim::TimeNs warm_end, sim::TimeNs end) {
-    warm_end_ = warm_end;
-    end_ = end;
-    ScheduleNext();
-  }
-
-  bool Idle() const { return outstanding_ == 0; }
-  int64_t ops_in_window() const { return ops_in_window_; }
-  int64_t reads_failed() const { return reads_failed_; }
-  int64_t writes_failed() const { return writes_failed_; }
-  const sim::Histogram& read_hist() const { return read_hist_; }
-  const sim::Histogram& bin(int i) const { return bins_[i]; }
-
- private:
-  void ScheduleNext() {
-    const auto gap =
-        static_cast<sim::TimeNs>(rng_.NextExponential(mean_gap_));
-    sim_.ScheduleAfter(gap, [this] {
-      if (sim_.Now() >= end_) return;
-      ++outstanding_;
-      IssueOne();
-      ScheduleNext();
-    });
-  }
-
-  sim::Task IssueOne() {
-    // Zipf popularity over stripes, scrambled by a per-tenant salt:
-    // each tenant has its own hot set (Fisher-scramble of the rank),
-    // so the skew stresses the steering without four tenants piling
-    // onto the same few flash dies.
-    const uint64_t rank = rng_.NextZipf(num_stripes_, kZipfTheta);
-    const uint64_t stripe = (rank * 2654435761ULL + salt_) % num_stripes_;
-    const uint64_t lba =
-        stripe * stripe_sectors_ +
-        rng_.NextBounded(stripe_sectors_ / 8) * 8;
-    const bool is_read = rng_.NextBernoulli(kReadFraction);
-    // Branch with if/else, NOT `co_await (is_read ? Read : Write)`:
-    // under GCC 12 the conditional inside a co_await materializes
-    // BOTH operand futures, silently issuing a write alongside every
-    // read (10 extra tokens per op, which throttles the tenant to a
-    // fraction of its reservation).
-    client::IoResult r;
-    if (is_read) {
-      r = co_await session_.Read(lba, 8);
-    } else {
-      r = co_await session_.Write(lba, 8);
-    }
-    --outstanding_;
-    if (!r.ok()) {
-      (is_read ? reads_failed_ : writes_failed_) += 1;
-      co_return;
-    }
-    if (r.complete_time < warm_end_ || r.complete_time >= end_) co_return;
-    ++ops_in_window_;
-    if (is_read && r.issue_time >= warm_end_) {
-      read_hist_.Record(r.Latency());
-      const int b = static_cast<int>((r.complete_time - warm_end_) / kBin);
-      if (b >= 0 && b < kNumBins) bins_[b].Record(r.Latency());
-    }
-  }
-
-  sim::Simulator& sim_;
-  cluster::ClusterSession& session_;
-  sim::Rng rng_;
-  double mean_gap_;
-  uint64_t num_stripes_;
-  uint32_t stripe_sectors_;
-  uint64_t salt_;
-  sim::TimeNs warm_end_ = 0;
-  sim::TimeNs end_ = 0;
-  int64_t outstanding_ = 0;
-  int64_t ops_in_window_ = 0;
-  int64_t reads_failed_ = 0;
-  int64_t writes_failed_ = 0;
-  sim::Histogram read_hist_;
-  std::vector<sim::Histogram> bins_;
-};
-
 struct Tenant {
   std::unique_ptr<cluster::ClusterClient> client;
   std::unique_ptr<cluster::ClusterSession> session;
-  std::unique_ptr<TenantDriver> driver;
+  std::unique_ptr<client::LoadGenerator> load;
 };
 
 ConfigResult RunConfig(int num_shards, int replication) {
@@ -175,11 +78,6 @@ ConfigResult RunConfig(int num_shards, int replication) {
   // (same knob and rationale as fig5_qos).
   options.server.qos.neg_limit = -150.0;
   cluster::FlashCluster flash_cluster(sim, net, options);
-
-  const uint32_t stripe_sectors =
-      flash_cluster.shard_map().options().stripe_sectors;
-  const uint64_t num_stripes =
-      flash_cluster.shard_map().capacity_sectors() / stripe_sectors;
 
   // Zipfian tenant skew: tenant k's offered rate is proportional to
   // 1/(k+1); together they offer kPerShardIops per shard.
@@ -242,9 +140,17 @@ ConfigResult RunConfig(int num_shards, int replication) {
       std::fprintf(stderr, "cluster session refused\n");
       std::abort();
     }
-    t.driver = std::make_unique<TenantDriver>(
-        sim, *t.session, rate, num_stripes, stripe_sectors, 7000 + k,
-        1 + static_cast<uint64_t>(k) * 7919);
+    // Open-loop Poisson with Zipfian page popularity. Each tenant's
+    // generator scrambles the ranks with its own seed, so every tenant
+    // has its own hot set: the skew stresses the steering without
+    // four tenants piling onto the same few flash dies.
+    client::LoadGenSpec spec;
+    spec.read_fraction = kReadFraction;
+    spec.offered_iops = rate;
+    spec.zipf_theta = kZipfTheta;
+    spec.bin_width = kBin;
+    spec.seed = 7000 + k;
+    t.load = std::make_unique<client::LoadGenerator>(sim, *t.session, spec);
     tenants.push_back(std::move(t));
   }
 
@@ -274,15 +180,9 @@ ConfigResult RunConfig(int num_shards, int replication) {
   }
 
   const sim::TimeNs end = kWarmup + kMeasure;
-  for (Tenant& t : tenants) t.driver->Start(kWarmup, end);
-  auto idle = [&tenants] {
-    for (const Tenant& t : tenants) {
-      if (!t.driver->Idle()) return false;
-    }
-    return true;
-  };
-  while ((sim.Now() < end || !idle()) && sim.Now() < end + sim::Seconds(5)) {
-    sim.RunUntil(sim.Now() + sim::Millis(1));
+  for (Tenant& t : tenants) t.load->Run(kWarmup, end);
+  for (Tenant& t : tenants) {
+    bench::Await(sim, t.load->Done(), end + sim::Seconds(5));
   }
 
   // Aggregate: overall read tail, per-bin p95 timeline, per-shard
@@ -290,10 +190,10 @@ ConfigResult RunConfig(int num_shards, int replication) {
   sim::Histogram all_reads;
   int64_t ops = 0;
   for (const Tenant& t : tenants) {
-    all_reads.Merge(t.driver->read_hist());
-    ops += t.driver->ops_in_window();
-    result.reads_failed += t.driver->reads_failed();
-    result.writes_failed += t.driver->writes_failed();
+    all_reads.Merge(t.load->read_latency());
+    ops += t.load->ops_in_window();
+    result.reads_failed += t.load->read_errors();
+    result.writes_failed += t.load->write_errors();
   }
   result.achieved_iops = static_cast<double>(ops) / sim::ToSeconds(kMeasure);
   result.p95_us = all_reads.Percentile(0.95) / 1e3;
@@ -303,7 +203,7 @@ ConfigResult RunConfig(int num_shards, int replication) {
   int last_over = -1;
   for (int b = 0; b < kNumBins; ++b) {
     sim::Histogram merged;
-    for (const Tenant& t : tenants) merged.Merge(t.driver->bin(b));
+    for (const Tenant& t : tenants) merged.Merge(t.load->bins()[b].reads);
     const bool over =
         merged.Count() > 0 && merged.Percentile(0.95) > kSloP95;
     if (over && b >= kill_bin) last_over = b;

@@ -2,9 +2,9 @@
 // SLO-aware autoscaling versus a static fleet.
 //
 // A 24-hour day is compressed to 20ms per hour. One latency-critical
-// tenant offers an open-loop Poisson load that follows the classic
-// diurnal cosine (trough at 4am, peak at 4pm) over a 64-stripe hot
-// range. Two modes run the identical trace:
+// tenant offers a semi-open Poisson load that follows the classic
+// diurnal cosine (trough at 4am, peak at 4pm) over the first 64 pages
+// of a 64-stripe hot range. Two modes run the identical trace:
 //
 //  - static:    all 4 shards serve the hot range all day (the paper's
 //               fixed provisioning -- peak capacity held 24/7);
@@ -24,12 +24,12 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <deque>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
+#include "client/load_generator.h"
 #include "cluster/cluster_client.h"
 #include "cluster/migration.h"
 
@@ -41,7 +41,8 @@ constexpr sim::TimeNs kHour = sim::Millis(20);  // 24h day in 480ms
 constexpr int kHours = 24;
 constexpr int kNumShards = 4;
 constexpr uint64_t kHotStripes = 64;
-constexpr uint32_t kStripeSectors = 8;  // cluster default
+// The load's address range: 64 4KB pages at the start of the hot range.
+constexpr uint64_t kHotSectors = 512;
 constexpr double kTroughIops = 12000.0;
 constexpr double kPeakIops = 280000.0;
 constexpr double kReadFraction = 0.95;
@@ -80,119 +81,6 @@ struct ModeResult {
   int hours_over_slo = 0;
   std::vector<HourBin> hours;
   bool ok = false;
-};
-
-/**
- * Semi-open Poisson driver with a time-varying rate: each gap is drawn
- * from the exponential for the instantaneous diurnal rate, addresses
- * are uniform over the hot stripe range, and read latency lands both
- * in the day-wide histogram and the arrival hour's bin.
- *
- * Arrivals join a client-side FIFO served by at most kMaxInflight
- * concurrent requests (a real front-end's connection pool). Latency is
- * measured from *arrival*, so client-side queueing still shows up in
- * the SLO check -- but the server never sees more than kMaxInflight
- * requests from this tenant at once. A fully open loop turns any
- * latency excursion past the retransmit timeout into a 6x arrival
- * multiplier that outruns the tenant's reserved token rate forever: a
- * metastable congestion collapse no amount of scaling recovers from,
- * and one no flow-controlled client exhibits.
- */
-class DiurnalDriver {
- public:
-  static constexpr int kMaxInflight = 128;
-
-  DiurnalDriver(sim::Simulator& sim, cluster::ClusterSession& session,
-                uint64_t seed)
-      : sim_(sim),
-        session_(session),
-        rng_(seed, "fig_diurnal_autoscale"),
-        bins_(kHours) {}
-
-  void Start(sim::TimeNs end) {
-    end_ = end;
-    ScheduleNext();
-  }
-
-  bool Idle() const { return inflight_ == 0 && queue_.empty(); }
-  int64_t ops() const { return ops_; }
-  int64_t reads_failed() const { return reads_failed_; }
-  int64_t writes_failed() const { return writes_failed_; }
-  const sim::Histogram& read_hist() const { return read_hist_; }
-  const sim::Histogram& bin(int h) const { return bins_[h]; }
-  int64_t fails_in_hour(int h) const { return fails_per_hour_[h]; }
-
- private:
-  struct PendingOp {
-    sim::TimeNs arrival = 0;
-    uint64_t lba = 0;
-    bool is_read = true;
-  };
-
-  void ScheduleNext() {
-    const auto gap = static_cast<sim::TimeNs>(
-        rng_.NextExponential(1e9 / RateAt(sim_.Now())));
-    sim_.ScheduleAfter(gap, [this] {
-      if (sim_.Now() >= end_) return;
-      PendingOp op;
-      op.arrival = sim_.Now();
-      op.lba = rng_.NextBounded(kHotStripes) * kStripeSectors;
-      op.is_read = rng_.NextBernoulli(kReadFraction);
-      queue_.push_back(op);
-      Pump();
-      ScheduleNext();
-    });
-  }
-
-  void Pump() {
-    while (inflight_ < kMaxInflight && !queue_.empty()) {
-      const PendingOp op = queue_.front();
-      queue_.pop_front();
-      ++inflight_;
-      IssueOne(op);
-    }
-  }
-
-  sim::Task IssueOne(PendingOp op) {
-    // if/else, not `co_await (c ? Read : Write)` -- the conditional
-    // materializes both futures under GCC 12 (see fig6d_replication).
-    client::IoResult r;
-    if (op.is_read) {
-      r = co_await session_.Read(op.lba, kStripeSectors);
-    } else {
-      r = co_await session_.Write(op.lba, kStripeSectors);
-    }
-    --inflight_;
-    Pump();
-    const int h = static_cast<int>(op.arrival / kHour);
-    if (!r.ok()) {
-      (op.is_read ? reads_failed_ : writes_failed_) += 1;
-      if (h >= 0 && h < kHours) fails_per_hour_[h] += 1;
-      co_return;
-    }
-    if (r.complete_time >= end_) co_return;
-    ++ops_;
-    if (op.is_read) {
-      // Arrival-to-completion: client-side queue wait counts against
-      // the SLO (no coordinated omission).
-      const sim::TimeNs latency = r.complete_time - op.arrival;
-      read_hist_.Record(latency);
-      if (h >= 0 && h < kHours) bins_[h].Record(latency);
-    }
-  }
-
-  sim::Simulator& sim_;
-  cluster::ClusterSession& session_;
-  sim::Rng rng_;
-  sim::TimeNs end_ = 0;
-  std::deque<PendingOp> queue_;
-  int inflight_ = 0;
-  int64_t ops_ = 0;
-  int64_t reads_failed_ = 0;
-  int64_t writes_failed_ = 0;
-  sim::Histogram read_hist_;
-  std::vector<sim::Histogram> bins_;
-  std::vector<int64_t> fails_per_hour_ = std::vector<int64_t>(kHours, 0);
 };
 
 ModeResult RunMode(bool autoscale) {
@@ -277,21 +165,36 @@ ModeResult RunMode(bool autoscale) {
   };
   sim.ScheduleAfter(sim::Millis(1), sample);
 
-  DiurnalDriver driver(sim, *session, 90210);
-  driver.Start(day_end);
-  while ((sim.Now() < day_end || !driver.Idle()) &&
-         sim.Now() < day_end + sim::Seconds(5)) {
-    sim.RunUntil(sim.Now() + sim::Millis(1));
-  }
+  // Semi-open Poisson load on the diurnal rate, uniform over the hot
+  // range, binned hourly by completion time. Arrivals join a
+  // client-side FIFO served by at most 128 concurrent requests (a real
+  // front-end's connection pool). Latency is measured from *arrival*,
+  // so client-side queueing still shows up in the SLO check -- but the
+  // server never sees more than 128 requests from this tenant at
+  // once. A fully open loop turns any latency excursion past the
+  // retransmit timeout into a 6x arrival multiplier that outruns the
+  // tenant's reserved token rate forever: a metastable congestion
+  // collapse no amount of scaling recovers from, and one no
+  // flow-controlled client exhibits.
+  client::LoadGenSpec spec;
+  spec.read_fraction = kReadFraction;
+  spec.rate_at = RateAt;
+  spec.queue_depth = 128;
+  spec.lba_span_sectors = kHotSectors;
+  spec.bin_width = kHour;
+  spec.seed = 90210;
+  client::LoadGenerator load(sim, *session, spec);
+  load.Run(0, day_end);
+  bench::Await(sim, load.Done(), day_end + sim::Seconds(5));
   if (autoscale) flash_cluster.control_plane().StopAutoscaler();
 
   ModeResult result;
   result.mode = autoscale ? "autoscale" : "static";
-  result.ops = driver.ops();
-  result.reads_failed = driver.reads_failed();
-  result.writes_failed = driver.writes_failed();
-  result.p95_us = driver.read_hist().Percentile(0.95) / 1e3;
-  result.p999_us = driver.read_hist().Percentile(0.999) / 1e3;
+  result.ops = load.ops_in_window();
+  result.reads_failed = load.read_errors();
+  result.writes_failed = load.write_errors();
+  result.p95_us = load.read_latency().Percentile(0.95) / 1e3;
+  result.p999_us = load.read_latency().Percentile(0.999) / 1e3;
   const auto& stats = flash_cluster.control_plane().autoscaler_stats();
   result.grow_events = stats.grow_events;
   result.shrink_events = stats.shrink_events;
@@ -308,9 +211,11 @@ ModeResult RunMode(bool autoscale) {
     bin.avg_servers = server_samples[h] > 0
                           ? server_sum[h] / server_samples[h]
                           : kNumShards;
-    bin.reads = driver.bin(h).Count();
-    bin.failed = driver.fails_in_hour(h);
-    bin.p95_us = bin.reads > 0 ? driver.bin(h).Percentile(0.95) / 1e3 : 0.0;
+    const client::LoadGenerator::Bin& hour =
+        load.bins()[static_cast<size_t>(h)];
+    bin.reads = hour.reads.Count();
+    bin.failed = hour.errors;
+    bin.p95_us = bin.reads > 0 ? hour.reads.Percentile(0.95) / 1e3 : 0.0;
     if (bin.reads > 0 && bin.p95_us > sim::ToSeconds(kSloP95) * 1e6) {
       ++result.hours_over_slo;
     }

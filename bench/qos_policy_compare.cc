@@ -18,29 +18,14 @@
 // window-sized quanta).
 
 #include <cstdio>
-#include <memory>
 #include <string>
 #include <vector>
 
 #include "bench/common.h"
-#include "client/load_generator.h"
-#include "client/reflex_client.h"
 #include "core/qos_policy.h"
 
 namespace reflex {
 namespace {
-
-struct TenantSetup {
-  const char* name;
-  core::TenantClass cls;
-  core::SloSpec slo;        // LC only
-  double offered_iops;      // open loop (LC); 0 => closed loop QD32 (BE)
-  double read_fraction;
-  core::Tenant* tenant = nullptr;
-  std::unique_ptr<client::ReflexClient> client;
-  std::unique_ptr<client::TenantSession> session;
-  std::unique_ptr<client::LoadGenerator> generator;
-};
 
 struct TenantResult {
   std::string name;
@@ -62,96 +47,21 @@ struct PolicyResult {
 constexpr int64_t kRequestBytes = 4096;
 
 PolicyResult RunPolicy(core::QosPolicyKind kind) {
-  core::ServerOptions options;
-  options.num_threads = 1;
+  core::ServerOptions options = bench::QosServerOptions();
   options.qos.enforce = true;
   options.qos.policy = kind;
-  // Same empirical burst allowance as fig5_qos (see the comment
-  // there): our device needs deeper bursts than the paper's -50.
-  options.qos.neg_limit = -150.0;
   bench::BenchWorld world(options);
 
-  std::vector<TenantSetup> setups;
-  {
-    TenantSetup a;
-    a.name = "A(LC,100%rd)";
-    a.cls = core::TenantClass::kLatencyCritical;
-    a.slo = {130000, 1.0, sim::Micros(500), 0.95, 4096};
-    a.offered_iops = 120000;
-    a.read_fraction = 1.0;
-    setups.push_back(std::move(a));
-  }
-  {
-    TenantSetup b;
-    b.name = "B(LC,80%rd)";
-    b.cls = core::TenantClass::kLatencyCritical;
-    b.slo = {76000, 0.8, sim::Micros(500), 0.95, 4096};
-    b.offered_iops = 70000;
-    b.read_fraction = 0.8;
-    setups.push_back(std::move(b));
-  }
-  {
-    TenantSetup c;
-    c.name = "C(BE,95%rd)";
-    c.cls = core::TenantClass::kBestEffort;
-    c.offered_iops = 0;
-    c.read_fraction = 0.95;
-    setups.push_back(std::move(c));
-  }
-  {
-    TenantSetup d;
-    d.name = "D(BE,25%rd)";
-    d.cls = core::TenantClass::kBestEffort;
-    d.offered_iops = 0;
-    d.read_fraction = 0.25;
-    setups.push_back(std::move(d));
-  }
-
-  int idx = 0;
-  for (TenantSetup& s : setups) {
-    core::ReqStatus status;
-    s.tenant = world.server->RegisterTenant(s.slo, s.cls, &status);
-    if (s.tenant == nullptr) {
-      std::fprintf(stderr, "tenant %s inadmissible!\n", s.name);
-      std::abort();
-    }
-    client::ReflexClient::Options copts;
-    copts.stack = net::StackCosts::IxDataplane();
-    copts.num_connections = 8;
-    copts.seed = 500 + idx;
-    s.client = std::make_unique<client::ReflexClient>(
-        world.sim, *world.server,
-        world.client_machines[idx % world.client_machines.size()], copts);
-    s.session = s.client->AttachSession(s.tenant->handle());
-
-    client::LoadGenSpec spec;
-    spec.read_fraction = s.read_fraction;
-    spec.request_bytes = kRequestBytes;
-    if (s.offered_iops > 0) {
-      spec.offered_iops = s.offered_iops;
-      spec.poisson_arrivals = false;
-    } else {
-      spec.queue_depth = 32;
-    }
-    spec.seed = 900 + idx;
-    s.generator = std::make_unique<client::LoadGenerator>(
-        world.sim, *s.session, spec);
-    ++idx;
-  }
-
-  const sim::TimeNs warm = sim::Millis(150);
-  const sim::TimeNs end = sim::Millis(650);
-  for (TenantSetup& s : setups) s.generator->Run(warm, end);
-  for (TenantSetup& s : setups) {
-    world.Await(s.generator->Done(), sim::Seconds(120));
-  }
+  std::vector<bench::QosTenant> tenants =
+      bench::AddQosTenants(world, /*b_offered_iops=*/70000);
+  bench::RunQosTenants(world, tenants);
 
   PolicyResult result;
   result.policy = core::QosPolicyKindName(kind);
-  for (TenantSetup& s : setups) {
+  for (const bench::QosTenant& s : tenants) {
     TenantResult t;
     t.name = s.name;
-    t.lc = s.cls == core::TenantClass::kLatencyCritical;
+    t.lc = s.lc();
     t.iops = s.generator->AchievedIops();
     const sim::Histogram& reads = s.generator->read_latency();
     t.reads = reads.Count();

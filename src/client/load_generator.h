@@ -2,7 +2,10 @@
 #define REFLEX_CLIENT_LOAD_GENERATOR_H_
 
 #include <cstdint>
+#include <deque>
+#include <functional>
 #include <memory>
+#include <vector>
 
 #include "client/io_result.h"
 #include "client/io_session.h"
@@ -13,9 +16,17 @@
 namespace reflex::client {
 
 /**
- * Workload description for a LoadGenerator. Exactly one of
- * `offered_iops` (open-loop Poisson arrivals, mutilate-style) or
- * `queue_depth` (closed loop) must be set.
+ * Workload description for a LoadGenerator. The arrival rate
+ * (`offered_iops` or `rate_at`) and `queue_depth` select the mode:
+ *
+ *   rate only           open loop (mutilate-style): every arrival is
+ *                       issued at once;
+ *   rate + queue_depth  semi-open loop: at most `queue_depth` requests
+ *                       in flight, later arrivals wait in a FIFO;
+ *   queue_depth only    closed loop: `queue_depth` workers, each
+ *                       issuing its next request on completion;
+ *   + stop_after_ops    probe: the closed loop stops after an op
+ *                       budget instead of at the window end.
  */
 struct LoadGenSpec {
   double read_fraction = 1.0;
@@ -25,12 +36,19 @@ struct LoadGenSpec {
   double offered_iops = 0.0;
 
   /**
+   * Time-varying offered load: if set, each inter-arrival gap is drawn
+   * at the rate this returns for the current simulated time. Replaces
+   * `offered_iops` (set one or the other).
+   */
+  std::function<double(sim::TimeNs)> rate_at;
+
+  /**
    * Open-loop arrival process: true = Poisson (exponential gaps),
    * false = uniformly paced (mutilate agents pacing a target rate).
    */
   bool poisson_arrivals = true;
 
-  /** Closed-loop concurrency; 0 disables. */
+  /** Closed-loop concurrency, or the in-flight cap of an open loop. */
   int queue_depth = 0;
 
   /**
@@ -45,6 +63,16 @@ struct LoadGenSpec {
   uint64_t lba_offset = 0;
   uint64_t lba_span_sectors = 0;
 
+  /**
+   * Page popularity: 0 = uniform; > 0 = Zipf with this skew, whose
+   * ranks are scrambled over the span by a permutation derived from
+   * `seed` (so each generator has its own hot set).
+   */
+  double zipf_theta = 0.0;
+
+  /** Width of the timeline bins over the window; 0 = no timeline. */
+  sim::TimeNs bin_width = 0;
+
   uint64_t seed = 9;
 };
 
@@ -52,18 +80,31 @@ struct LoadGenSpec {
  * Generates read/write load against any IoSession (a single ReFlex
  * server or a sharded cluster), mimicking the paper's extended
  * mutilate load generator: many lanes generate throughput while
- * latency is recorded per request; statistics are confined to the
- * measurement window [warm_end, end).
+ * latency is recorded per request.
+ *
+ * Latency runs from a request's arrival, so time spent in the
+ * semi-open FIFO counts. Outside probe mode, one population rule
+ * covers every statistic: a request counts in the measurement window
+ * if it completed inside [warm_end, end) and arrived at or after
+ * warm_end (`ops_in_window` alone also counts completions in the
+ * window that arrived before it). The bins split that population
+ * by completion time. The error totals count every failed request.
  */
 class LoadGenerator {
  public:
+  /** One timeline bin (see LoadGenSpec::bin_width). */
+  struct Bin {
+    sim::Histogram reads;     // read latency
+    int64_t completions = 0;  // successful reads and writes
+    int64_t errors = 0;       // failed reads and writes
+  };
+
   LoadGenerator(sim::Simulator& sim, IoSession& session, LoadGenSpec spec);
 
   /**
-   * Starts generation. In windowed mode (offered_iops or queue_depth
-   * with no stop_after_ops), traffic flows until `end` and statistics
-   * cover [warm_end, end). In probe mode (stop_after_ops > 0) the
-   * window arguments are ignored.
+   * Starts generation. Outside probe mode, traffic flows until `end`
+   * and statistics cover [warm_end, end). In probe mode
+   * (stop_after_ops > 0) the window arguments are ignored.
    */
   void Run(sim::TimeNs warm_end, sim::TimeNs end);
 
@@ -73,43 +114,59 @@ class LoadGenerator {
   const sim::Histogram& read_latency() const { return read_latency_; }
   const sim::Histogram& write_latency() const { return write_latency_; }
   int64_t ops_in_window() const { return ops_in_window_; }
-  int64_t errors() const { return errors_; }
+  int64_t read_errors() const { return read_errors_; }
+  int64_t write_errors() const { return write_errors_; }
+  const std::vector<Bin>& bins() const { return bins_; }
 
   /** Achieved throughput over the measurement window. */
   double AchievedIops() const;
 
  private:
-  sim::Task ClosedLoopWorker(int conn_index);
-  sim::Task ProbeWorker();
+  struct Op {
+    sim::TimeNs arrival = 0;
+    uint64_t lba = 0;
+    bool is_read = true;
+  };
+
+  bool open_loop() const {
+    return spec_.offered_iops > 0.0 || spec_.rate_at != nullptr;
+  }
+  Op NextOp();
+  sim::Future<IoResult> Submit(const Op& op, int lane);
+  bool KeepIssuing();
+  sim::Task Worker(int lane);
   void ScheduleNextArrival();
-  sim::Task IssueOpenLoopOp(int conn_index);
-  std::pair<uint64_t, bool> PickOp();
-  void Record(const IoResult& result, bool is_read);
+  void Pump();
+  sim::Task Issue(Op op, int lane);
+  void Record(const IoResult& result, const Op& op);
   void MaybeFinish();
 
   sim::Simulator& sim_;
   IoSession& session_;
   LoadGenSpec spec_;
   sim::Rng rng_;
-  uint64_t max_page_ = 0;
+  uint64_t num_pages_ = 0;
+  uint64_t zipf_salt_ = 0;
   uint32_t sectors_ = 8;
 
   sim::TimeNs warm_end_ = 0;
   sim::TimeNs end_ = 0;
-  double mean_interarrival_ = 0.0;
 
+  std::deque<Op> backlog_;
   int64_t outstanding_ = 0;
   int64_t ops_in_window_ = 0;
-  int64_t probe_ops_left_ = 0;
+  int64_t ops_left_ = 0;
   int64_t probe_recorded_ = 0;
-  int64_t errors_ = 0;
+  int64_t read_errors_ = 0;
+  int64_t write_errors_ = 0;
   bool generation_done_ = false;
   bool finished_ = false;
 
   sim::Histogram read_latency_;
   sim::Histogram write_latency_;
+  std::vector<Bin> bins_;
   std::unique_ptr<sim::VoidPromise> done_promise_;
-  int next_conn_ = 0;
+  int next_lane_ = 0;
 };
 
 }  // namespace reflex::client

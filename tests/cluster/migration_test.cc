@@ -313,7 +313,8 @@ TEST(MigrationTest, AutoscalerGrowsBackUnderLoad) {
   cp.StopAutoscaler();
   ASSERT_TRUE(h.RunUntilReady([&] { return !coordinator.busy(); },
                               sim::Seconds(5)));
-  EXPECT_EQ(gen.errors(), 0) << "scaling must be hitless for the workload";
+  EXPECT_EQ(gen.read_errors() + gen.write_errors(), 0)
+      << "scaling must be hitless for the workload";
 }
 
 }  // namespace

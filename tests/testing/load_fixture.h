@@ -73,7 +73,9 @@ struct SeededLoad {
 
   int64_t TotalErrors() const {
     int64_t errors = 0;
-    for (const auto& g : generators) errors += g->errors();
+    for (const auto& g : generators) {
+      errors += g->read_errors() + g->write_errors();
+    }
     return errors;
   }
 
