@@ -30,6 +30,13 @@ class IoSession {
    * Reads `sectors` 512B sectors at logical `lba`; `data` (optional)
    * receives the payload. The future resolves when the application
    * would observe completion (all stack costs included).
+   *
+   * Buffer contract (Read and Write): the session touches `data` only
+   * between the call and the resolution of the returned future. Once
+   * it resolves, whatever the status, the caller may reuse or free the
+   * buffer; a request still in flight (a timed-out read's duplicate, an
+   * unknown-outcome write) never reads or writes it again. `data` holds
+   * the read payload only when the status is kOk.
    */
   virtual sim::Future<IoResult> Read(uint64_t lba, uint32_t sectors,
                                      uint8_t* data = nullptr,

@@ -93,7 +93,6 @@ sim::Task PageCache::Fetch(uint32_t e) {
     r = co_await backend_.ReadBytes(offset, kPageBytes, data);
     ++attempt;
     Entry& entry = entries_[e];
-    if (!r.ok()) entry.tainted = true;
     // If the range was invalidated while this read was outstanding,
     // the buffer may hold pre-invalidation data: re-read. Does not
     // count against the failure-retry budget.
@@ -192,17 +191,10 @@ std::unique_ptr<uint8_t[]> PageCache::TakeBuffer() {
 void PageCache::FreeEntry(uint32_t e) {
   Entry& entry = entries_[e];
   IndexErase(entry.page_id);
-  // A buffer that saw a failed read is dropped, not recycled: with
-  // client retries on, a timed-out read's device completion can still
-  // copy into it, which would corrupt whichever page reused it.
-  if (entry.data != nullptr && !entry.tainted) {
-    free_buffers_.push_back(std::move(entry.data));
-  }
-  entry.data.reset();
+  if (entry.data != nullptr) free_buffers_.push_back(std::move(entry.data));
   entry.cached = false;
   entry.stream = false;
   entry.invalidated = false;
-  entry.tainted = false;
   entry.waiters.clear();
   free_entries_.push_back(e);
 }

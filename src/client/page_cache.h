@@ -101,8 +101,6 @@ class PageCache {
      * inserting the page.
      */
     bool invalidated = false;
-    /** A read into `data` failed: a late completion may still land. */
-    bool tainted = false;
     /** Readers queued behind the fetch (capacity kept across reuse). */
     std::vector<sim::Promise<const uint8_t*>> waiters;
   };
@@ -114,7 +112,7 @@ class PageCache {
 
   std::unique_ptr<uint8_t[]> TakeBuffer();
   uint32_t NewEntry(uint64_t page_id);
-  /** Unindexes the entry and recycles its buffer unless tainted. */
+  /** Unindexes the entry and recycles its buffer. */
   void FreeEntry(uint32_t entry);
   void LinkFront(uint32_t entry);
   void Unlink(uint32_t entry);

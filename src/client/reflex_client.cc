@@ -1,6 +1,7 @@
 #include "client/reflex_client.h"
 
 #include <algorithm>
+#include <cstring>
 #include <utility>
 
 #include "sim/logging.h"
@@ -157,7 +158,7 @@ sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
   msg.handle = handle;
   msg.lba = lba;
   msg.sectors = sectors;
-  msg.data = data;
+  msg.data = WireBuffer(type, sectors, data);
   msg.cookie = next_cookie_++;
   msg.map_epoch = map_epoch_;
 
@@ -188,15 +189,48 @@ sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
   op.lba = lba;
   op.sectors = sectors;
   op.data = data;
+  op.wire = msg.data;
   op.conn_index = conn_index;
   pending_.emplace(msg.cookie, std::move(op));
 
   // Client-side transmit processing, then ship over TCP.
+  const uint64_t cookie = msg.cookie;
   const uint32_t wire = msg.WireBytes(core::kSectorBytes);
   const sim::TimeNs tx_cost = options_.stack.TxCost(wire);
-  sim_.ScheduleAfter(tx_cost, [conn, msg] { conn->Deliver(msg); });
-  if (retries_enabled()) ArmTimeout(msg.cookie, /*attempt=*/1, tx_cost);
+  sim_.ScheduleAfter(tx_cost,
+                     [conn, msg = std::move(msg)]() mutable {
+                       conn->Deliver(std::move(msg));
+                     });
+  if (retries_enabled()) ArmTimeout(cookie, /*attempt=*/1, tx_cost);
   return future;
+}
+
+core::Payload ReflexClient::WireBuffer(core::ReqType type,
+                                       uint32_t sectors,
+                                       const uint8_t* data) {
+  if (data == nullptr) return nullptr;
+  const size_t bytes = static_cast<size_t>(sectors) * core::kSectorBytes;
+  core::Payload buffer;
+  if (sectors < spare_buffers_.size()) {
+    std::vector<core::Payload>& spare = spare_buffers_[sectors];
+    if (!spare.empty() && spare.back().use_count() == 1) {
+      buffer = std::move(spare.back());
+      spare.pop_back();
+    }
+  }
+  if (buffer == nullptr) {
+    buffer = std::make_shared_for_overwrite<uint8_t[]>(bytes);
+  }
+  // A write's bytes are serialized at send time, as a real NIC would:
+  // the caller may reuse its buffer once the op resolves, even if the
+  // request is still on its way to the device.
+  if (type == core::ReqType::kWrite) std::memcpy(buffer.get(), data, bytes);
+  return buffer;
+}
+
+void ReflexClient::RecycleBuffer(uint32_t sectors, core::Payload buffer) {
+  if (spare_buffers_.size() <= sectors) spare_buffers_.resize(sectors + 1);
+  spare_buffers_[sectors].push_back(std::move(buffer));
 }
 
 sim::TimeNs ReflexClient::BackoffDelay(int attempt) const {
@@ -264,7 +298,10 @@ void ReflexClient::Retransmit(uint64_t cookie, sim::TimeNs delay) {
   msg.handle = op.handle;
   msg.lba = op.lba;
   msg.sectors = op.sectors;
-  msg.data = op.data;
+  // A fresh buffer per transmission: a late response to an earlier
+  // attempt must not share bytes with the one that resolves the op.
+  msg.data = WireBuffer(op.type, op.sectors, op.data);
+  op.wire = msg.data;
   msg.cookie = cookie;
   // Stamp the *current* epoch: if the map refreshed between attempts,
   // the retransmission routes (and gates) as fresh traffic.
@@ -276,7 +313,10 @@ void ReflexClient::Retransmit(uint64_t cookie, sim::TimeNs delay) {
       connections_[static_cast<size_t>(op.conn_index)];
   const uint32_t wire = msg.WireBytes(core::kSectorBytes);
   const sim::TimeNs tx_cost = options_.stack.TxCost(wire);
-  sim_.ScheduleAfter(delay + tx_cost, [conn, msg] { conn->Deliver(msg); });
+  sim_.ScheduleAfter(delay + tx_cost,
+                     [conn, msg = std::move(msg)]() mutable {
+                       conn->Deliver(std::move(msg));
+                     });
   ArmTimeout(cookie, op.attempts, delay + tx_cost);
 }
 
@@ -352,6 +392,14 @@ void ReflexClient::OnResponse(const core::ResponseMsg& resp) {
   // The op resolved: release its timeout watchdog instead of leaving a
   // dead event queued until it would have fired.
   sim_.Cancel(op.watchdog);
+  // The only write into caller memory: a live op resolving with data.
+  // Stale duplicates and ops already failed by timeout returned above.
+  if (resp.status == core::ReqStatus::kOk && op.data != nullptr &&
+      resp.data != nullptr) {
+    std::memcpy(op.data, resp.data.get(),
+                static_cast<size_t>(op.sectors) * core::kSectorBytes);
+  }
+  if (op.wire != nullptr) RecycleBuffer(op.sectors, std::move(op.wire));
 
   // Client-side receive processing: interrupt/scheduling delay (Linux
   // stacks) plus per-message stack cost and payload copy.

@@ -46,6 +46,12 @@ class TenantSession : public IoSession {
    * after client-side receive processing, so its latency is the full
    * application-observed round trip. `conn_index` pins the request to
    * one connection of the pool; -1 round-robins.
+   *
+   * Payloads travel by value (IoSession's buffer contract): a write's
+   * bytes are copied into its request at send time, and a read's
+   * payload is copied into `data` only when the op resolves kOk. A
+   * retransmission, a late duplicate or a request that outlives its
+   * timeout never touches `data`.
    */
   sim::Future<IoResult> Read(uint64_t lba, uint32_t sectors,
                              uint8_t* data = nullptr,
@@ -227,12 +233,16 @@ class ReflexClient {
     uint32_t payload_bytes;
     /** Sampled-request trace; null on the untraced path. */
     std::shared_ptr<obs::TraceSpan> trace;
-    // Retransmission state (populated only with retries enabled).
+    // Request state, kept for retransmission.
     core::ReqType type = core::ReqType::kRead;
     uint32_t handle = 0;
     uint64_t lba = 0;
     uint32_t sectors = 0;
+    /** Caller memory: read only at send, written only when a read
+     * resolves kOk (see IoSession's buffer contract). */
     uint8_t* data = nullptr;
+    /** The newest transmission's payload, recycled on resolution. */
+    core::Payload wire = {};
     int conn_index = 0;
     int attempts = 1;
     /**
@@ -254,6 +264,15 @@ class ReflexClient {
   sim::Future<IoResult> SubmitIo(core::ReqType type, uint32_t handle,
                                  uint64_t lba, uint32_t sectors,
                                  uint8_t* data, int conn_index);
+  /**
+   * The payload one transmission carries: null for timing-only I/O
+   * (`data` null), a copy of the caller's bytes for a write, an
+   * unfilled buffer for the device to fill for a read.
+   */
+  core::Payload WireBuffer(core::ReqType type, uint32_t sectors,
+                           const uint8_t* data);
+  /** Keeps a wire buffer of `sectors` for reuse by WireBuffer(). */
+  void RecycleBuffer(uint32_t sectors, core::Payload buffer);
   void OnResponse(const core::ResponseMsg& resp);
   /** Capped exponential backoff before retransmission `attempt`. */
   sim::TimeNs BackoffDelay(int attempt) const;
@@ -281,6 +300,13 @@ class ReflexClient {
 
   uint64_t next_cookie_ = 1;
   std::map<uint64_t, PendingOp> pending_;
+  /**
+   * Wire buffers back from resolved ops, indexed by size in sectors
+   * and reused newest first, so the payload copies stay cache-warm. A
+   * buffer is reused only while this list holds its sole reference: a
+   * request still in flight keeps its bytes to itself.
+   */
+  std::vector<std::vector<core::Payload>> spare_buffers_;
   std::map<uint64_t, sim::Promise<core::ResponseMsg>>
       pending_control_;
 

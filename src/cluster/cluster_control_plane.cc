@@ -96,6 +96,7 @@ sim::Task ClusterControlPlane::AutoscaleLoop() {
 
     const int n = cluster_.num_shards();
     double max_util = 0.0;
+    double sum_util = 0.0;
     uint32_t max_depth = 0;
     int64_t max_rejects = 0;
     for (int i = 0; i < n; ++i) {
@@ -107,6 +108,7 @@ sim::Task ClusterControlPlane::AutoscaleLoop() {
       const int64_t rejects = SampleShardRejects(i);
       if (i < active_shards_) {
         max_util = std::max(max_util, util);
+        sum_util += util;
         max_depth = std::max(max_depth, depth);
         max_rejects = std::max(max_rejects, rejects);
       }
@@ -128,11 +130,18 @@ sim::Task ClusterControlPlane::AutoscaleLoop() {
         active_shards_ < n) {
       desired = active_shards_ + 1;
       low_streak = 0;
-    } else if (max_util < opts.low_utilization &&
-               max_depth <= opts.high_queue_depth / 2 &&
-               max_rejects == 0 && active_shards_ > floor_active) {
-      // Shrinking is damped: only a sustained lull below the low-water
-      // mark gives up a server.
+    } else if (active_shards_ > floor_active &&
+               (max_util < opts.low_utilization ||
+                sum_util / (active_shards_ - 1) < opts.high_utilization) &&
+               max_depth <= opts.high_queue_depth / 2 && max_rejects == 0) {
+      // Shrink when the fleet is idle (every shard below the low mark)
+      // or when its summed load, packed onto one fewer shard, stays
+      // under the grow mark. The second test is what sheds servers as
+      // load falls after a peak: a per-shard low mark alone would wait
+      // for the whole fleet to drop below N x low, although N - 1
+      // shards carry up to (N - 1) x high without growing back.
+      // Shrinking is damped: only shrink_persistence such periods in a
+      // row give up a server.
       if (++low_streak >= opts.shrink_persistence) {
         desired = active_shards_ - 1;
       }

@@ -94,9 +94,11 @@ class ClusterControlPlane {
     sim::TimeNs period = sim::Millis(2);
     /** Grow when any active shard's token utilization exceeds this. */
     double high_utilization = 0.70;
-    /** Shrink when every active shard sits below this. */
+    /** Shrink when every active shard sits below this (an idle
+     * fleet). A busier fleet also shrinks once its summed utilization
+     * fits on one fewer shard below high_utilization. */
     double low_utilization = 0.30;
-    /** Consecutive all-below-low periods required before a shrink
+    /** Consecutive shrink-qualifying periods required before a shrink
      * actually fires. Growing is eager (SLO pressure), shrinking is
      * damped: one quiet sample right after a grow overshoot must not
      * bounce the fleet straight back down. */

@@ -10,11 +10,13 @@
 
 namespace reflex::core {
 
-void ServerConnection::Deliver(const RequestMsg& msg) {
+void ServerConnection::Deliver(RequestMsg msg) {
   DataplaneThread* thread = thread_;
   ServerConnection* self = this;
-  tcp_->SendToServer(msg.WireBytes(kSectorBytes),
-                     [thread, self, msg] { thread->EnqueueRx(self, msg); });
+  const uint32_t wire = msg.WireBytes(kSectorBytes);
+  tcp_->SendToServer(wire, [thread, self, msg = std::move(msg)]() mutable {
+    thread->EnqueueRx(self, std::move(msg));
+  });
 }
 
 DataplaneThread::DataplaneThread(sim::Simulator& sim, ReflexServer& server,
@@ -91,11 +93,10 @@ void DataplaneThread::Shutdown() {
   Wake();
 }
 
-void DataplaneThread::EnqueueRx(ServerConnection* conn,
-                                const RequestMsg& msg) {
+void DataplaneThread::EnqueueRx(ServerConnection* conn, RequestMsg&& msg) {
   const sim::TimeNs now = sim_.Now();
   if (msg.trace) msg.trace->Mark(obs::Stage::kServerRx, now);
-  rx_ring_.push_back(RxItem{conn, msg, now});
+  rx_ring_.push_back(RxItem{conn, std::move(msg), now});
   Wake();
 }
 
@@ -285,7 +286,7 @@ sim::Task DataplaneThread::RunLoop() {
         }
       }
       PendingIo io;
-      io.msg = msg;
+      io.msg = std::move(msg);
       io.conn = item.conn;
       io.gate_id = gate_id;
       // Route to the tenant's owning thread (tenants may have been
@@ -327,6 +328,11 @@ sim::Task DataplaneThread::RunLoop() {
       resp.handle = tenant->handle();
       resp.cookie = item.io.msg.cookie;
       resp.sectors = item.io.msg.sectors;
+      // The device filled the request's buffer at submit; a successful
+      // read hands it back to the client inside the response.
+      if (is_read && resp.status == ReqStatus::kOk) {
+        resp.data = std::move(item.io.msg.data);
+      }
       item.io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
       SendResponse(item.io.conn, resp);
       if (item.io.gate_id >= 0) server_.OnGatedIoDone(item.io.gate_id);
@@ -364,7 +370,7 @@ void DataplaneThread::SubmitToFlash(Tenant& tenant, PendingIo&& io) {
                                          : flash::FlashOp::kWrite;
   cmd.lba = io.msg.lba;
   cmd.sectors = io.msg.sectors;
-  cmd.data = io.msg.data;
+  cmd.data = io.msg.data.get();
   cmd.cookie = io.msg.cookie;
   Tenant* tenant_ptr = &tenant;
   ++tenant.inflight;
@@ -409,9 +415,10 @@ void DataplaneThread::SendResponse(ServerConnection* conn,
   ServerConnection* c = conn;
   ResponseMsg r = resp;
   r.queue_depth_hint = QueueDepthHint();
-  conn->tcp()->SendToClient(resp.WireBytes(kSectorBytes), [c, r] {
-    if (c->on_response) c->on_response(r);
-  });
+  conn->tcp()->SendToClient(resp.WireBytes(kSectorBytes),
+                            [c, r = std::move(r)] {
+                              if (c->on_response) c->on_response(r);
+                            });
 }
 
 void DataplaneThread::FailIo(const PendingIo& io, ReqStatus status) {

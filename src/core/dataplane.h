@@ -44,7 +44,7 @@ class ServerConnection {
    * simulated TCP connection and enqueues it at the server dataplane
    * when the last frame arrives.
    */
-  void Deliver(const RequestMsg& msg);
+  void Deliver(RequestMsg msg);
 
  private:
   friend class ReflexServer;
@@ -165,7 +165,7 @@ class DataplaneThread {
   const DataplaneConfig& config() const { return config_; }
 
   /** Network ingress: called when a request arrives at the server NIC. */
-  void EnqueueRx(ServerConnection* conn, const RequestMsg& msg);
+  void EnqueueRx(ServerConnection* conn, RequestMsg&& msg);
 
   /** Moves a tenant (and its queued requests) onto this thread. */
   void AdoptTenant(Tenant* tenant);

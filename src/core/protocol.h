@@ -91,9 +91,16 @@ inline constexpr uint32_t kResponseHeaderBytes = 24;
 inline constexpr uint32_t kRegisterMsgBytes = 64;
 
 /**
+ * Payload bytes carried by a message and owned by it: a write request
+ * holds the bytes the client sent, a read request the buffer the
+ * device fills, and the read response hands that buffer back. Null
+ * for timing-only load and for messages without a payload.
+ */
+using Payload = std::shared_ptr<uint8_t[]>;
+
+/**
  * A parsed ReFlex request as carried through the simulation. For
- * kRead/kWrite, `handle` identifies the tenant; `data` optionally
- * points at the client's buffer (null for timing-only load).
+ * kRead/kWrite, `handle` identifies the tenant.
  */
 struct RequestMsg {
   ReqType type = ReqType::kRead;
@@ -101,7 +108,7 @@ struct RequestMsg {
   uint64_t lba = 0;
   uint32_t sectors = 0;
   uint64_t cookie = 0;
-  uint8_t* data = nullptr;
+  Payload data;
 
   /**
    * Shard-map epoch the client held when it routed this request. Range
@@ -150,6 +157,9 @@ struct ResponseMsg {
   uint32_t handle = 0;
   uint64_t cookie = 0;
   uint32_t sectors = 0;
+  /** kResponse payload (see Payload); null for a failed or
+   * timing-only read. */
+  Payload data;
 
   /**
    * Queue-depth hint piggybacked by the serving dataplane thread on

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "cluster/cluster_client.h"
 #include "cluster/cluster_control_plane.h"
@@ -22,13 +23,12 @@ constexpr sim::TimeNs kDeadline = sim::Seconds(30);
 constexpr sim::TimeNs kPollStep = sim::Micros(50);
 
 /**
- * One tenant's closed-loop driver: exactly one outstanding op, fresh
- * payload buffer per op. Buffers are never freed or reused during the
- * run: request payloads travel through the simulated stack by
- * pointer, and a timed-out ("unknown outcome") write may still read
- * its payload when it finally applies -- recycling the memory would
- * turn such zombies into payload corruption the oracle would
- * (rightly!) flag.
+ * One tenant's closed-loop driver: exactly one outstanding op. Its
+ * payload buffer is reused by the next op as soon as the op resolves
+ * (the IoSession buffer contract): a request that outlives its op --
+ * a zombie write, a late read duplicate -- must never touch it again,
+ * and the oracle (or ASan, when a reuse reallocates) catches one that
+ * does.
  */
 struct TenantDriver {
   const TenantSpec* spec = nullptr;
@@ -43,7 +43,7 @@ struct TenantDriver {
   uint64_t version = 0;
   uint64_t lba = 0;
   uint32_t sectors = 0;
-  uint8_t* buffer = nullptr;
+  std::vector<uint8_t> buffer;
   sim::Future<IoResult> future;
   /** Manual fan-out path (mutations): per-sub-write futures. */
   std::vector<sim::Future<IoResult>> extent_futures;
@@ -56,7 +56,7 @@ struct TenantDriver {
   cluster::ReplicaTarget probe_target;
   uint64_t probe_lba = 0;
   uint32_t probe_sectors = 0;
-  uint8_t* probe_buffer = nullptr;
+  std::vector<uint8_t> probe_buffer;
   sim::Future<IoResult> probe_future;
 
   TenantDriver(const TenantSpec* s, uint64_t seed, int index)
@@ -230,7 +230,6 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
   }
 
   ConsistencyOracle oracle;
-  std::vector<std::unique_ptr<std::vector<uint8_t>>> buffers;
   const int64_t budget =
       max_ops >= 0 ? std::min(max_ops, spec.TotalOps()) : spec.TotalOps();
   int64_t total_issued = 0;
@@ -245,20 +244,19 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
     d.sectors =
         1 + static_cast<uint32_t>(d.rng.NextBounded(t.max_io_sectors));
     d.lba = t.lba_base + d.rng.NextBounded(t.lba_span - d.sectors + 1);
-    buffers.push_back(std::make_unique<std::vector<uint8_t>>(
-        static_cast<size_t>(d.sectors) * core::kSectorBytes, 0));
-    d.buffer = buffers.back()->data();
+    d.buffer.assign(static_cast<size_t>(d.sectors) * core::kSectorBytes, 0);
     d.extent_futures.clear();
     d.busy = true;
     ++d.issued;
     ++total_issued;
 
     if (d.is_read) {
-      d.future = d.session->Read(d.lba, d.sectors, d.buffer);
+      d.future = d.session->Read(d.lba, d.sectors, d.buffer.data());
       return;
     }
     d.version = oracle.BeginWrite(index, d.lba, d.sectors, sim.Now());
-    ConsistencyOracle::StampPayload(d.buffer, d.version, d.lba, d.sectors);
+    ConsistencyOracle::StampPayload(d.buffer.data(), d.version, d.lba,
+                                    d.sectors);
     if (skip_mutation_pending) {
       std::vector<cluster::ShardExtent> extents =
           cluster.shard_map().Split(d.lba, d.sectors);
@@ -273,7 +271,7 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
             d.extent_futures.push_back(
                 d.session->shard_session(target.shard_index)
                     .Write(target.shard_lba, e.sectors,
-                           d.buffer +
+                           d.buffer.data() +
                                static_cast<size_t>(e.buffer_offset_sectors) *
                                    core::kSectorBytes));
           }
@@ -298,7 +296,7 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
             d.extent_futures.push_back(
                 d.session->shard_session(targets[ti].shard_index)
                     .Write(targets[ti].shard_lba, e.sectors,
-                           d.buffer +
+                           d.buffer.data() +
                                static_cast<size_t>(e.buffer_offset_sectors) *
                                    core::kSectorBytes));
           }
@@ -310,19 +308,14 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
         return;
       }
     }
-    d.future = d.session->Write(d.lba, d.sectors, d.buffer);
+    d.future = d.session->Write(d.lba, d.sectors, d.buffer.data());
   };
 
   auto complete_op = [&](TenantDriver& d, const IoResult& result) {
     d.busy = false;
     ++d.resolved;
     if (d.is_read) {
-      // Validate against a window extended to "now": a retransmitted
-      // duplicate of this read may legally refresh the payload buffer
-      // between the future resolving and this poll observing it.
-      IoResult observed = result;
-      observed.complete_time = std::max(observed.complete_time, sim.Now());
-      oracle.EndRead(d.lba, d.sectors, d.buffer, observed);
+      oracle.EndRead(d.lba, d.sectors, d.buffer.data(), result);
     } else {
       oracle.EndWrite(d.version, result);
     }
@@ -335,13 +328,12 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
     d.probe_pending = false;
     d.probe_inflight = true;
     d.busy = true;
-    buffers.push_back(std::make_unique<std::vector<uint8_t>>(
-        static_cast<size_t>(d.probe_sectors) * core::kSectorBytes, 0));
-    d.probe_buffer = buffers.back()->data();
+    d.probe_buffer.assign(
+        static_cast<size_t>(d.probe_sectors) * core::kSectorBytes, 0);
     d.probe_future =
         d.session->shard_session(d.probe_target.shard_index)
             .Read(d.probe_target.shard_lba, d.probe_sectors,
-                  d.probe_buffer);
+                  d.probe_buffer.data());
   };
 
   // Scheduled migration: clamp the drawn endpoints to the realized
@@ -368,17 +360,21 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
   int canary_stage = migration_canary ? 1 : 0;
   uint64_t canary_version = 0;
   const uint32_t canary_sectors = spec.stripe_sectors;
-  uint8_t* canary_buffer = nullptr;
+  const size_t canary_bytes =
+      static_cast<size_t>(canary_sectors) * core::kSectorBytes;
+  // One buffer for the probe's own ops, one for the hook's write,
+  // which can be in flight beside them.
+  std::vector<uint8_t> canary_buffer;
+  std::vector<uint8_t> canary_hook_buffer;
   sim::Future<IoResult> canary_future;
   sim::Future<IoResult> canary_hook_future;
   bool canary_hook_pending = false;
-  auto canary_stamped_buffer = [&]() {
-    buffers.push_back(std::make_unique<std::vector<uint8_t>>(
-        static_cast<size_t>(canary_sectors) * core::kSectorBytes, 0));
-    uint8_t* buf = buffers.back()->data();
+  auto canary_stamped_buffer = [&](std::vector<uint8_t>& buf) {
+    buf.assign(canary_bytes, 0);
     canary_version = oracle.BeginWrite(0, 0, canary_sectors, sim.Now());
-    ConsistencyOracle::StampPayload(buf, canary_version, 0, canary_sectors);
-    return buf;
+    ConsistencyOracle::StampPayload(buf.data(), canary_version, 0,
+                                    canary_sectors);
+    return buf.data();
   };
 
   while (sim.Now() < kDeadline) {
@@ -388,11 +384,8 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
       if (d.busy) {
         if (d.probe_inflight) {
           if (d.probe_future.Ready()) {
-            IoResult observed = d.probe_future.Get();
-            observed.complete_time =
-                std::max(observed.complete_time, sim.Now());
-            oracle.EndRead(d.probe_lba, d.probe_sectors, d.probe_buffer,
-                           observed);
+            oracle.EndRead(d.probe_lba, d.probe_sectors,
+                           d.probe_buffer.data(), d.probe_future.Get());
             d.probe_inflight = false;
             d.busy = false;
           }
@@ -442,17 +435,15 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
     }
 
     if (canary_stage == 1) {
-      canary_buffer = canary_stamped_buffer();
-      canary_future =
-          drivers[0]->session->Write(0, canary_sectors, canary_buffer);
+      canary_future = drivers[0]->session->Write(
+          0, canary_sectors, canary_stamped_buffer(canary_buffer));
       canary_stage = 2;
     } else if (canary_stage == 2 && canary_future.Ready()) {
       oracle.EndWrite(canary_version, canary_future.Get());
       if (mutation == Mutation::kDropForwardedWrite) {
         coordinator->before_cutover = [&]() {
-          uint8_t* buf = canary_stamped_buffer();
-          canary_hook_future =
-              drivers[0]->session->Write(0, canary_sectors, buf);
+          canary_hook_future = drivers[0]->session->Write(
+              0, canary_sectors, canary_stamped_buffer(canary_hook_buffer));
           canary_hook_pending = true;
           return canary_hook_future;
         };
@@ -469,9 +460,8 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
           // The client's local map still predates the cutover, so this
           // write carries the stale epoch. Correct servers bounce it
           // into a refresh-and-retry; the mutated one absorbs it.
-          canary_buffer = canary_stamped_buffer();
-          canary_future =
-              drivers[0]->session->Write(0, canary_sectors, canary_buffer);
+          canary_future = drivers[0]->session->Write(
+              0, canary_sectors, canary_stamped_buffer(canary_buffer));
           canary_stage = 4;
         } else {
           canary_stage = 5;
@@ -482,16 +472,13 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
       canary_stage = 5;
     } else if (canary_stage == 5) {
       client.RefreshMap();
-      buffers.push_back(std::make_unique<std::vector<uint8_t>>(
-          static_cast<size_t>(canary_sectors) * core::kSectorBytes, 0));
-      canary_buffer = buffers.back()->data();
+      canary_buffer.assign(canary_bytes, 0);
       canary_future =
-          drivers[0]->session->Read(0, canary_sectors, canary_buffer);
+          drivers[0]->session->Read(0, canary_sectors, canary_buffer.data());
       canary_stage = 6;
     } else if (canary_stage == 6 && canary_future.Ready()) {
-      IoResult observed = canary_future.Get();
-      observed.complete_time = std::max(observed.complete_time, sim.Now());
-      oracle.EndRead(0, canary_sectors, canary_buffer, observed);
+      oracle.EndRead(0, canary_sectors, canary_buffer.data(),
+                     canary_future.Get());
       canary_stage = 0;
     }
     if (canary_stage != 0) idle = false;

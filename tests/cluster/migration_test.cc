@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -315,6 +316,134 @@ TEST(MigrationTest, AutoscalerGrowsBackUnderLoad) {
                               sim::Seconds(5)));
   EXPECT_EQ(gen.read_errors() + gen.write_errors(), 0)
       << "scaling must be hitless for the workload";
+}
+
+// Load rises to a peak and falls back. The fleet grows for the peak
+// and must shed servers again on the way down, while every shard still
+// sits well above the low mark: summed, the falling load fits on fewer
+// shards long before any one shard looks idle.
+TEST(MigrationTest, AutoscalerShedsServersAsLoadFallsAfterAPeak) {
+  ClusterHarness h(MobileOptions(3, 1, /*migration_slots=*/32));
+  MigrationCoordinator coordinator(h.cluster, h.net);
+  auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  ASSERT_NE(session, nullptr);
+
+  ClusterControlPlane::AutoscalerOptions aopts;
+  aopts.period = sim::Millis(1);
+  aopts.high_utilization = 0.12;
+  aopts.low_utilization = 0.02;
+  aopts.hot_stripes = 6;
+  ClusterControlPlane& cp = h.cluster.control_plane();
+  cp.StartAutoscaler(coordinator, aopts);
+
+  // 20K ops/s, a ramp to a 150K peak at 40 ms, and back down to 30K by
+  // 80 ms, held to the end.
+  constexpr sim::TimeNs kPeak = sim::Millis(40);
+  constexpr sim::TimeNs kEvening = sim::Millis(80);
+  constexpr sim::TimeNs kEnd = sim::Millis(200);
+  client::LoadGenSpec spec;
+  spec.read_fraction = 0.95;
+  spec.queue_depth = 64;
+  spec.lba_span_sectors = 6 * kStripeSectors;
+  spec.rate_at = [](sim::TimeNs t) {
+    if (t < kPeak) return 20e3 + 130e3 * static_cast<double>(t) / kPeak;
+    if (t < kEvening) {
+      return 150e3 - 120e3 * static_cast<double>(t - kPeak) /
+                         static_cast<double>(kEvening - kPeak);
+    }
+    return 30e3;
+  };
+  client::LoadGenerator load(h.sim, *session, spec);
+  load.Run(0, kEnd);
+
+  int peak_active = 0;
+  while (h.sim.Now() < kEvening) {
+    h.sim.RunUntil(h.sim.Now() + sim::Millis(1));
+    peak_active = std::max(peak_active, cp.active_shards());
+  }
+  EXPECT_EQ(peak_active, 3) << "the peak must grow the fleet to every shard";
+  const int64_t shrinks_before = cp.autoscaler_stats().shrink_events;
+  ASSERT_TRUE(h.RunUntilReady([&] { return load.Done().Ready(); }));
+  cp.StopAutoscaler();
+  ASSERT_TRUE(h.RunUntilReady([&] { return !coordinator.busy(); }));
+  EXPECT_GT(cp.autoscaler_stats().shrink_events, shrinks_before)
+      << "falling load after the peak must shed servers";
+  EXPECT_LT(cp.active_shards(), 3);
+  EXPECT_EQ(load.read_errors() + load.write_errors(), 0);
+}
+
+// The diurnal crash shape. A backlogged latency-critical tenant holding
+// the source's whole token budget leaves the best-effort copy tenant
+// nothing, so every copy read sits in the source's QoS queue past its
+// timeout and is retransmitted, and the batch aborts with those reads
+// still queued. They reach the device only once the load stops, after
+// the copy buffer is gone; payloads carried by value make that
+// harmless (ASan checks it). A later batch then copies the stripe
+// intact.
+TEST(MigrationTest, CopyReadsHeldPastTheirTimeoutAbortThenRetryCleanly) {
+  ClusterHarness h(MobileOptions(2));
+  MigrationCoordinator coordinator(h.cluster, h.net);
+  auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  ASSERT_NE(session, nullptr);
+  const auto data = Pattern(kStripeSectors * core::kSectorBytes, 31);
+  auto write = session->Write(0, kStripeSectors,
+                              const_cast<uint8_t*>(data.data()));
+  ASSERT_TRUE(Await(h, write) && write.Get().ok());
+
+  // The hog's SLO reserves every token the source can sell; a mixed
+  // read/write load keeps reads at full price, so it never has spare
+  // tokens to donate.
+  core::ReflexServer& source = h.cluster.server(0);
+  SloSpec slo = testing::LcSlo(1, 0.9);
+  slo.iops = static_cast<uint32_t>(
+      source.calibration().MaxTokenRateForSlo(slo.latency) /
+      source.cost_model().TokenRateForSlo(slo));
+  core::Tenant* hog =
+      source.RegisterTenant(slo, TenantClass::kLatencyCritical);
+  ASSERT_NE(hog, nullptr);
+  client::ReflexClient hog_client(h.sim, source, h.net.AddMachine("hog"),
+                                  client::ReflexClient::Options{});
+  auto hog_session = hog_client.AttachSession(hog->handle());
+  ASSERT_NE(hog_session, nullptr);
+  client::LoadGenSpec spec;
+  spec.read_fraction = slo.read_fraction;
+  spec.offered_iops = 1.2 * slo.iops;
+  spec.lba_offset = 4096;
+  spec.lba_span_sectors = 4096;
+  client::LoadGenerator hog_load(h.sim, *hog_session, spec);
+  const sim::TimeNs load_end = h.sim.Now() + sim::Millis(60);
+  hog_load.Run(h.sim.Now(), load_end);
+  // Let the backlog build and drain the spare-token bucket first.
+  h.sim.RunUntil(h.sim.Now() + sim::Millis(5));
+
+  auto aborted = coordinator.MigrateRange(0, 1, 0, 1);
+  ASSERT_TRUE(Await(h, aborted));
+  EXPECT_FALSE(aborted.Get()) << "every copy read outlived its retries";
+  EXPECT_LT(h.sim.Now(), load_end) << "aborted while the reads were held";
+  EXPECT_GT(coordinator.stats().copy_ios, 1) << "the copy read was retried";
+  EXPECT_EQ(h.cluster.shard_map().epoch(), 0u);
+
+  // The held reads drain to the device once the load stops.
+  ASSERT_TRUE(h.RunUntilReady([&] { return hog_load.Done().Ready(); }));
+  h.sim.RunUntil(h.sim.Now() + sim::Millis(10));
+  const uint32_t own = session->shard_session(0).handle();
+  int64_t copy_reads_served = 0;
+  for (const core::Tenant* t : source.tenants()) {
+    if (!t->IsLatencyCritical() && t->handle() != own) {
+      copy_reads_served += t->completed_reads;
+    }
+  }
+  EXPECT_GE(copy_reads_served, 2)
+      << "the held copy reads reached the device after the abort";
+
+  auto moved = coordinator.MigrateRange(0, 1, 0, 1);
+  ASSERT_TRUE(Await(h, moved));
+  EXPECT_TRUE(moved.Get());
+  h.client.RefreshMap();
+  std::vector<uint8_t> in(data.size(), 0);
+  auto read = session->Read(0, kStripeSectors, in.data());
+  ASSERT_TRUE(Await(h, read) && read.Get().ok());
+  EXPECT_EQ(std::memcmp(in.data(), data.data(), in.size()), 0);
 }
 
 }  // namespace

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
+#include <cstring>
+#include <memory>
+#include <vector>
+
 #include "client/reflex_client.h"
 #include "sim/fault.h"
 #include "testing/harness.h"
@@ -247,6 +253,90 @@ TEST(FaultInjectionTest, ReadSurvivesPacketLoss) {
   EXPECT_EQ(ok, 20) << "every read eventually succeeded";
   EXPECT_GE(client.fault_stats().retries, 1);
   EXPECT_GE(h.net.dropped_messages(), 1);
+}
+
+// A read the server holds past the client's timeout. A read slowed by
+// a 5 ms latency spike goes first, then a barrier, so the probe read
+// reaches the device only when the spiked read completes -- long after
+// the client failed the probe with kTimedOut (1 ms, no retries).
+class LateReadTest : public ::testing::Test {
+ protected:
+  static constexpr uint64_t kProbeLba = 800;
+  static constexpr uint32_t kSectors = 8;
+  static constexpr size_t kBytes = kSectors * core::kSectorBytes;
+
+  LateReadTest() : plan_(h_.sim, 5) {
+    client::ReflexClient::Options copts = RetryingClientOptions();
+    copts.retry.max_retries = 0;
+    copts.retry.reconnect_after_timeouts = 100;
+    client_ = std::make_unique<client::ReflexClient>(
+        h_.sim, h_.server, h_.client_machine, copts);
+    session_ = client_->AttachSession(h_.LcTenant()->handle());
+  }
+
+  /** Seeds the probe range with 0xAB so a device read is visible. */
+  void SeedProbeRange() {
+    std::vector<uint8_t> seed(kBytes, 0xAB);
+    auto w = session_->Write(kProbeLba, kSectors, seed.data());
+    ASSERT_TRUE(h_.RunUntilReady([&] { return w.Ready(); }));
+    ASSERT_TRUE(w.Get().ok());
+  }
+
+  /** Issues the held probe read into `buf`; returns its future. */
+  sim::Future<client::IoResult> ReadHeldPastTimeout(uint8_t* buf) {
+    h_.device.SetFaultPlan(&plan_);
+    plan_.set_latency_spike(Millis(5));
+    plan_.ScheduleWindow(FaultKind::kFlashLatencySpike,
+                         h_.sim.Now() + Micros(1), Micros(100));
+    h_.sim.RunUntil(h_.sim.Now() + Micros(2));
+    spiked_ = session_->Read(0, kSectors);
+    barrier_ = session_->Barrier();
+    return session_->Read(kProbeLba, kSectors, buf);
+  }
+
+  Harness h_;
+  FaultPlan plan_;
+  std::unique_ptr<client::ReflexClient> client_;
+  std::unique_ptr<client::TenantSession> session_;
+  sim::Future<client::IoResult> spiked_;
+  sim::Future<client::IoResult> barrier_;
+};
+
+TEST_F(LateReadTest, TimedOutReadNeverWritesCallerBufferLate) {
+  SeedProbeRange();
+  std::vector<uint8_t> buf(kBytes, 0);
+  auto probe = ReadHeldPastTimeout(buf.data());
+  ASSERT_TRUE(h_.RunUntilReady([&] { return probe.Ready(); }));
+  ASSERT_EQ(probe.Get().status, ReqStatus::kTimedOut);
+  ASSERT_EQ(h_.device.stats().reads_completed, 0)
+      << "the probe must resolve before it even reaches the device";
+
+  // The op resolved, so the buffer is the caller's again: reuse it,
+  // then run well past the held read's device completion.
+  std::memset(buf.data(), 0x5E, kBytes);
+  h_.sim.RunUntil(Millis(20));
+  EXPECT_GE(h_.device.stats().reads_completed, 2)
+      << "the held read did reach the device";
+  EXPECT_GE(client_->fault_stats().stale_responses, 1)
+      << "its response arrived after the op resolved";
+  EXPECT_EQ(std::count(buf.begin(), buf.end(), 0x5E),
+            static_cast<std::ptrdiff_t>(kBytes))
+      << "a late completion overwrote the caller's reused buffer";
+}
+
+TEST_F(LateReadTest, TimedOutReadBufferMayBeFreed) {
+  SeedProbeRange();
+  auto buf = std::make_unique<uint8_t[]>(kBytes);
+  auto probe = ReadHeldPastTimeout(buf.get());
+  ASSERT_TRUE(h_.RunUntilReady([&] { return probe.Ready(); }));
+  ASSERT_EQ(probe.Get().status, ReqStatus::kTimedOut);
+  ASSERT_EQ(h_.device.stats().reads_completed, 0);
+  // Freed while the read is still held server-side; a late copy into
+  // it is a heap-use-after-free under ASan.
+  buf.reset();
+  h_.sim.RunUntil(Millis(20));
+  EXPECT_GE(h_.device.stats().reads_completed, 2);
+  EXPECT_GE(client_->fault_stats().stale_responses, 1);
 }
 
 }  // namespace

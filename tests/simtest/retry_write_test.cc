@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "client/reflex_client.h"
@@ -45,12 +46,7 @@ IoResult AwaitRead(Harness& h, client::TenantSession& session,
                    uint64_t lba) {
   auto io = session.Read(lba, kSectors, buf.data());
   EXPECT_TRUE(h.RunUntilReady([&] { return io.Ready(); }));
-  // A retransmitted duplicate may refresh the buffer after the future
-  // resolves; extend the window to observation time (same rule as the
-  // stress runner).
-  IoResult observed = io.Get();
-  observed.complete_time = std::max(observed.complete_time, h.sim.Now());
-  oracle.EndRead(lba, kSectors, buf.data(), observed);
+  oracle.EndRead(lba, kSectors, buf.data(), io.Get());
   return io.Get();
 }
 
@@ -153,6 +149,44 @@ TEST(RetryWriteTest, AppliedWriteWithLostResponseIsAcceptedAsZombie) {
   EXPECT_TRUE(oracle.ok()) << oracle.violations().front().detail;
   EXPECT_EQ(ConsistencyOracle::ReadStamp(r.data()), v)
       << "the write applied server-side despite the unknown outcome";
+}
+
+TEST(RetryWriteTest, ZombieWriteLandsTheBytesItWasSent) {
+  Harness h;
+  FaultPlan plan(h.sim, 5);
+  h.device.SetFaultPlan(&plan);
+  client::ReflexClient::Options copts = RetryingClientOptions();
+  copts.retry.reconnect_after_timeouts = 100;
+  core::Tenant* tenant = h.LcTenant();
+  client::ReflexClient client(h.sim, h.server, h.client_machine, copts);
+  auto session = client.AttachSession(tenant->handle());
+  ConsistencyOracle oracle;
+
+  // Hold the write server-side past its 1 ms timeout: a read slowed by
+  // a 5 ms latency spike goes first, then a barrier, so the write
+  // reaches the device only when the spiked read completes.
+  plan.set_latency_spike(Millis(5));
+  plan.ScheduleWindow(FaultKind::kFlashLatencySpike, h.sim.Now() + Micros(1),
+                      Micros(100));
+  h.sim.RunUntil(h.sim.Now() + Micros(2));
+  auto spiked = session->Read(8000, kSectors);
+  auto barrier = session->Barrier();
+  std::vector<uint8_t> w(kBytes), r(kBytes);
+  const uint64_t v = oracle.BeginWrite(0, 0, kSectors, h.sim.Now());
+  const IoResult res = AwaitWrite(h, *session, oracle, w, v, 0);
+  EXPECT_EQ(res.status, ReqStatus::kUnknownOutcome);
+  ASSERT_EQ(h.device.stats().writes_completed, 0)
+      << "the write must resolve before it even reaches the device";
+
+  // The op resolved, so the buffer is the caller's again. Fill it with
+  // bytes no write ever carried: the zombie must still land v.
+  std::fill(w.begin(), w.end(), 0xEE);
+  h.RunUntilReady([&] { return h.sim.Now() >= Millis(20); });
+  EXPECT_EQ(h.device.stats().writes_completed, 1) << "the zombie applied";
+  ASSERT_TRUE(AwaitRead(h, *session, oracle, r, 0).ok());
+  EXPECT_TRUE(oracle.ok()) << oracle.violations().front().detail;
+  EXPECT_EQ(ConsistencyOracle::ReadStamp(r.data()), v)
+      << "a zombie write lands the bytes it was sent with";
 }
 
 }  // namespace
