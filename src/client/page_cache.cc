@@ -1,6 +1,5 @@
 #include "client/page_cache.h"
 
-#include <bit>
 #include <utility>
 
 #include "sim/logging.h"
@@ -26,7 +25,7 @@ sim::Future<const uint8_t*> PageCache::GetPage(uint64_t byte_offset) {
   sim::Promise<const uint8_t*> promise(sim_);
   auto future = promise.GetFuture();
 
-  uint32_t e = Find(page_id);
+  uint32_t e = index_.Find(page_id);
   // A hit on a readahead-produced page extends its stream so that
   // steady sequential consumption never stalls.
   if (e != kNil && entries_[e].stream) {
@@ -34,7 +33,7 @@ sim::Future<const uint8_t*> PageCache::GetPage(uint64_t byte_offset) {
     StartFetch(page_id + static_cast<uint64_t>(readahead_pages_));
     // A backend that completes inline lets that fetch insert (and so
     // evict) before StartFetch returns: look the page up again.
-    e = Find(page_id);
+    e = index_.Find(page_id);
   }
 
   if (e != kNil) {
@@ -75,7 +74,7 @@ sim::Future<const uint8_t*> PageCache::GetPage(uint64_t byte_offset) {
 }
 
 void PageCache::StartFetch(uint64_t page_id) {
-  if (Find(page_id) != kNil) return;
+  if (index_.Find(page_id) != kNil) return;
   ++stats_.readaheads;
   const uint32_t e = NewEntry(page_id);
   entries_[e].stream = true;
@@ -129,7 +128,7 @@ void PageCache::Invalidate(uint64_t byte_offset, uint64_t bytes) {
   const uint64_t first = byte_offset / kPageBytes;
   const uint64_t last = (byte_offset + bytes + kPageBytes - 1) / kPageBytes;
   for (uint64_t page = first; page < last; ++page) {
-    const uint32_t e = Find(page);
+    const uint32_t e = index_.Find(page);
     if (e == kNil) continue;
     Entry& entry = entries_[e];
     if (entry.cached) {
@@ -174,7 +173,7 @@ uint32_t PageCache::NewEntry(uint64_t page_id) {
     free_entries_.pop_back();
   }
   entries_[e].page_id = page_id;
-  IndexInsert(e);
+  index_.Insert(page_id, e);
   return e;
 }
 
@@ -190,7 +189,7 @@ std::unique_ptr<uint8_t[]> PageCache::TakeBuffer() {
 
 void PageCache::FreeEntry(uint32_t e) {
   Entry& entry = entries_[e];
-  IndexErase(entry.page_id);
+  index_.Erase(entry.page_id);
   if (entry.data != nullptr) free_buffers_.push_back(std::move(entry.data));
   entry.cached = false;
   entry.stream = false;
@@ -225,63 +224,6 @@ void PageCache::Unlink(uint32_t e) {
   }
   entry.prev = kNil;
   entry.next = kNil;
-}
-
-size_t PageCache::Home(uint64_t page_id) const {
-  // Fibonacci hashing: page ids are mostly dense runs, and the
-  // multiply spreads them over the top bits.
-  return static_cast<size_t>((page_id * 0x9E3779B97F4A7C15ull) >>
-                             index_shift_);
-}
-
-uint32_t PageCache::Find(uint64_t page_id) const {
-  if (index_.empty()) return kNil;
-  const size_t mask = index_.size() - 1;
-  for (size_t i = Home(page_id);; i = (i + 1) & mask) {
-    const uint32_t e = index_[i];
-    if (e == kNil || entries_[e].page_id == page_id) return e;
-  }
-}
-
-void PageCache::IndexInsert(uint32_t e) {
-  // Every entry not on the free list is indexed, this one included.
-  const size_t live = entries_.size() - free_entries_.size();
-  if (2 * live > index_.size()) {
-    // Grow to keep the load at most 1/2 and rehash. The slot order is
-    // never observed, so it cannot leak into simulated behaviour.
-    std::vector<uint32_t> old(index_.empty() ? 16 : 2 * index_.size(),
-                              kNil);
-    old.swap(index_);
-    index_shift_ = 64 - std::countr_zero(index_.size());
-    for (uint32_t moved : old) {
-      if (moved != kNil) Place(moved);
-    }
-  }
-  Place(e);
-}
-
-void PageCache::Place(uint32_t e) {
-  const size_t mask = index_.size() - 1;
-  size_t i = Home(entries_[e].page_id);
-  while (index_[i] != kNil) i = (i + 1) & mask;
-  index_[i] = e;
-}
-
-void PageCache::IndexErase(uint64_t page_id) {
-  const size_t mask = index_.size() - 1;
-  size_t hole = Home(page_id);
-  while (entries_[index_[hole]].page_id != page_id) hole = (hole + 1) & mask;
-  // Backward-shift delete: pull later members of the probe run into
-  // the hole when the hole lies between their home and their slot, so
-  // no tombstones are needed.
-  for (size_t i = (hole + 1) & mask; index_[i] != kNil; i = (i + 1) & mask) {
-    const size_t home = Home(entries_[index_[i]].page_id);
-    if (((i - home) & mask) >= ((i - hole) & mask)) {
-      index_[hole] = index_[i];
-      hole = i;
-    }
-  }
-  index_[hole] = kNil;
 }
 
 }  // namespace reflex::client

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "client/storage_backend.h"
+#include "sim/flat_index.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -117,13 +118,6 @@ class PageCache {
   void LinkFront(uint32_t entry);
   void Unlink(uint32_t entry);
 
-  /** Open-addressed page index: entry index or kNil. */
-  uint32_t Find(uint64_t page_id) const;
-  void IndexInsert(uint32_t entry);
-  void Place(uint32_t entry);
-  void IndexErase(uint64_t page_id);
-  size_t Home(uint64_t page_id) const;
-
   sim::Simulator& sim_;
   client::StorageBackend& backend_;
   uint32_t capacity_pages_;
@@ -136,9 +130,8 @@ class PageCache {
 
   std::vector<Entry> entries_;
   std::vector<uint32_t> free_entries_;
-  /** Power-of-two slots, linear probing, load kept at most 1/2. */
-  std::vector<uint32_t> index_;
-  int index_shift_ = 0;
+  /** Page id -> index of its entry in `entries_`. */
+  sim::FlatIndex index_;
   uint32_t lru_head_ = kNil;  // most recent
   uint32_t lru_tail_ = kNil;
   uint32_t cached_pages_ = 0;

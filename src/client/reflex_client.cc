@@ -63,8 +63,11 @@ ReflexClient::ReflexClient(sim::Simulator& sim, core::ReflexServer& server,
 ReflexClient::~ReflexClient() {
   // Unresolved ops still hold watchdog events whose callbacks capture
   // `this`; disarm them so a simulator outliving the client cannot
-  // dispatch into a destroyed object.
-  for (auto& [cookie, op] : pending_) sim_.Cancel(op.watchdog);
+  // dispatch into a destroyed object. A free slot's handle is stale,
+  // which Cancel() detects and ignores.
+  for (uint32_t slot = 0; slot < ops_.capacity(); ++slot) {
+    sim_.Cancel(ops_[slot].watchdog);
+  }
 }
 
 int ReflexClient::OpenConnection() {
@@ -127,9 +130,9 @@ sim::Future<core::ResponseMsg> ReflexClient::Register(
   auto future = promise.GetFuture();
   pending_control_.emplace(msg.cookie, std::move(promise));
   core::ServerConnection* conn = connections_[0];
-  sim_.ScheduleAfter(
-      options_.stack.TxCost(core::kRegisterMsgBytes),
-      [conn, msg] { conn->Deliver(msg); });
+  const uint32_t slot = conn->Park(std::move(msg));
+  sim_.ScheduleAfter(options_.stack.TxCost(core::kRegisterMsgBytes),
+                     [conn, slot] { conn->Send(slot); });
   return future;
 }
 
@@ -143,9 +146,9 @@ sim::Future<core::ResponseMsg> ReflexClient::Unregister(uint32_t handle) {
   auto future = promise.GetFuture();
   pending_control_.emplace(msg.cookie, std::move(promise));
   core::ServerConnection* conn = connections_[0];
-  sim_.ScheduleAfter(
-      options_.stack.TxCost(core::kRegisterMsgBytes),
-      [conn, msg] { conn->Deliver(msg); });
+  const uint32_t slot = conn->Park(std::move(msg));
+  sim_.ScheduleAfter(options_.stack.TxCost(core::kRegisterMsgBytes),
+                     [conn, slot] { conn->Send(slot); });
   return future;
 }
 
@@ -191,16 +194,14 @@ sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
   op.data = data;
   op.wire = msg.data;
   op.conn_index = conn_index;
-  pending_.emplace(msg.cookie, std::move(op));
+  pending_.Insert(msg.cookie, ops_.Add(std::move(op)));
 
   // Client-side transmit processing, then ship over TCP.
   const uint64_t cookie = msg.cookie;
   const uint32_t wire = msg.WireBytes(core::kSectorBytes);
   const sim::TimeNs tx_cost = options_.stack.TxCost(wire);
-  sim_.ScheduleAfter(tx_cost,
-                     [conn, msg = std::move(msg)]() mutable {
-                       conn->Deliver(std::move(msg));
-                     });
+  const uint32_t parked = conn->Park(std::move(msg));
+  sim_.ScheduleAfter(tx_cost, [conn, parked] { conn->Send(parked); });
   if (retries_enabled()) ArmTimeout(cookie, /*attempt=*/1, tx_cost);
   return future;
 }
@@ -244,22 +245,24 @@ sim::TimeNs ReflexClient::BackoffDelay(int attempt) const {
 
 void ReflexClient::ArmTimeout(uint64_t cookie, int attempt,
                               sim::TimeNs extra_delay) {
-  auto it = pending_.find(cookie);
-  REFLEX_CHECK(it != pending_.end());
+  const uint32_t slot = pending_.Find(cookie);
+  REFLEX_CHECK(slot != sim::FlatIndex::kNone);
   // Disarm the previous attempt's watchdog (a no-op when it already
   // fired, i.e. on the timeout-driven retransmit path) so each op keeps
   // at most one live timeout event in the simulator.
-  sim_.Cancel(it->second.watchdog);
-  it->second.watchdog = sim_.ScheduleAfter(
+  sim_.Cancel(ops_[slot].watchdog);
+  ops_[slot].watchdog = sim_.ScheduleAfter(
       options_.retry.request_timeout + extra_delay,
       [this, cookie, attempt] { OnTimeout(cookie, attempt); });
 }
 
 void ReflexClient::OnTimeout(uint64_t cookie, int attempt) {
-  auto it = pending_.find(cookie);
+  const uint32_t slot = pending_.Find(cookie);
   // Completed, or already retransmitted (a newer watchdog is armed).
-  if (it == pending_.end() || it->second.attempts != attempt) return;
-  PendingOp& op = it->second;
+  if (slot == sim::FlatIndex::kNone || ops_[slot].attempts != attempt) {
+    return;
+  }
+  PendingOp& op = ops_[slot];
   ++fault_stats_.timeouts;
   if (timeouts_metric_ != nullptr) timeouts_metric_->Increment();
 
@@ -278,17 +281,15 @@ void ReflexClient::OnTimeout(uint64_t cookie, int attempt) {
   // as kUnknownOutcome rather than a definite failure (or fabricated
   // success); reads that exhausted their retries definitely produced
   // no application-visible effect and fail with kTimedOut.
-  PendingOp failed = std::move(it->second);
-  pending_.erase(it);
-  FailPending(std::move(failed), idempotent
+  FailPending(TakeOp(cookie, slot), idempotent
                                      ? core::ReqStatus::kTimedOut
                                      : core::ReqStatus::kUnknownOutcome);
 }
 
 void ReflexClient::Retransmit(uint64_t cookie, sim::TimeNs delay) {
-  auto it = pending_.find(cookie);
-  REFLEX_CHECK(it != pending_.end());
-  PendingOp& op = it->second;
+  const uint32_t slot = pending_.Find(cookie);
+  REFLEX_CHECK(slot != sim::FlatIndex::kNone);
+  PendingOp& op = ops_[slot];
   ++op.attempts;
   ++fault_stats_.retries;
   if (retries_metric_ != nullptr) retries_metric_->Increment();
@@ -313,11 +314,15 @@ void ReflexClient::Retransmit(uint64_t cookie, sim::TimeNs delay) {
       connections_[static_cast<size_t>(op.conn_index)];
   const uint32_t wire = msg.WireBytes(core::kSectorBytes);
   const sim::TimeNs tx_cost = options_.stack.TxCost(wire);
+  const uint32_t parked = conn->Park(std::move(msg));
   sim_.ScheduleAfter(delay + tx_cost,
-                     [conn, msg = std::move(msg)]() mutable {
-                       conn->Deliver(std::move(msg));
-                     });
+                     [conn, parked] { conn->Send(parked); });
   ArmTimeout(cookie, op.attempts, delay + tx_cost);
+}
+
+ReflexClient::PendingOp ReflexClient::TakeOp(uint64_t cookie, uint32_t slot) {
+  pending_.Erase(cookie);
+  return ops_.Take(slot);
 }
 
 void ReflexClient::FailPending(PendingOp&& op, core::ReqStatus status) {
@@ -363,8 +368,8 @@ void ReflexClient::OnResponse(const core::ResponseMsg& resp) {
     return;
   }
 
-  auto it = pending_.find(resp.cookie);
-  if (it == pending_.end()) {
+  const uint32_t slot = pending_.Find(resp.cookie);
+  if (slot == sim::FlatIndex::kNone) {
     // With retries enabled a late duplicate can arrive after the op
     // was resolved by an earlier response or a timeout; drop it.
     // Without retries an unknown cookie is a protocol violation.
@@ -374,21 +379,21 @@ void ReflexClient::OnResponse(const core::ResponseMsg& resp) {
   }
 
   if (retries_enabled()) {
-    conn_timeouts_[it->second.conn_index] = 0;
+    const PendingOp& live = ops_[slot];
+    conn_timeouts_[live.conn_index] = 0;
     // Transient server-side refusals: retry idempotent reads before
     // surfacing the error.
     if (options_.retry.retry_on_error &&
-        it->second.type == core::ReqType::kRead &&
+        live.type == core::ReqType::kRead &&
         (resp.status == core::ReqStatus::kDeviceError ||
          resp.status == core::ReqStatus::kOutOfResources) &&
-        it->second.attempts <= options_.retry.max_retries) {
-      Retransmit(resp.cookie, BackoffDelay(it->second.attempts));
+        live.attempts <= options_.retry.max_retries) {
+      Retransmit(resp.cookie, BackoffDelay(live.attempts));
       return;
     }
   }
 
-  PendingOp op = std::move(it->second);
-  pending_.erase(it);
+  PendingOp op = TakeOp(resp.cookie, slot);
   // The op resolved: release its timeout watchdog instead of leaving a
   // dead event queued until it would have fired.
   sim_.Cancel(op.watchdog);

@@ -12,7 +12,9 @@
 #include "core/reflex_server.h"
 #include "net/network.h"
 #include "net/stack_costs.h"
+#include "sim/flat_index.h"
 #include "sim/random.h"
+#include "sim/slot_pool.h"
 #include "sim/task.h"
 
 namespace reflex::client {
@@ -281,6 +283,8 @@ class ReflexClient {
   void OnTimeout(uint64_t cookie, int attempt);
   /** Resends the request for `cookie` after `delay`. */
   void Retransmit(uint64_t cookie, sim::TimeNs delay);
+  /** Removes the unresolved op in `slot` of `ops_` (cookie `cookie`). */
+  PendingOp TakeOp(uint64_t cookie, uint32_t slot);
   /** Resolves a pending op with a failure status. */
   void FailPending(PendingOp&& op, core::ReqStatus status);
   /** Re-establishes a reset/suspect connection in place. */
@@ -299,7 +303,10 @@ class ReflexClient {
   obs::TraceSampler sampler_;
 
   uint64_t next_cookie_ = 1;
-  std::map<uint64_t, PendingOp> pending_;
+  /** Unresolved I/O ops, in recycled slots. */
+  sim::SlotPool<PendingOp> ops_;
+  /** Cookie -> slot in ops_ of every unresolved op. */
+  sim::FlatIndex pending_;
   /**
    * Wire buffers back from resolved ops, indexed by size in sectors
    * and reused newest first, so the payload copies stay cache-warm. A

@@ -434,7 +434,15 @@ ClusterClient::ClusterClient(FlashCluster& cluster, net::Machine* machine,
 }
 
 void ClusterClient::RefreshMap() {
+  ShardMap previous = std::move(local_map_);
   local_map_ = cluster_.shard_map();
+  // A migration copies a placement with whatever data it holds. A copy
+  // taken off a shard this client marked dirty may predate a write the
+  // shard missed, so the placement's new shard inherits the mark.
+  for (const ShardMap::PlacementMove& m : local_map_.MovesSince(previous)) {
+    const uint64_t since = dirty_since_[static_cast<size_t>(m.from_shard)];
+    if (since != 0) MarkDirty(m.to_shard, since);
+  }
   for (auto& client : clients_) {
     client->set_map_epoch(local_map_.epoch());
   }

@@ -265,8 +265,13 @@ class ClusterClient {
    */
   const ShardMap& local_map() const { return local_map_; }
 
-  /** Re-copies the master map and restamps every shard client with
-   * its epoch. Called by sessions on kWrongShard. */
+  /**
+   * Re-copies the master map and restamps every shard client with its
+   * epoch. A placement that moved off a dirty shard marks its new
+   * shard dirty from the same version: the migration copied whatever
+   * the old shard held, missed write included. Called by sessions on
+   * kWrongShard.
+   */
   void RefreshMap();
 
   /**

@@ -373,4 +373,28 @@ void ShardMap::AbortMigration(
   }
 }
 
+std::vector<ShardMap::PlacementMove> ShardMap::MovesSince(
+    const ShardMap& older) const {
+  std::vector<PlacementMove> moves;
+  auto shard_of = [](const ShardMap& map, const auto& key) {
+    const auto it = map.overrides_.find(key);
+    if (it != map.overrides_.end()) return it->second.shard_index;
+    const auto ordinal = static_cast<size_t>(key.second);
+    return map.BaseTargetsForStripe(key.first, /*within=*/0)[ordinal]
+        .shard_index;
+  };
+  auto visit = [&](const auto& key) {
+    const int from = shard_of(older, key);
+    const int to = shard_of(*this, key);
+    if (from != to) moves.push_back(PlacementMove{from, to});
+  };
+  // Keys overridden in either map; a key overridden in both is
+  // visited once, from this map's table.
+  for (const auto& [key, target] : overrides_) visit(key);
+  for (const auto& [key, target] : older.overrides_) {
+    if (overrides_.count(key) == 0) visit(key);
+  }
+  return moves;
+}
+
 }  // namespace reflex::cluster

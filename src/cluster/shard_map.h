@@ -228,6 +228,21 @@ class ShardMap {
   /** Releases the slots a planned batch reserved; no epoch change. */
   void AbortMigration(const std::vector<MigrationAssignment>& assignments);
 
+  /** A replica placement that lives on another shard than before. */
+  struct PlacementMove {
+    int from_shard = 0;
+    int to_shard = 0;
+  };
+
+  /**
+   * Every placement whose shard differs between `older` (an earlier
+   * copy of this map over the same shards) and this map. Only override
+   * entries can differ, so this diffs the two override tables and
+   * never walks the stripes: a map with migration slots has hundreds
+   * of millions of them.
+   */
+  std::vector<PlacementMove> MovesSince(const ShardMap& older) const;
+
  private:
   struct Shard {
     uint32_t id;

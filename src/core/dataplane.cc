@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <utility>
-#include <vector>
 
 #include "core/reflex_server.h"
 #include "sim/fault.h"
@@ -10,13 +9,19 @@
 
 namespace reflex::core {
 
-void ServerConnection::Deliver(RequestMsg msg) {
+uint32_t ServerConnection::Park(RequestMsg msg) {
+  return server_->parked_requests_.Add(std::move(msg));
+}
+
+void ServerConnection::Send(uint32_t slot) {
   DataplaneThread* thread = thread_;
-  ServerConnection* self = this;
-  const uint32_t wire = msg.WireBytes(kSectorBytes);
-  tcp_->SendToServer(wire, [thread, self, msg = std::move(msg)]() mutable {
-    thread->EnqueueRx(self, std::move(msg));
-  });
+  const uint32_t wire =
+      server_->parked_requests_[slot].WireBytes(kSectorBytes);
+  if (!tcp_->SendToServer(wire, [thread, this, slot] {
+        thread->EnqueueRx(this, slot);
+      })) {
+    server_->parked_requests_.Take(slot);
+  }
 }
 
 DataplaneThread::DataplaneThread(sim::Simulator& sim, ReflexServer& server,
@@ -43,6 +48,8 @@ DataplaneThread::DataplaneThread(sim::Simulator& sim, ReflexServer& server,
     config_.tcp_rx_per_msg /= 2;
     config_.tcp_tx_per_msg /= 2;
   }
+  rx_batch_.reserve(static_cast<size_t>(config_.max_batch));
+  cq_batch_.reserve(static_cast<size_t>(config_.max_batch));
   scheduler_.set_neg_limit_callback(
       [this](Tenant& t) { server_.control_plane().OnNegLimit(t); });
   scheduler_.set_metrics(
@@ -93,10 +100,10 @@ void DataplaneThread::Shutdown() {
   Wake();
 }
 
-void DataplaneThread::EnqueueRx(ServerConnection* conn, RequestMsg&& msg) {
-  const sim::TimeNs now = sim_.Now();
-  if (msg.trace) msg.trace->Mark(obs::Stage::kServerRx, now);
-  rx_ring_.push_back(RxItem{conn, std::move(msg), now});
+void DataplaneThread::EnqueueRx(ServerConnection* conn, uint32_t slot) {
+  const RequestMsg& msg = server_.parked_requests_[slot];
+  if (msg.trace) msg.trace->Mark(obs::Stage::kServerRx, sim_.Now());
+  rx_ring_.push_back(RxItem{conn, slot});
   Wake();
 }
 
@@ -107,16 +114,16 @@ void DataplaneThread::AdoptTenant(Tenant* tenant) {
 
 void DataplaneThread::DropTenant(Tenant* tenant) {
   scheduler_.RemoveTenant(tenant);
-  for (PendingIo& io : tenant->TakeQueue()) {
-    FailIo(io, ReqStatus::kNoSuchTenant);
-  }
+  sim::Ring<PendingIo> queue = tenant->TakeQueue();
+  while (!queue.empty()) FailIo(queue.pop_front(), ReqStatus::kNoSuchTenant);
 }
 
 void DataplaneThread::Wake() {
-  if (idle_ && wake_promise_.has_value()) {
+  if (idle_) {
     idle_ = false;
-    wake_promise_->Set(sim::Unit{});
-    wake_promise_.reset();
+    // Resume through the event queue, as a fulfilled future would.
+    std::coroutine_handle<> h = std::exchange(idle_waiter_, nullptr);
+    sim_.ScheduleAfter(0, [h] { h.resume(); });
   }
 }
 
@@ -152,8 +159,7 @@ sim::Task DataplaneThread::RunLoop() {
       // is waiting for tokens, re-run the scheduler soon.
       if (scheduler_.HasPendingDemand()) ArmRescheduleTimer();
       idle_ = true;
-      wake_promise_.emplace(sim_);
-      co_await wake_promise_->GetFuture();
+      co_await IdleAwaiter{this};
       if (!running_) break;
     }
 
@@ -162,18 +168,8 @@ sim::Task DataplaneThread::RunLoop() {
                                   config_.max_batch);
     const int ncq = std::min<int>(static_cast<int>(cq_ring_.size()),
                                   config_.max_batch);
-    std::vector<RxItem> rx_batch;
-    rx_batch.reserve(nrx);
-    for (int i = 0; i < nrx; ++i) {
-      rx_batch.push_back(std::move(rx_ring_.front()));
-      rx_ring_.pop_front();
-    }
-    std::vector<CqItem> cq_batch;
-    cq_batch.reserve(ncq);
-    for (int i = 0; i < ncq; ++i) {
-      cq_batch.push_back(std::move(cq_ring_.front()));
-      cq_ring_.pop_front();
-    }
+    for (int i = 0; i < nrx; ++i) rx_batch_.push_back(rx_ring_.pop_front());
+    for (int i = 0; i < ncq; ++i) cq_batch_.push_back(cq_ring_.pop_front());
 
     // --- Charge this iteration's CPU time ---
     const auto llc_extra = static_cast<sim::TimeNs>(
@@ -205,9 +201,9 @@ sim::Task DataplaneThread::RunLoop() {
 
     // --- Act: parse + enqueue requests ---
     const sim::TimeNs now = sim_.Now();
-    for (RxItem& item : rx_batch) {
+    for (const RxItem& item : rx_batch_) {
       ++stats_.requests_rx;
-      RequestMsg& msg = item.msg;
+      RequestMsg msg = server_.parked_requests_.Take(item.slot);
       if (msg.trace) msg.trace->Mark(obs::Stage::kParsed, now);
       if (msg.type == ReqType::kRegister ||
           msg.type == ReqType::kUnregister) {
@@ -222,7 +218,7 @@ sim::Task DataplaneThread::RunLoop() {
         resp.status = ReqStatus::kNoSuchTenant;
         resp.handle = msg.handle;
         resp.cookie = msg.cookie;
-        SendResponse(item.conn, resp);
+        SendResponse(item.conn, std::move(resp));
         continue;
       }
       ReqStatus acl = ReqStatus::kOk;
@@ -242,7 +238,7 @@ sim::Task DataplaneThread::RunLoop() {
         resp.status = acl;
         resp.handle = msg.handle;
         resp.cookie = msg.cookie;
-        SendResponse(item.conn, resp);
+        SendResponse(item.conn, std::move(resp));
         continue;
       }
       // Server-level fault injection: a request that passed admission
@@ -263,7 +259,7 @@ sim::Task DataplaneThread::RunLoop() {
           resp.status = forced;
           resp.handle = msg.handle;
           resp.cookie = msg.cookie;
-          SendResponse(item.conn, resp);
+          SendResponse(item.conn, std::move(resp));
           continue;
         }
       }
@@ -281,7 +277,7 @@ sim::Task DataplaneThread::RunLoop() {
           resp.status = gs;
           resp.handle = msg.handle;
           resp.cookie = msg.cookie;
-          SendResponse(item.conn, resp);
+          SendResponse(item.conn, std::move(resp));
           continue;
         }
       }
@@ -305,16 +301,17 @@ sim::Task DataplaneThread::RunLoop() {
     }
 
     // --- Completions: build and transmit responses ---
-    for (CqItem& item : cq_batch) {
-      Tenant* tenant = item.tenant;
+    for (const CqItem& item : cq_batch_) {
+      FlashIo done = flash_ios_.Take(item.slot);
+      Tenant* tenant = done.tenant;
+      PendingIo& io = done.io;
       // An I/O counts as completed (for barriers) once its response is
       // on the wire, so barrier acks can never overtake it.
       --tenant->inflight;
-      const int64_t bytes =
-          static_cast<int64_t>(item.io.msg.sectors) * kSectorBytes;
+      const int64_t bytes = static_cast<int64_t>(io.msg.sectors) * kSectorBytes;
       tenant->inflight_bytes -= bytes;
       tenant->completed_bytes += bytes;
-      const bool is_read = item.io.msg.type == ReqType::kRead;
+      const bool is_read = io.msg.type == ReqType::kRead;
       if (is_read) {
         ++tenant->completed_reads;
       } else {
@@ -326,17 +323,19 @@ sim::Task DataplaneThread::RunLoop() {
                         ? ReqStatus::kOk
                         : ReqStatus::kDeviceError;
       resp.handle = tenant->handle();
-      resp.cookie = item.io.msg.cookie;
-      resp.sectors = item.io.msg.sectors;
+      resp.cookie = io.msg.cookie;
+      resp.sectors = io.msg.sectors;
       // The device filled the request's buffer at submit; a successful
       // read hands it back to the client inside the response.
       if (is_read && resp.status == ReqStatus::kOk) {
-        resp.data = std::move(item.io.msg.data);
+        resp.data = std::move(io.msg.data);
       }
-      item.io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
-      SendResponse(item.io.conn, resp);
-      if (item.io.gate_id >= 0) server_.OnGatedIoDone(item.io.gate_id);
+      io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
+      SendResponse(io.conn, std::move(resp));
+      if (io.gate_id >= 0) server_.OnGatedIoDone(io.gate_id);
     }
+    rx_batch_.clear();
+    cq_batch_.clear();
   }
   // Falling off the end self-destroys the frame (final_suspend is
   // suspend_never); clear the handle so the destructor cannot
@@ -360,7 +359,7 @@ void DataplaneThread::SubmitToFlash(Tenant& tenant, PendingIo&& io) {
     resp.handle = tenant.handle();
     resp.cookie = io.msg.cookie;
     io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
-    SendResponse(io.conn, resp);
+    SendResponse(io.conn, std::move(resp));
     return;
   }
   ++stats_.flash_submitted;
@@ -372,16 +371,14 @@ void DataplaneThread::SubmitToFlash(Tenant& tenant, PendingIo&& io) {
   cmd.sectors = io.msg.sectors;
   cmd.data = io.msg.data.get();
   cmd.cookie = io.msg.cookie;
-  Tenant* tenant_ptr = &tenant;
   ++tenant.inflight;
   tenant.inflight_bytes +=
       static_cast<int64_t>(cmd.sectors) * kSectorBytes;
-  auto shared_io = std::make_shared<PendingIo>(std::move(io));
+  const uint32_t slot = flash_ios_.Add(FlashIo{&tenant, std::move(io)});
   const bool ok = device_.Submit(
-      qp_, cmd,
-      [this, tenant_ptr, shared_io](const flash::FlashCompletion& c) {
-        shared_io->MarkStage(obs::Stage::kFlashDone, sim_.Now());
-        cq_ring_.push_back(CqItem{tenant_ptr, std::move(*shared_io), c});
+      qp_, cmd, [this, slot](const flash::FlashCompletion& c) {
+        flash_ios_[slot].io.MarkStage(obs::Stage::kFlashDone, sim_.Now());
+        cq_ring_.push_back(CqItem{slot, c});
         Wake();
       });
   if (!ok) {
@@ -390,7 +387,7 @@ void DataplaneThread::SubmitToFlash(Tenant& tenant, PendingIo&& io) {
     --tenant.inflight;
     tenant.inflight_bytes -=
         static_cast<int64_t>(cmd.sectors) * kSectorBytes;
-    FailIo(*shared_io, ReqStatus::kOutOfResources);
+    FailIo(flash_ios_.Take(slot).io, ReqStatus::kOutOfResources);
   }
 }
 
@@ -404,21 +401,18 @@ uint32_t DataplaneThread::QueueDepthHint() const {
   return static_cast<uint32_t>(depth);
 }
 
-void DataplaneThread::SendResponse(ServerConnection* conn,
-                                   const ResponseMsg& resp) {
+void DataplaneThread::SendResponse(ServerConnection* conn, ResponseMsg resp) {
   ++stats_.responses_tx;
   if (resp.status != ReqStatus::kOk) {
     ++stats_.error_responses;
     Tenant* tenant = server_.FindTenant(resp.handle);
     if (tenant != nullptr) ++tenant->errors;
   }
-  ServerConnection* c = conn;
-  ResponseMsg r = resp;
-  r.queue_depth_hint = QueueDepthHint();
-  conn->tcp()->SendToClient(resp.WireBytes(kSectorBytes),
-                            [c, r = std::move(r)] {
-                              if (c->on_response) c->on_response(r);
-                            });
+  resp.queue_depth_hint = QueueDepthHint();
+  const uint32_t wire = resp.WireBytes(kSectorBytes);
+  conn->tcp()->SendToClient(wire, [conn, r = std::move(resp)] {
+    if (conn->on_response) conn->on_response(r);
+  });
 }
 
 void DataplaneThread::FailIo(const PendingIo& io, ReqStatus status) {
@@ -429,7 +423,7 @@ void DataplaneThread::FailIo(const PendingIo& io, ReqStatus status) {
   resp.handle = io.msg.handle;
   resp.cookie = io.msg.cookie;
   io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
-  SendResponse(io.conn, resp);
+  SendResponse(io.conn, std::move(resp));
   if (io.gate_id >= 0) server_.OnGatedIoDone(io.gate_id);
 }
 

@@ -3,16 +3,18 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <string>
+#include <vector>
 
 #include "core/protocol.h"
 #include "core/qos_scheduler.h"
 #include "core/tenant.h"
 #include "flash/flash_device.h"
 #include "net/network.h"
+#include "sim/ring.h"
+#include "sim/slot_pool.h"
 #include "sim/task.h"
 #include "sim/time.h"
 
@@ -40,23 +42,32 @@ class ServerConnection {
   std::function<void(const ResponseMsg&)> on_response;
 
   /**
-   * Ingress path used by client libraries: ships `msg` over the
-   * simulated TCP connection and enqueues it at the server dataplane
-   * when the last frame arrives.
+   * Ingress path used by client libraries, in two steps. Park() puts
+   * `msg` in the server's request table and returns its slot; the
+   * client charges its transmit cost, then Send(slot) ships the
+   * request over the simulated TCP connection, and it is enqueued at
+   * the server dataplane when the last frame arrives. Neither event
+   * carries the message itself. The slot stays taken until the
+   * dataplane parses the request; a message the network drops frees
+   * it at once.
    */
-  void Deliver(RequestMsg msg);
+  uint32_t Park(RequestMsg msg);
+  void Send(uint32_t slot);
 
  private:
   friend class ReflexServer;
   friend class DataplaneThread;
 
   ServerConnection(std::unique_ptr<net::TcpConnection> tcp,
-                   DataplaneThread* thread, std::string client_name)
+                   ReflexServer* server, DataplaneThread* thread,
+                   std::string client_name)
       : tcp_(std::move(tcp)),
+        server_(server),
         thread_(thread),
         client_name_(std::move(client_name)) {}
 
   std::unique_ptr<net::TcpConnection> tcp_;
+  ReflexServer* server_;
   DataplaneThread* thread_;
   std::string client_name_;
 };
@@ -164,8 +175,8 @@ class DataplaneThread {
   const DataplaneStats& stats() const { return stats_; }
   const DataplaneConfig& config() const { return config_; }
 
-  /** Network ingress: called when a request arrives at the server NIC. */
-  void EnqueueRx(ServerConnection* conn, RequestMsg&& msg);
+  /** Network ingress: parked request `slot` arrived at the server NIC. */
+  void EnqueueRx(ServerConnection* conn, uint32_t slot);
 
   /** Moves a tenant (and its queued requests) onto this thread. */
   void AdoptTenant(Tenant* tenant);
@@ -188,16 +199,28 @@ class DataplaneThread {
   uint32_t QueueDepthHint() const;
 
  private:
+  /** A received request, still parked in the server's table. */
   struct RxItem {
     ServerConnection* conn;
-    RequestMsg msg;
-    /** NIC arrival time (trace stage kServerRx). */
-    sim::TimeNs rx_time;
+    uint32_t slot;
+  };
+  /** A request submitted to the device, until its response is sent. */
+  struct FlashIo {
+    Tenant* tenant = nullptr;
+    PendingIo io;
   };
   struct CqItem {
-    Tenant* tenant;
-    PendingIo io;
+    uint32_t slot;  // in flash_ios_
     flash::FlashCompletion completion;
+  };
+  /** Parks the RunLoop coroutine until Wake(). */
+  struct IdleAwaiter {
+    DataplaneThread* thread;
+    bool await_ready() const noexcept { return false; }
+    void await_suspend(std::coroutine_handle<> h) noexcept {
+      thread->idle_waiter_ = h;
+    }
+    void await_resume() const noexcept {}
   };
 
   sim::Task RunLoop();
@@ -206,7 +229,7 @@ class DataplaneThread {
   double LlcFactor() const;
   void HandleControlMsg(ServerConnection* conn, const RequestMsg& msg);
   void SubmitToFlash(Tenant& tenant, PendingIo&& io);
-  void SendResponse(ServerConnection* conn, const ResponseMsg& resp);
+  void SendResponse(ServerConnection* conn, ResponseMsg resp);
   void FailIo(const PendingIo& io, ReqStatus status);
 
   sim::Simulator& sim_;
@@ -218,8 +241,13 @@ class DataplaneThread {
   QosScheduler scheduler_;
   DataplaneStats stats_;
 
-  std::deque<RxItem> rx_ring_;
-  std::deque<CqItem> cq_ring_;
+  sim::Ring<RxItem> rx_ring_;
+  sim::Ring<CqItem> cq_ring_;
+  sim::SlotPool<FlashIo> flash_ios_;
+  /** One iteration's work, reused and cleared every iteration so no
+   * batch keeps a payload alive past the iteration that served it. */
+  std::vector<RxItem> rx_batch_;
+  std::vector<CqItem> cq_batch_;
 
   bool running_ = false;
   /** True while a RunLoop coroutine is alive (it may outlive running_
@@ -228,7 +256,7 @@ class DataplaneThread {
   /**
    * The live RunLoop coroutine's own frame handle (captured via
    * sim::SelfHandle, cleared when the loop finishes normally). At
-   * destruction the loop is usually still suspended on its wake future
+   * destruction the loop is usually still suspended in IdleAwaiter
    * or a Delay whose resume event will never run -- the destructor
    * destroys the frame through this handle so it cannot leak.
    */
@@ -239,7 +267,8 @@ class DataplaneThread {
   /** Live idle-reschedule timer (valid while resched_armed_). Cancelled
    * on Shutdown() only; see the comment there for why Wake() keeps it. */
   sim::TimerHandle resched_timer_;
-  std::optional<sim::VoidPromise> wake_promise_;
+  /** The loop's frame while parked in IdleAwaiter (idle_ is set). */
+  std::coroutine_handle<> idle_waiter_;
   sim::TimeNs start_time_ = 0;
 };
 

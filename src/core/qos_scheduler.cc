@@ -121,8 +121,7 @@ bool QosScheduler::FrontBlockedByBarrier(const Tenant& t) {
 
 void QosScheduler::SubmitFront(sim::TimeNs now, Tenant& t,
                                const SubmitFn& submit) {
-  PendingIo io = std::move(t.queue_.front());
-  t.queue_.pop_front();
+  PendingIo io = t.queue_.pop_front();
   --queued_requests_;
   t.queued_cost_ -= io.cost;
   // An empty queue costs exactly nothing: no float residue is left

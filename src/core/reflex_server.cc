@@ -76,12 +76,10 @@ void ReflexServer::SetFaultPlan(sim::FaultPlan* plan) {
 }
 
 Tenant* ReflexServer::CreateTenant(const SloSpec& slo, TenantClass cls) {
-  const uint32_t handle = next_handle_++;
-  auto tenant = std::make_unique<Tenant>(handle, cls, slo);
-  Tenant* raw = tenant.get();
-  tenants_.emplace(handle, std::move(tenant));
-  tenant_list_.push_back(raw);
-  return raw;
+  const auto handle = static_cast<uint32_t>(tenants_.size() + 1);
+  tenants_.push_back(std::make_unique<Tenant>(handle, cls, slo));
+  tenant_list_.push_back(tenants_.back().get());
+  return tenant_list_.back();
 }
 
 Tenant* ReflexServer::RegisterTenant(const SloSpec& slo, TenantClass cls,
@@ -97,8 +95,9 @@ bool ReflexServer::UnregisterTenant(uint32_t handle) {
 }
 
 Tenant* ReflexServer::FindTenant(uint32_t handle) {
-  auto it = tenants_.find(handle);
-  return it == tenants_.end() ? nullptr : it->second.get();
+  // Handle 0 (kControlHandle) wraps to an out-of-range index.
+  const size_t index = static_cast<size_t>(handle) - 1;
+  return index < tenant_list_.size() ? tenant_list_[index] : nullptr;
 }
 
 AcceptResult ReflexServer::Accept(
@@ -129,7 +128,7 @@ AcceptResult ReflexServer::Accept(
   auto tcp = std::make_unique<net::TcpConnection>(net_, client, machine_,
                                                   options_.transport);
   auto conn = std::unique_ptr<ServerConnection>(
-      new ServerConnection(std::move(tcp), thread, client->name()));
+      new ServerConnection(std::move(tcp), this, thread, client->name()));
   conn->on_response = std::move(on_response);
   connections_.push_back(std::move(conn));
   result.conn = connections_.back().get();
@@ -246,29 +245,34 @@ ReqStatus ReflexServer::CheckRangeGates(const RequestMsg& msg,
                                         int* counted_gate) {
   *counted_gate = -1;
   if (msg.map_epoch == kMapEpochBypass) return ReqStatus::kOk;
-  for (auto& [id, gate] : range_gates_) {
+  const bool is_write = msg.type == ReqType::kWrite;
+  for (const auto& [id, gate] : range_gates_) {
     if (!gate.Overlaps(msg.lba, msg.sectors)) continue;
     // The epoch floor applies in every state: a client older than the
     // last cutover that moved this range is routing blind (the lba may
     // belong to a different stripe by now), so it bounces even while a
     // fresh migration is copying the range again.
     if (msg.map_epoch < gate.min_epoch) return ReqStatus::kWrongShard;
-    switch (gate.state) {
-      case RangeGateState::kCopying:
-        if (msg.type == ReqType::kWrite) {
-          gate.dirty = true;
-          ++gate.inflight_writes;
-          *counted_gate = id;
-        }
-        return ReqStatus::kOk;
-      case RangeGateState::kDraining:
-        // Reads still serve (no write can commit under drain); writes
-        // bounce so the range quiesces. The client's bounded retry
-        // straddles the map flip.
-        return msg.type == ReqType::kWrite ? ReqStatus::kWrongShard
-                                           : ReqStatus::kOk;
-      case RangeGateState::kMoved:
-        return ReqStatus::kOk;  // floor already checked above
+    // Reads still serve under drain (no write can commit there);
+    // writes bounce so the range quiesces. The client's bounded retry
+    // straddles the map flip.
+    if (is_write && gate.state == RangeGateState::kDraining) {
+      return ReqStatus::kWrongShard;
+    }
+  }
+  if (!is_write) return ReqStatus::kOk;
+  // Admitted: every copying gate the write touches now holds a stale
+  // image and must be recopied; stopping at the first one loses the
+  // write on the others at cutover.
+  for (auto& [id, gate] : range_gates_) {
+    if (gate.state != RangeGateState::kCopying ||
+        !gate.Overlaps(msg.lba, msg.sectors)) {
+      continue;
+    }
+    gate.dirty = true;
+    if (*counted_gate < 0) {
+      ++gate.inflight_writes;
+      *counted_gate = id;
     }
   }
   return ReqStatus::kOk;

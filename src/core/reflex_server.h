@@ -21,6 +21,7 @@
 #include "obs/trace.h"
 #include "sim/fault.h"
 #include "sim/simulator.h"
+#include "sim/slot_pool.h"
 
 namespace reflex::core {
 
@@ -221,21 +222,28 @@ class ReflexServer {
   bool HasRangeGates() const { return !range_gates_.empty(); }
 
   /**
-   * Gate admission for one parsed request (dataplane parse step).
-   * Returns kOk or kWrongShard; on an admitted write under a kCopying
-   * gate, marks the gate dirty, bumps its in-flight count and stores
-   * the gate id in *counted_gate (else -1). Requests stamped with the
-   * bypass epoch skip gating entirely (single-server clients and the
-   * migration coordinator's own copy traffic).
+   * Gate admission for one parsed request (dataplane parse step),
+   * against every gate the request overlaps: one write extent may
+   * span several migrating stripes. Returns kWrongShard if any gate's
+   * epoch floor rejects the request or, for a write, any overlapped
+   * gate is draining. An admitted write marks every overlapped
+   * kCopying gate dirty and is counted in flight once, on the first of
+   * them, whose id goes to *counted_gate (else -1). Requests stamped
+   * with the bypass epoch skip gating entirely (single-server clients
+   * and the migration coordinator's own copy traffic).
    */
   ReqStatus CheckRangeGates(const RequestMsg& msg, int* counted_gate);
 
   /** Decrements the in-flight count of a still-installed gate. */
   void OnGatedIoDone(int gate_id);
 
+  /** Requests parked between client submit and dataplane parse. */
+  size_t parked_requests() const { return parked_requests_.live(); }
+
  private:
   friend class ControlPlane;
   friend class DataplaneThread;
+  friend class ServerConnection;
 
   /** Creates and starts one more dataplane thread. */
   DataplaneThread* AddThreadInternal();
@@ -265,9 +273,14 @@ class ReflexServer {
   std::vector<std::unique_ptr<DataplaneThread>> threads_;
   int active_threads_ = 0;
 
-  uint32_t next_handle_ = 1;
-  std::map<uint32_t, std::unique_ptr<Tenant>> tenants_;
+  /** Every tenant ever created, in handle order: handle h is at
+   * index h - 1 (handles are dense and never reused). */
+  std::vector<std::unique_ptr<Tenant>> tenants_;
   std::vector<Tenant*> tenant_list_;
+
+  /** Requests in transit from a client to the dataplane; see
+   * ServerConnection::Park(). */
+  sim::SlotPool<RequestMsg> parked_requests_;
 
   std::vector<std::unique_ptr<ServerConnection>> connections_;
   size_t next_conn_thread_ = 0;

@@ -2,12 +2,13 @@
 #define REFLEX_CORE_TENANT_H_
 
 #include <cstdint>
-#include <deque>
 #include <string>
+#include <utility>
 
 #include "core/protocol.h"
 #include "core/slo.h"
 #include "sim/logging.h"
+#include "sim/ring.h"
 #include "sim/time.h"
 
 namespace reflex::core {
@@ -89,12 +90,10 @@ class Tenant {
    * Only valid once the tenant is unbound: a bound tenant's queue is
    * counted by its scheduler.
    */
-  std::deque<PendingIo> TakeQueue() {
+  sim::Ring<PendingIo> TakeQueue() {
     REFLEX_CHECK(scheduler_ == nullptr);
     queued_cost_ = 0.0;
-    std::deque<PendingIo> q;
-    q.swap(queue_);
-    return q;
+    return std::exchange(queue_, sim::Ring<PendingIo>());
   }
 
   // --- Counters (server side) ---
@@ -133,7 +132,7 @@ class Tenant {
   /** BE tenants: the shared fair share while bound. */
   const double* shared_rate_ = nullptr;
   double tokens_ = 0.0;
-  std::deque<PendingIo> queue_;
+  sim::Ring<PendingIo> queue_;
   double queued_cost_ = 0.0;
   /** Tokens granted in the last 3 rounds: POS_LIMIT (section 3.2.2). */
   double grant_history_[3] = {0.0, 0.0, 0.0};

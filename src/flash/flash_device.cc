@@ -65,12 +65,8 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
   ++qp->outstanding_;
   if (metrics_.enabled()) metrics_.queue_depth->Add(1);
 
-  auto op = std::make_shared<InFlight>();
-  op->cmd = cmd;
-  op->cb = std::move(cb);
-  op->qp = qp;
-  op->submit_time = sim_.Now();
-  op->chunks_remaining = 0;
+  const uint32_t op =
+      inflight_.Add(InFlight{cmd, std::move(cb), qp, sim_.Now()});
 
   if (cmd.op == FlashOp::kRead) {
     if (cmd.data != nullptr) CopyFromStore(cmd);
@@ -96,7 +92,7 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
       write_buffer_free_ -= pages;
       AdmitWrite(op);
     } else {
-      pending_writes_.push_back(PendingWrite{op});
+      pending_writes_.push_back(op);
     }
   }
   return true;
@@ -136,10 +132,11 @@ sim::TimeNs FlashDevice::OccupyDie(uint64_t die, sim::TimeNs service) {
   return done;
 }
 
-void FlashDevice::StartRead(const std::shared_ptr<InFlight>& op) {
+void FlashDevice::StartRead(uint32_t op) {
+  const FlashCommand& cmd = inflight_[op].cmd;
   const uint32_t spp = profile_.SectorsPerPage();
-  const uint64_t first_page = op->cmd.lba / spp;
-  const uint64_t last_page = (op->cmd.lba + op->cmd.sectors - 1) / spp;
+  const uint64_t first_page = cmd.lba / spp;
+  const uint64_t last_page = (cmd.lba + cmd.sectors - 1) / spp;
   sim::TimeNs done = sim_.Now();
   for (uint64_t page = first_page; page <= last_page; ++page) {
     done = std::max(done, OccupyDie(page, FaultScaled(ReadServiceQuantum())));
@@ -163,7 +160,7 @@ void FlashDevice::StartRead(const std::shared_ptr<InFlight>& op) {
   sim_.ScheduleAt(done, [this, op, status] { Complete(op, status); });
 }
 
-void FlashDevice::AdmitWrite(const std::shared_ptr<InFlight>& op) {
+void FlashDevice::AdmitWrite(uint32_t op) {
   // Acknowledge once the data is in the DRAM buffer.
   const sim::TimeNs ack_latency =
       static_cast<sim::TimeNs>(rng_.NextLognormal(
@@ -175,9 +172,10 @@ void FlashDevice::AdmitWrite(const std::shared_ptr<InFlight>& op) {
 
   // Background flush: pages * write_cost die quanta, spread round-robin
   // over dies. The buffer slot frees when the last quantum finishes.
+  const FlashCommand& cmd = inflight_[op].cmd;
   const uint32_t spp = profile_.SectorsPerPage();
-  const uint64_t first_page = op->cmd.lba / spp;
-  const uint64_t last_page = (op->cmd.lba + op->cmd.sectors - 1) / spp;
+  const uint64_t first_page = cmd.lba / spp;
+  const uint64_t last_page = (cmd.lba + cmd.sectors - 1) / spp;
   const double quanta_needed =
       static_cast<double>(last_page - first_page + 1) * profile_.write_cost;
   const int whole = static_cast<int>(quanta_needed);
@@ -212,7 +210,7 @@ void FlashDevice::AdmitWrite(const std::shared_ptr<InFlight>& op) {
     metrics_.flush_backlog_chunks->Set(flush_backlog_chunks_);
   }
 
-  const int pages_held = BufferPagesFor(op->cmd);
+  const int pages_held = BufferPagesFor(cmd);
   sim_.ScheduleAt(flush_done, [this, chunks, pages_held] {
     flush_backlog_chunks_ -= chunks;
     if (metrics_.enabled()) {
@@ -220,8 +218,8 @@ void FlashDevice::AdmitWrite(const std::shared_ptr<InFlight>& op) {
     }
     write_buffer_free_ += pages_held;
     while (!pending_writes_.empty()) {
-      auto next = pending_writes_.front().op;
-      const int needed = BufferPagesFor(next->cmd);
+      const uint32_t next = pending_writes_.front();
+      const int needed = BufferPagesFor(inflight_[next].cmd);
       if (write_buffer_free_ < needed) break;
       write_buffer_free_ -= needed;
       pending_writes_.pop_front();
@@ -230,32 +228,34 @@ void FlashDevice::AdmitWrite(const std::shared_ptr<InFlight>& op) {
   });
 }
 
-void FlashDevice::Complete(const std::shared_ptr<InFlight>& op,
-                           FlashStatus status) {
-  --op->qp->outstanding_;
+void FlashDevice::Complete(uint32_t slot, FlashStatus status) {
+  // Free the slot before the callback runs: the callback may submit
+  // again, and a resubmission may reuse it.
+  InFlight op = inflight_.Take(slot);
+  --op.qp->outstanding_;
   FlashCompletion completion;
   completion.status = status;
-  completion.cookie = op->cmd.cookie;
-  completion.submit_time = op->submit_time;
+  completion.cookie = op.cmd.cookie;
+  completion.submit_time = op.submit_time;
   completion.complete_time = sim_.Now();
   // Failed commands are accounted in read_errors/write_errors at the
   // injection site; success counters and latency distributions track
   // only served I/O.
   if (status == FlashStatus::kOk) {
-    if (op->cmd.op == FlashOp::kRead) {
+    if (op.cmd.op == FlashOp::kRead) {
       ++stats_.reads_completed;
-      stats_.read_sectors += op->cmd.sectors;
+      stats_.read_sectors += op.cmd.sectors;
       read_latency_.Record(completion.Latency());
     } else {
       ++stats_.writes_completed;
-      stats_.write_sectors += op->cmd.sectors;
+      stats_.write_sectors += op.cmd.sectors;
       write_latency_.Record(completion.Latency());
     }
   }
   if (metrics_.enabled()) {
     metrics_.queue_depth->Add(-1);
     if (status == FlashStatus::kOk) {
-      if (op->cmd.op == FlashOp::kRead) {
+      if (op.cmd.op == FlashOp::kRead) {
         metrics_.reads_completed->Increment();
         metrics_.read_service_ns->Record(completion.Latency());
       } else {
@@ -264,7 +264,7 @@ void FlashDevice::Complete(const std::shared_ptr<InFlight>& op,
       }
     }
   }
-  if (op->cb) op->cb(completion);
+  if (op.cb) op.cb(completion);
 }
 
 bool FlashDevice::InReadOnlyMode() const {

@@ -3,7 +3,6 @@
 
 #include <array>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <unordered_map>
@@ -14,6 +13,8 @@
 #include "sim/fault.h"
 #include "sim/histogram.h"
 #include "sim/random.h"
+#include "sim/ring.h"
+#include "sim/slot_pool.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -159,22 +160,18 @@ class FlashDevice {
   void SetFaultPlan(sim::FaultPlan* plan) { fault_ = plan; }
 
  private:
+  /** One submitted command, held in `inflight_` until it completes. */
   struct InFlight {
     FlashCommand cmd;
     FlashCallback cb;
-    QueuePair* qp;
-    sim::TimeNs submit_time;
-    int chunks_remaining;
+    QueuePair* qp = nullptr;
+    sim::TimeNs submit_time = 0;
   };
 
-  struct PendingWrite {
-    std::shared_ptr<InFlight> op;
-  };
-
-  void StartRead(const std::shared_ptr<InFlight>& op);
-  void AdmitWrite(const std::shared_ptr<InFlight>& op);
+  void StartRead(uint32_t op);
+  void AdmitWrite(uint32_t op);
   int BufferPagesFor(const FlashCommand& cmd) const;
-  void Complete(const std::shared_ptr<InFlight>& op, FlashStatus status);
+  void Complete(uint32_t op, FlashStatus status);
   /** Occupies the die owning `page` and returns the completion time. */
   sim::TimeNs OccupyDie(uint64_t page, sim::TimeNs service);
   sim::TimeNs ReadServiceQuantum();
@@ -194,7 +191,10 @@ class FlashDevice {
   int next_flush_die_ = 0;
 
   int write_buffer_free_;
-  std::deque<PendingWrite> pending_writes_;
+  /** Commands in flight, addressed by slot from their events. */
+  sim::SlotPool<InFlight> inflight_;
+  /** Writes waiting for write-buffer space (inflight_ slots). */
+  sim::Ring<uint32_t> pending_writes_;
   int64_t flush_backlog_chunks_ = 0;
 
   sim::TimeNs last_write_time_ = -(1LL << 62);

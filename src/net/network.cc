@@ -36,14 +36,14 @@ TcpConnection::TcpConnection(Network& net, Machine* client, Machine* server,
   REFLEX_CHECK(client != server);
 }
 
-void TcpConnection::Send(Machine* from, Machine* to, uint32_t bytes,
-                         std::function<void()> on_rx_nic) {
+bool TcpConnection::Transmit(Machine* from, Machine* to, uint32_t bytes,
+                             sim::TimeNs* arrival) {
   REFLEX_CHECK(bytes > 0);
   sim::Simulator& sim = net_.sim_;
   // One branch on the hot path: with no plan attached and the
   // connection open, fault handling costs a single predictable test.
   if (closed_ || net_.fault_plan_ != nullptr) {
-    if (DropFaulted(from, to)) return;
+    if (DropFaulted(from, to)) return false;
   }
   ++in_flight_;
 
@@ -86,10 +86,8 @@ void TcpConnection::Send(Machine* from, Machine* to, uint32_t bytes,
     metrics.wire_ns->Record(last_arrival - sim.Now());
   }
 
-  sim.ScheduleAt(last_arrival, [this, cb = std::move(on_rx_nic)] {
-    --in_flight_;
-    if (cb) cb();
-  });
+  *arrival = last_arrival;
+  return true;
 }
 
 bool TcpConnection::DropFaulted(Machine* from, Machine* to) {

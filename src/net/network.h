@@ -2,9 +2,10 @@
 #define REFLEX_NET_NETWORK_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "net/stack_costs.h"
@@ -144,25 +145,36 @@ class Network {
  * but serialization, propagation, switch latency, NIC latency, frame
  * segmentation (jumbo frames) and per-frame header overhead are.
  *
- * Send() is asynchronous: the callback fires at the moment the last
+ * A send is asynchronous: the callback fires at the moment the last
  * frame of the message has been received by the destination NIC.
  * Stack processing above the NIC (interrupts, syscalls, copies) is
  * charged by the caller using StackCosts, because it depends on who
  * owns the endpoint (dataplane server vs Linux client).
+ *
+ * The callback is forwarded to the simulator as-is: one that captures
+ * at most 56 bytes stays in the event's inline storage, so a send on
+ * the request path never allocates. Pass nullptr for a message nobody
+ * waits on.
  */
 class TcpConnection {
  public:
   TcpConnection(Network& net, Machine* client, Machine* server,
                 Transport transport = Transport::kTcp);
 
-  /** Client-to-server message. */
-  void SendToServer(uint32_t bytes, std::function<void()> on_rx_nic) {
-    Send(client_, server_, bytes, std::move(on_rx_nic));
+  /**
+   * Client-to-server message. Returns false if the message was
+   * dropped (fault injection, a reset connection or a downed link);
+   * the callback is then destroyed without running.
+   */
+  template <typename F>
+  bool SendToServer(uint32_t bytes, F&& on_rx_nic) {
+    return Send(client_, server_, bytes, std::forward<F>(on_rx_nic));
   }
 
-  /** Server-to-client message. */
-  void SendToClient(uint32_t bytes, std::function<void()> on_rx_nic) {
-    Send(server_, client_, bytes, std::move(on_rx_nic));
+  /** Server-to-client message; see SendToServer(). */
+  template <typename F>
+  bool SendToClient(uint32_t bytes, F&& on_rx_nic) {
+    return Send(server_, client_, bytes, std::forward<F>(on_rx_nic));
   }
 
   Machine* client() const { return client_; }
@@ -204,8 +216,28 @@ class TcpConnection {
   void Reopen() { closed_ = false; }
 
  private:
-  void Send(Machine* from, Machine* to, uint32_t bytes,
-            std::function<void()> on_rx_nic);
+  template <typename F>
+  bool Send(Machine* from, Machine* to, uint32_t bytes, F&& on_rx_nic) {
+    sim::TimeNs arrival = 0;
+    if (!Transmit(from, to, bytes, &arrival)) return false;
+    if constexpr (std::is_null_pointer_v<std::decay_t<F>>) {
+      net_.sim_.ScheduleAt(arrival, [this] { --in_flight_; });
+    } else {
+      net_.sim_.ScheduleAt(arrival,
+                           [this, cb = std::forward<F>(on_rx_nic)]() mutable {
+                             --in_flight_;
+                             cb();
+                           });
+    }
+    return true;
+  }
+  /**
+   * Serializes one message through both NICs and the switch. Returns
+   * false if it was dropped; otherwise counts it in flight and sets
+   * *arrival to the time its last frame reaches the receiver NIC.
+   */
+  bool Transmit(Machine* from, Machine* to, uint32_t bytes,
+                sim::TimeNs* arrival);
   /** Rolls connection faults; true means the message was dropped. */
   bool DropFaulted(Machine* from, Machine* to);
 

@@ -17,6 +17,7 @@
 #include "cluster/migration.h"
 #include "cluster/shard_map.h"
 #include "sim/fault.h"
+#include "testing/harness.h"
 #include "testing/cluster_harness.h"
 
 namespace reflex {
@@ -126,6 +127,107 @@ TEST(MigrationTest, WriteRacingTheCopyIsRecopiedToTheTarget) {
   ASSERT_TRUE(Await(h, read) && read.Get().ok());
   EXPECT_EQ(std::memcmp(in.data(), new_data.data(), in.size()), 0)
       << "the target must hold the write that raced the copy";
+}
+
+// One write extent can span two stripes migrating off the same shard:
+// hashed placement is identity-addressed, so adjacent stripes on one
+// shard form a single contiguous extent. The write must dirty both
+// stripes' gates; dirtying only the first loses the write's tail on
+// the second stripe at cutover.
+TEST(MigrationTest, WriteStraddlingTwoMigratingStripesIsRecopiedOnBoth) {
+  FlashClusterOptions options = MobileOptions(2);
+  options.shard_map.placement = cluster::Placement::kHashed;
+  ClusterHarness h(options);
+  MigrationCoordinator coordinator(h.cluster, h.net);
+  auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  ASSERT_NE(session, nullptr);
+
+  const cluster::ShardMap& map = h.cluster.shard_map();
+  uint64_t first = 0;
+  while (map.ShardIndexForStripe(first) != 0 ||
+         map.ShardIndexForStripe(first + 1) != 0) {
+    ++first;
+  }
+  const uint64_t lba = first * kStripeSectors;
+  const size_t stripe_bytes = kStripeSectors * core::kSectorBytes;
+  const auto old_data = Pattern(2 * stripe_bytes, 5);
+  const auto new_data = Pattern(stripe_bytes, 77);
+  auto seed_write = session->Write(lba, 2 * kStripeSectors,
+                                   const_cast<uint8_t*>(old_data.data()));
+  ASSERT_TRUE(Await(h, seed_write) && seed_write.Get().ok());
+
+  // Sectors 4..11 of the pair: the back half of the first stripe and
+  // the front half of the second, in one request to shard 0.
+  const uint32_t half = kStripeSectors / 2;
+  coordinator.before_cutover = [&]() {
+    return session->Write(lba + half, kStripeSectors,
+                          const_cast<uint8_t*>(new_data.data()));
+  };
+  auto done = coordinator.MigrateRange(0, 1, first, 2);
+  ASSERT_TRUE(Await(h, done));
+  ASSERT_TRUE(done.Get());
+  EXPECT_GE(coordinator.stats().dirty_recopies, 2)
+      << "both stripes the write touched must be recopied";
+
+  h.client.RefreshMap();
+  ASSERT_EQ(h.client.local_map().ShardIndexForStripe(first + 1), 1);
+  std::vector<uint8_t> expected = old_data;
+  std::memcpy(expected.data() + half * core::kSectorBytes, new_data.data(),
+              new_data.size());
+  std::vector<uint8_t> in(expected.size(), 0);
+  auto read = session->Read(lba, 2 * kStripeSectors, in.data());
+  ASSERT_TRUE(Await(h, read) && read.Get().ok());
+  EXPECT_EQ(std::memcmp(in.data(), expected.data(), in.size()), 0)
+      << "the target must hold the whole straddling write";
+}
+
+// A replica that missed a write is dirty in the client's view. If a
+// migration then copies that replica's placement onto another shard,
+// the copy is just as stale, so after the client refreshes its map
+// the new shard must be dirty too -- otherwise reads steered to it
+// return the pre-write data.
+TEST(MigrationTest, MovedStaleReplicaMarksItsNewShardDirty) {
+  cluster::ClusterClient::Options copts;
+  copts.client = testing::RetryingClientOptions();
+  copts.steering = cluster::SteeringPolicy::kFullScan;
+  ClusterHarness h(MobileOptions(3, /*replication=*/2), copts);
+  MigrationCoordinator coordinator(h.cluster, h.net);
+  auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  ASSERT_NE(session, nullptr);
+
+  // Stripe 0 lives on shards 0 (primary) and 1 (replica).
+  const size_t bytes = kStripeSectors * core::kSectorBytes;
+  const auto v1 = Pattern(bytes, 1);
+  const auto v2 = Pattern(bytes, 2);
+  auto w1 = session->Write(0, kStripeSectors, const_cast<uint8_t*>(v1.data()));
+  ASSERT_TRUE(Await(h, w1) && w1.Get().ok());
+
+  // Shard 1's link is down while v2 is written: its copy keeps v1 and
+  // the client marks it dirty; the write commits on shard 0.
+  sim::FaultPlan plan(h.sim, 3);
+  h.net.SetFaultPlan(&plan);
+  plan.ScheduleWindow(sim::FaultKind::kNetLinkFlap, h.sim.Now(),
+                      sim::Millis(5),
+                      static_cast<uint64_t>(h.cluster.machine(1)->id()));
+  auto w2 = session->Write(0, kStripeSectors, const_cast<uint8_t*>(v2.data()));
+  ASSERT_TRUE(Await(h, w2) && w2.Get().ok());
+  ASSERT_TRUE(h.client.IsDirty(1));
+  ASSERT_FALSE(h.client.IsDirty(2));
+  h.sim.RunUntil(h.sim.Now() + sim::Millis(10));  // the link is back
+
+  // Move shard 1's stale placement of stripe 0 onto shard 2.
+  auto done = coordinator.MigrateRange(1, 2, 0, 1);
+  ASSERT_TRUE(Await(h, done));
+  ASSERT_TRUE(done.Get());
+
+  h.client.RefreshMap();
+  EXPECT_TRUE(h.client.IsDirty(2)) << "shard 2 now holds a stale copy";
+  EXPECT_EQ(h.client.dirty_since_version(2),
+            h.client.dirty_since_version(1));
+  std::vector<uint8_t> in(bytes, 0);
+  auto read = session->Read(0, kStripeSectors, in.data());
+  ASSERT_TRUE(Await(h, read) && read.Get().ok());
+  EXPECT_EQ(std::memcmp(in.data(), v2.data(), in.size()), 0);
 }
 
 TEST(MigrationTest, SecondBatchWhileBusyIsRefusedWithoutLeakingSlots) {
