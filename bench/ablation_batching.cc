@@ -19,7 +19,7 @@ namespace {
 void RunPoint(int max_batch) {
   core::ServerOptions options;
   options.num_threads = 1;
-  options.dataplane.max_batch = max_batch;
+  options.max_batch = max_batch;
   bench::BenchWorld world(options);
 
   core::Tenant* tenant = world.server->RegisterTenant(

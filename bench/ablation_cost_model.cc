@@ -19,7 +19,7 @@ namespace reflex {
 namespace {
 
 void RunPoint(double write_cost) {
-  flash::CalibrationResult calibration = bench::CalibrationA();
+  flash::CalibrationResult calibration = flash::CannedCalibrationA();
   calibration.write_cost = write_cost;  // the mis-calibration
 
   core::ServerOptions options;

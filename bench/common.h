@@ -32,38 +32,6 @@ inline void Banner(const char* experiment, const char* paper_summary) {
 }
 
 /**
- * The calibration used by all server benches: the synthetic fit for
- * device A. Identical to what flash::Calibrate recovers (verified by
- * flash/calibration_test.cc and regenerated live by fig3_cost_models)
- * but instant, keeping every bench's runtime in the measurement
- * itself.
- */
-inline flash::CalibrationResult CalibrationA() {
-  flash::CalibrationResult c;
-  c.write_cost = 10.0;
-  c.read_cost_readonly = 0.5;
-  c.token_capacity_per_sec = 547000.0;
-  c.latency_curve = {
-      {54696.4, 28945.0, sim::Micros(145), sim::Micros(113)},
-      {109392.7, 58120.0, sim::Micros(162), sim::Micros(121)},
-      {164089.1, 86995.0, sim::Micros(178), sim::Micros(126)},
-      {218785.5, 115525.0, sim::Micros(199), sim::Micros(137)},
-      {273481.9, 144005.0, sim::Micros(223), sim::Micros(150)},
-      {328178.2, 172470.0, sim::Micros(260), sim::Micros(166)},
-      {355526.4, 186700.0, sim::Micros(291), sim::Micros(179)},
-      {382874.6, 201237.5, sim::Micros(348), sim::Micros(199)},
-      {410222.8, 215507.5, sim::Micros(397), sim::Micros(210)},
-      {437571.0, 229790.0, sim::Micros(614), sim::Micros(248)},
-      {464919.2, 244222.5, sim::Micros(909), sim::Micros(287)},
-      {492267.4, 258982.5, sim::Micros(1622), sim::Micros(404)},
-      {508676.3, 267547.5, sim::Micros(2015), sim::Micros(505)},
-      {525085.2, 276207.5, sim::Micros(2785), sim::Micros(755)},
-      {536024.5, 282335.0, sim::Micros(3113), sim::Micros(924)},
-  };
-  return c;
-}
-
-/**
  * Steps the simulator in 1ms slices until the future resolves; aborts
  * the bench if the simulated clock reaches `deadline` first.
  */
@@ -91,7 +59,8 @@ struct BenchWorld {
           net.AddMachine("client-" + std::to_string(i)));
     }
     server = std::make_unique<core::ReflexServer>(
-        sim, net, server_machine, device, CalibrationA(), options);
+        sim, net, server_machine, device, flash::CannedCalibrationA(),
+        options);
   }
 
   /** Steps the simulator until the future resolves; see bench::Await. */

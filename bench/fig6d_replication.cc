@@ -71,7 +71,7 @@ ConfigResult RunConfig(int num_shards, int replication) {
 
   cluster::FlashClusterOptions options;
   options.num_shards = num_shards;
-  options.calibration = bench::CalibrationA();
+  options.calibration = flash::CannedCalibrationA();
   options.shard_map.replication = replication;
   // Mixed LC load: the default burst allowance cannot absorb runs of
   // 10-token writes without queueing the tenant's reads behind them

@@ -37,7 +37,7 @@ double RunPoint(int num_shards, double* worst_shard_p95_us) {
 
   cluster::FlashClusterOptions options;
   options.num_shards = num_shards;
-  options.calibration = bench::CalibrationA();
+  options.calibration = flash::CannedCalibrationA();
   cluster::FlashCluster flash_cluster(sim, net, options);
 
   // One cluster-wide LC reservation covering the whole offered load;

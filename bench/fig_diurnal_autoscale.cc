@@ -89,7 +89,7 @@ ModeResult RunMode(bool autoscale) {
 
   cluster::FlashClusterOptions options;
   options.num_shards = kNumShards;
-  options.calibration = bench::CalibrationA();
+  options.calibration = flash::CannedCalibrationA();
   // Landing slots for the repack: packing all 64 hot stripes onto one
   // shard parks 48 overrides there.
   options.shard_map.migration_slots = 64;
@@ -137,8 +137,8 @@ ModeResult RunMode(bool autoscale) {
     // Thresholds in token-utilization terms (capacity 547k tokens/s,
     // ~2 tokens per op at this size and read mix): grow past ~33k
     // ops/s on any active shard, shrink below ~22k ops/s on all of
-    // them (damped by shrink_persistence against flapping in the
-    // band right after a grow).
+    // them (damped by the autoscaler's three-period shrink persistence
+    // against flapping in the band right after a grow).
     aopts.high_utilization = 0.12;
     aopts.low_utilization = 0.08;
     aopts.hot_first_stripe = 0;

@@ -28,23 +28,8 @@ class GraphEngine {
     /** Page-cache capacity (kept small so edges come from Flash). */
     uint32_t cache_pages = 512;
 
-    /** Maximum outstanding Flash reads (SAFS I/O depth). */
-    int io_slots = 128;
-
     /** Parallel worker coroutines for vertex-parallel algorithms. */
     int workers = 32;
-
-    /**
-     * Modeled compute cost per edge scanned / vertex processed.
-     * FlashX-style engines are compute/memory heavy per edge (vertex
-     * program dispatch, message handling), which is why the paper sees
-     * only 15-40% slowdown even on iSCSI.
-     */
-    sim::TimeNs cpu_per_edge = sim::TimeNs(500);
-    sim::TimeNs cpu_per_vertex = sim::TimeNs(500);
-
-    /** Accumulated compute is charged in slices of this size. */
-    sim::TimeNs cpu_slice = sim::Micros(20);
   };
 
   /** Outcome of one algorithm run. */
@@ -111,9 +96,6 @@ class GraphEngine {
   sim::Task SccTask(sim::Promise<AlgoStats> promise);
   /** Fire-and-forget adjacency prefetch (DFS lookahead). */
   sim::Task PrefetchAdjacency(bool reverse, uint32_t v);
-
-  /** Charges accumulated compute once it exceeds the slice size. */
-  sim::TimeNs ChargeThreshold() const { return options_.cpu_slice; }
 
   sim::Simulator& sim_;
   client::StorageBackend& backend_;

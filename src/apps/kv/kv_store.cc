@@ -11,6 +11,17 @@ namespace reflex::apps::kv {
 namespace {
 constexpr uint64_t kIoChunk = 256 * 1024;
 
+/** L0 table count at which writers stall until compaction ends
+ * (RocksDB's level0_stop_writes_trigger). */
+constexpr int kL0StallTrigger = 8;
+
+constexpr int kBloomBitsPerKey = 10;
+
+// Modeled CPU costs.
+constexpr sim::TimeNs kCpuPerGet = sim::Micros(8.0);
+constexpr sim::TimeNs kCpuPerPut = sim::Micros(3.0);
+constexpr sim::TimeNs kCpuPerCompactionEntry = 250;
+
 uint64_t AlignUp4K(uint64_t v) { return (v + 4095) / 4096 * 4096; }
 }  // namespace
 
@@ -82,7 +93,7 @@ sim::Task KvStore::PutTask(std::string key, std::string value,
   } else {
     ++stats_.puts;
   }
-  co_await sim::Delay(sim_, options_.cpu_per_put);
+  co_await sim::Delay(sim_, kCpuPerPut);
 
   // WAL append: stage the record into the current 4KB WAL block and
   // rewrite that block in place (fdatasync-per-write semantics).
@@ -149,8 +160,7 @@ sim::Task KvStore::FlushTask(sim::VoidPromise promise) {
   }
   // RocksDB-style write stall: too many L0 tables => wait for the
   // background compaction to catch up before flushing more.
-  while (static_cast<int>(l0_.size()) >= options_.l0_stall_trigger &&
-         compacting_) {
+  while (static_cast<int>(l0_.size()) >= kL0StallTrigger && compacting_) {
     sim::VoidPromise waiter(sim_);
     auto waiter_future = waiter.GetFuture();
     compaction_waiters_.push_back(std::move(waiter));
@@ -203,7 +213,7 @@ sim::Task KvStore::WriteTable(std::vector<KvEntry> entries,
                               sim::Promise<TableRef> promise) {
   auto meta = std::make_shared<SSTableMeta>();
   std::vector<uint8_t> image =
-      BuildSSTableImage(entries, options_.bloom_bits_per_key, meta.get());
+      BuildSSTableImage(entries, kBloomBitsPerKey, meta.get());
   meta->id = next_table_id_++;
   meta->extent_bytes = AlignUp4K(image.size());
   meta->extent_offset = AllocateExtent(meta->extent_bytes);
@@ -288,8 +298,7 @@ sim::Task KvStore::CompactTask(sim::VoidPromise promise) {
     total_entries += static_cast<int64_t>(entries.size());
     stats_.bytes_compacted += static_cast<int64_t>(t->data_bytes);
   }
-  co_await sim::Delay(
-      sim_, options_.cpu_per_compaction_entry * total_entries);
+  co_await sim::Delay(sim_, kCpuPerCompactionEntry * total_entries);
 
   // Split the merged run into ~8MB L1 tables.
   constexpr uint64_t kTargetTableBytes = 8ULL << 20;
@@ -341,7 +350,7 @@ sim::Future<GetResult> KvStore::Get(std::string key) {
 sim::Task KvStore::GetTask(std::string key,
                            sim::Promise<GetResult> promise) {
   ++stats_.gets;
-  co_await sim::Delay(sim_, options_.cpu_per_get);
+  co_await sim::Delay(sim_, kCpuPerGet);
 
   GetResult result;
   // Memtable, then the memtable being flushed (checked synchronously:

@@ -47,20 +47,11 @@ class KvStore {
     /** L0 table count triggering compaction into L1. */
     int l0_compaction_trigger = 4;
 
-    /** L0 table count at which writers stall until compaction ends
-     * (RocksDB's level0_stop_writes_trigger). */
-    int l0_stall_trigger = 8;
-
     /** Block cache capacity (4KB blocks). */
     uint32_t block_cache_blocks = 1024;
 
-    int bloom_bits_per_key = 10;
-
-    // Modeled CPU costs.
-    sim::TimeNs cpu_per_get = sim::Micros(8.0);
-    sim::TimeNs cpu_per_put = sim::Micros(3.0);
+    /** Modeled CPU cost of searching one data block. */
     sim::TimeNs cpu_per_block_search = sim::Micros(2.0);
-    sim::TimeNs cpu_per_compaction_entry = sim::TimeNs(250);
   };
 
   struct Stats {

@@ -7,6 +7,16 @@
 
 namespace reflex::baseline {
 
+namespace {
+
+/** Submission-path kernel cost (syscall + bio + blk-mq + doorbell). */
+constexpr sim::TimeNs kSubmitCost = sim::Micros(4.5);
+
+/** Completion-path kernel cost (irq handler + blk-mq + wake). */
+constexpr sim::TimeNs kCompleteCost = sim::Micros(5.0);
+
+}  // namespace
+
 LocalNvmeDriver::LocalNvmeDriver(sim::Simulator& sim,
                                  flash::FlashDevice& device,
                                  Options options)
@@ -33,7 +43,7 @@ sim::Task LocalNvmeDriver::DoIo(int ctx_index, bool is_read, uint64_t lba,
   Context& ctx = contexts_[ctx_index];
 
   const sim::TimeNs submit_start = std::max(sim_.Now(), ctx.submit_free);
-  ctx.submit_free = submit_start + options_.submit_cost;
+  ctx.submit_free = submit_start + kSubmitCost;
   co_await sim::Delay(sim_, ctx.submit_free - sim_.Now());
 
   flash::FlashCommand cmd;
@@ -57,7 +67,7 @@ sim::Task LocalNvmeDriver::DoIo(int ctx_index, bool is_read, uint64_t lba,
       rng_.NextDouble() * static_cast<double>(options_.irq_coalesce_max));
   const sim::TimeNs rx_start =
       std::max(sim_.Now() + irq, ctx.complete_free);
-  ctx.complete_free = rx_start + options_.complete_cost;
+  ctx.complete_free = rx_start + kCompleteCost;
   co_await sim::Delay(sim_, ctx.complete_free - sim_.Now());
 
   client::IoResult result;

@@ -26,12 +26,6 @@ class LocalNvmeDriver : public DeviceSession {
     /** blk-mq hardware contexts (application threads). */
     int num_contexts = 5;
 
-    /** Submission-path kernel cost (syscall + bio + blk-mq + doorbell). */
-    sim::TimeNs submit_cost = sim::Micros(4.5);
-
-    /** Completion-path kernel cost (irq handler + blk-mq + wake). */
-    sim::TimeNs complete_cost = sim::Micros(5.0);
-
     /** Interrupt coalescing window (matches the testbed's 20us). */
     sim::TimeNs irq_coalesce_max = sim::Micros(20);
 

@@ -8,6 +8,19 @@
 
 namespace reflex::client {
 
+namespace {
+
+/** bio + blk-mq submission-path CPU cost per request. */
+constexpr sim::TimeNs kBlockSubmitCost = sim::Micros(3.0);
+
+/** blk-mq completion-path CPU cost per request. */
+constexpr sim::TimeNs kBlockCompleteCost = sim::Micros(2.0);
+
+/** Application wakeup after completion (blocking callers). */
+constexpr sim::TimeNs kAppWakeup = sim::Micros(4.0);
+
+}  // namespace
+
 BlockDevice::BlockDevice(sim::Simulator& sim, core::ReflexServer& server,
                          net::Machine* machine, uint32_t tenant_handle,
                          Options options)
@@ -113,7 +126,7 @@ sim::Task BlockDevice::DoChunk(int ctx_index, bool is_read, uint64_t lba,
       is_read ? core::kRequestHeaderBytes
               : core::kRequestHeaderBytes + sectors * core::kSectorBytes;
   const sim::TimeNs submit_cost =
-      options_.block_submit_cost + options_.stack.TxCost(wire_tx);
+      kBlockSubmitCost + options_.stack.TxCost(wire_tx);
   const sim::TimeNs submit_start = std::max(sim_.Now(), ctx.core_free);
   ctx.core_free = submit_start + submit_cost;
   co_await sim::Delay(sim_, ctx.core_free - sim_.Now());
@@ -124,25 +137,7 @@ sim::Task BlockDevice::DoChunk(int ctx_index, bool is_read, uint64_t lba,
   } else {
     r = co_await session_->Write(lba, sectors, data, ctx_index);
   }
-  // blk-mq requeue: transient failures (device error, allocation
-  // pressure, timeout) put the request back on the hardware context
-  // after a delay; permanent errors (bad range, no such tenant) are
-  // completed with the error immediately.
-  int requeues_left = options_.max_requeues;
-  while (!r.ok() && requeues_left > 0 &&
-         (r.status == core::ReqStatus::kDeviceError ||
-          r.status == core::ReqStatus::kOutOfResources ||
-          r.status == core::ReqStatus::kTimedOut ||
-          r.status == core::ReqStatus::kUnknownOutcome)) {
-    --requeues_left;
-    ++requeues_;
-    co_await sim::Delay(sim_, options_.requeue_delay);
-    if (is_read) {
-      r = co_await session_->Read(lba, sectors, data, ctx_index);
-    } else {
-      r = co_await session_->Write(lba, sectors, data, ctx_index);
-    }
-  }
+  // A failed chunk fails the whole request with its status.
   if (!r.ok()) *status_out = r.status;
 
   // Completion path: interrupt delivery, then the context's completion
@@ -151,7 +146,7 @@ sim::Task BlockDevice::DoChunk(int ctx_index, bool is_read, uint64_t lba,
   const sim::TimeNs after_irq =
       sim_.Now() + options_.stack.SampleDeliveryDelay(rng_);
   const sim::TimeNs rx_cost =
-      options_.stack.RxCost(payload) + options_.block_complete_cost;
+      options_.stack.RxCost(payload) + kBlockCompleteCost;
   const sim::TimeNs rx_start = std::max(after_irq, ctx.core_free);
   ctx.core_free = rx_start + rx_cost;
   co_await sim::Delay(sim_, ctx.core_free - sim_.Now());
@@ -164,7 +159,7 @@ sim::Task BlockDevice::JoinChunks(std::shared_ptr<sim::Barrier> barrier,
                                   sim::TimeNs issue_time,
                                   sim::Promise<IoResult> promise) {
   co_await barrier->Done();
-  co_await sim::Delay(sim_, options_.app_wakeup);
+  co_await sim::Delay(sim_, kAppWakeup);
   IoResult result;
   result.status = *status;
   result.issue_time = issue_time;

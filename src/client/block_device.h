@@ -37,31 +37,10 @@ class BlockDevice : public StorageBackend {
     /** Kernel socket stack model for the per-context connection. */
     net::StackCosts stack = net::StackCosts::LinuxEpoll();
 
-    /** bio + blk-mq submission-path CPU cost per request. */
-    sim::TimeNs block_submit_cost = sim::Micros(3.0);
-
-    /** blk-mq completion-path CPU cost per request. */
-    sim::TimeNs block_complete_cost = sim::Micros(2.0);
-
-    /** Application wakeup after completion (blocking callers). */
-    sim::TimeNs app_wakeup = sim::Micros(4.0);
-
     /** Requests larger than this are split (Linux max_sectors_kb). */
     uint32_t max_request_sectors = 512;  // 256KB
 
     uint64_t seed = 21;
-
-    /**
-     * blk-mq error handling: requeue a chunk that failed with a
-     * transient status (kDeviceError / kOutOfResources / kTimedOut /
-     * kUnknownOutcome) up to this many times before completing the
-     * request with the error. Re-issuing a kUnknownOutcome write is
-     * the block layer's call to make, not the client library's: blk-mq
-     * owns request ordering, and replaying identical sector contents
-     * is idempotent at this layer. 0 (default) disables requeueing.
-     */
-    int max_requeues = 0;
-    sim::TimeNs requeue_delay = sim::Micros(100);
 
     /** Failure policy forwarded to the underlying client library. */
     ReflexClient::RetryPolicy retry;
@@ -99,8 +78,6 @@ class BlockDevice : public StorageBackend {
   int64_t writes_completed() const { return writes_completed_; }
   int64_t bytes_read() const { return bytes_read_; }
   int64_t bytes_written() const { return bytes_written_; }
-  /** Chunks re-issued after a transient failure. */
-  int64_t requeues() const { return requeues_; }
 
   /** The underlying user-level client (fault counters live there). */
   ReflexClient& client() { return *client_; }
@@ -135,7 +112,6 @@ class BlockDevice : public StorageBackend {
   int64_t writes_completed_ = 0;
   int64_t bytes_read_ = 0;
   int64_t bytes_written_ = 0;
-  int64_t requeues_ = 0;
 };
 
 }  // namespace reflex::client

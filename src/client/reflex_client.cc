@@ -235,12 +235,14 @@ void ReflexClient::RecycleBuffer(uint32_t sectors, core::Payload buffer) {
 }
 
 sim::TimeNs ReflexClient::BackoffDelay(int attempt) const {
+  // Upper bound of the exponential retransmission backoff.
+  constexpr sim::TimeNs kBackoffCap = sim::Millis(5);
   // attempt is the retransmission ordinal (1 = first retry).
   sim::TimeNs delay = options_.retry.backoff_base;
-  for (int i = 1; i < attempt && delay < options_.retry.backoff_cap; ++i) {
+  for (int i = 1; i < attempt && delay < kBackoffCap; ++i) {
     delay *= 2;
   }
-  return std::min(delay, options_.retry.backoff_cap);
+  return std::min(delay, kBackoffCap);
 }
 
 void ReflexClient::ArmTimeout(uint64_t cookie, int attempt,
@@ -383,8 +385,7 @@ void ReflexClient::OnResponse(const core::ResponseMsg& resp) {
     conn_timeouts_[live.conn_index] = 0;
     // Transient server-side refusals: retry idempotent reads before
     // surfacing the error.
-    if (options_.retry.retry_on_error &&
-        live.type == core::ReqType::kRead &&
+    if (live.type == core::ReqType::kRead &&
         (resp.status == core::ReqStatus::kDeviceError ||
          resp.status == core::ReqStatus::kOutOfResources) &&
         live.attempts <= options_.retry.max_retries) {

@@ -121,12 +121,12 @@ class ReflexClient {
   struct RetryPolicy {
     /** 0 disables timeouts and all retry machinery. */
     sim::TimeNs request_timeout = 0;
-    /** Retransmissions per read on timeout or transient error. */
+    /** Retransmissions per read on timeout or on a kDeviceError /
+     * kOutOfResources reply. */
     int max_retries = 0;
+    /** First retransmission delay; each later one doubles it, up to
+     * a fixed 5 ms cap. */
     sim::TimeNs backoff_base = sim::Micros(100);
-    sim::TimeNs backoff_cap = sim::Millis(5);
-    /** Also retry reads on kDeviceError / kOutOfResources replies. */
-    bool retry_on_error = true;
     /** Consecutive timeouts on one connection before reconnecting. */
     int reconnect_after_timeouts = 3;
   };

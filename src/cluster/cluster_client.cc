@@ -456,16 +456,23 @@ void ClusterClient::ObserveHint(int shard, uint32_t depth) {
 }
 
 double ClusterClient::EffectiveQueueDepth(int shard) const {
+  // Hint decay horizon: a shard's queue-depth hint interpolates
+  // linearly back to kHintPrior over this window since the last
+  // response from that shard, so a silent (possibly dead) shard
+  // neither repels nor attracts reads forever on stale evidence.
+  constexpr sim::TimeNs kHintStaleAfter = sim::Micros(500);
+  // Queue depth assumed for shards with no (fresh) hint.
+  constexpr double kHintPrior = 0.0;
   const HintState& h = hints_[static_cast<size_t>(shard)];
-  if (!h.seen) return options_.hint_prior;
+  if (!h.seen) return kHintPrior;
   const sim::TimeNs age = cluster_.sim().Now() - h.at;
-  if (age >= options_.hint_stale_after) return options_.hint_prior;
+  if (age >= kHintStaleAfter) return kHintPrior;
   // Linear decay from the observed depth back to the prior: fresh
   // hints dominate, stale ones fade instead of pinning a dead shard's
   // last-known load forever.
-  const double f = static_cast<double>(age) /
-                   static_cast<double>(options_.hint_stale_after);
-  return h.depth + (options_.hint_prior - h.depth) * f;
+  const double f =
+      static_cast<double>(age) / static_cast<double>(kHintStaleAfter);
+  return h.depth + (kHintPrior - h.depth) * f;
 }
 
 void ClusterClient::MarkDirty(int shard, uint64_t version) {

@@ -219,17 +219,6 @@ class ClusterClient {
     /** Read steering over replicas (ignored at replication == 1,
      * where every policy degenerates to the primary). */
     SteeringPolicy steering = SteeringPolicy::kPrimaryOnly;
-
-    /**
-     * Hint decay horizon: a shard's queue-depth hint interpolates
-     * linearly back to `hint_prior` over this window since the last
-     * response from that shard, so a silent (possibly dead) shard
-     * neither repels nor attracts reads forever on stale evidence.
-     */
-    sim::TimeNs hint_stale_after = sim::Micros(500);
-
-    /** Queue depth assumed for shards with no (fresh) hint. */
-    double hint_prior = 0.0;
   };
 
   ClusterClient(FlashCluster& cluster, net::Machine* machine,
@@ -276,8 +265,8 @@ class ClusterClient {
 
   /**
    * Current steering estimate of `shard`'s queue depth: the last
-   * piggybacked hint, decayed linearly toward Options::hint_prior
-   * over Options::hint_stale_after.
+   * piggybacked hint, decayed linearly to zero over 500 us since the
+   * last response from that shard.
    */
   double EffectiveQueueDepth(int shard) const;
 

@@ -9,6 +9,30 @@
 
 namespace reflex::cluster {
 
+namespace {
+
+/** Consecutive shrink-qualifying periods required before a shrink
+ * actually fires. Growing is eager (SLO pressure), shrinking is
+ * damped: one quiet sample right after a grow overshoot must not
+ * bounce the fleet straight back down. */
+constexpr int kShrinkPersistence = 3;
+
+/** Grow when any active shard's queue-depth hint exceeds this
+ * (catches SLO pressure the token signal lags on). */
+constexpr uint32_t kHighQueueDepth = 64;
+
+/** Grow whenever any active shard rejected at least this many
+ * requests on QoS (neg-limit hits) during the period. Rejects keep
+ * both other signals quiet -- served throughput plateaus and the
+ * queue stays short -- so without this an overloaded-but-rejecting
+ * fleet reads as healthy and never scales out. */
+constexpr int64_t kHighRejects = 1;
+
+/** Smallest active set, before the replication floor. */
+constexpr int kMinActive = 1;
+
+}  // namespace
+
 const char* AdmitKindName(AdmitResult::Kind kind) {
   switch (kind) {
     case AdmitResult::Kind::kAccepted:
@@ -116,8 +140,8 @@ sim::Task ClusterControlPlane::AutoscaleLoop() {
 
     // The active set never shrinks below the replication factor: every
     // hot stripe must keep R placements on R distinct shards.
-    const int floor_active = std::max(
-        {1, opts.min_active, cluster_.shard_map().replication()});
+    const int floor_active =
+        std::max(kMinActive, cluster_.shard_map().replication());
     int desired = active_shards_;
     // Rejects are the strongest grow signal: a shard throttling on its
     // token reservation serves a flat rate and keeps its queue short,
@@ -125,24 +149,23 @@ sim::Task ClusterControlPlane::AutoscaleLoop() {
     // bounces. Without this term an over-packed fleet is metastable --
     // it rejects forever and never scales out of the regime.
     if ((max_util > opts.high_utilization ||
-         max_depth > opts.high_queue_depth ||
-         max_rejects >= opts.high_rejects) &&
+         max_depth > kHighQueueDepth || max_rejects >= kHighRejects) &&
         active_shards_ < n) {
       desired = active_shards_ + 1;
       low_streak = 0;
     } else if (active_shards_ > floor_active &&
                (max_util < opts.low_utilization ||
                 sum_util / (active_shards_ - 1) < opts.high_utilization) &&
-               max_depth <= opts.high_queue_depth / 2 && max_rejects == 0) {
+               max_depth <= kHighQueueDepth / 2 && max_rejects == 0) {
       // Shrink when the fleet is idle (every shard below the low mark)
       // or when its summed load, packed onto one fewer shard, stays
       // under the grow mark. The second test is what sheds servers as
       // load falls after a peak: a per-shard low mark alone would wait
       // for the whole fleet to drop below N x low, although N - 1
       // shards carry up to (N - 1) x high without growing back.
-      // Shrinking is damped: only shrink_persistence such periods in a
+      // Shrinking is damped: only kShrinkPersistence such periods in a
       // row give up a server.
-      if (++low_streak >= opts.shrink_persistence) {
+      if (++low_streak >= kShrinkPersistence) {
         desired = active_shards_ - 1;
       }
     } else {

@@ -88,7 +88,7 @@ class ClusterControlPlane {
    * back onto fewer. Placement changes are ordinary live migrations
    * through the MigrationCoordinator, so scaling is hitless; the
    * active set never drops below the map's replication factor (every
-   * stripe keeps R distinct shards) nor below min_active.
+   * stripe keeps R distinct shards) nor below one shard.
    */
   struct AutoscalerOptions {
     sim::TimeNs period = sim::Millis(2);
@@ -98,21 +98,6 @@ class ClusterControlPlane {
      * fleet). A busier fleet also shrinks once its summed utilization
      * fits on one fewer shard below high_utilization. */
     double low_utilization = 0.30;
-    /** Consecutive shrink-qualifying periods required before a shrink
-     * actually fires. Growing is eager (SLO pressure), shrinking is
-     * damped: one quiet sample right after a grow overshoot must not
-     * bounce the fleet straight back down. */
-    int shrink_persistence = 3;
-    /** Grow when any active shard's queue-depth hint exceeds this
-     * (catches SLO pressure the token signal lags on). */
-    uint32_t high_queue_depth = 64;
-    /** Grow whenever any active shard rejected at least this many
-     * requests on QoS (neg-limit hits) during the period. Rejects keep
-     * both other signals quiet -- served throughput plateaus and the
-     * queue stays short -- so without this an overloaded-but-rejecting
-     * fleet reads as healthy and never scales out. */
-    int64_t high_rejects = 1;
-    int min_active = 1;
     /** Hot stripe range the active set serves; replica ordinal k of
      * stripe s is placed on active shard (s + k) mod active. */
     uint64_t hot_first_stripe = 0;

@@ -8,6 +8,28 @@
 
 namespace reflex::cluster {
 
+namespace {
+
+/** Retries per stripe copy (read + write) before the batch aborts. */
+constexpr int kMaxCopyRetries = 3;
+
+/** Stripe copies in flight at once. Copy traffic runs at best-effort
+ * priority, so on a busy source shard a sequential QD-1 stream
+ * stretches a rebalance across tens of milliseconds -- exactly when an
+ * autoscaler grow most needs it finished. */
+constexpr size_t kCopyConcurrency = 8;
+
+/** Dirty-recopy rounds before escalating to drain regardless. */
+constexpr int kMaxDirtyRounds = 3;
+
+/** Poll interval while waiting for in-flight writes to quiesce. */
+constexpr sim::TimeNs kDrainPollInterval = sim::Micros(20);
+
+/** Drain stall budget; exceeding it aborts the batch. */
+constexpr sim::TimeNs kDrainTimeout = sim::Millis(5);
+
+}  // namespace
+
 MigrationCoordinator::MigrationCoordinator(FlashCluster& cluster,
                                            net::Network& net, Options options)
     : cluster_(cluster),
@@ -48,8 +70,7 @@ sim::Task MigrationCoordinator::CopyWorker(MigrationAssignment a, int gate_id,
     gate->dirty = false;
   }
   bool copied = false;
-  for (int attempt = 0; attempt <= options_.max_copy_retries && !copied;
-       ++attempt) {
+  for (int attempt = 0; attempt <= kMaxCopyRetries && !copied; ++attempt) {
     if (attempt > 0) {
       co_await sim::Delay(sim, options_.retry.backoff_base);
     }
@@ -152,12 +173,11 @@ sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
   std::iota(work.begin(), work.end(), size_t{0});
 
   while (!work.empty() && !failed) {
-    // Fan the round out copy_concurrency stripes at a time, joining
+    // Fan the round out kCopyConcurrency stripes at a time, joining
     // each wave on a barrier before launching the next.
-    const auto width =
-        static_cast<size_t>(std::max(1, options_.copy_concurrency));
-    for (size_t base = 0; base < work.size() && !failed; base += width) {
-      const size_t wave = std::min(width, work.size() - base);
+    for (size_t base = 0; base < work.size() && !failed;
+         base += kCopyConcurrency) {
+      const size_t wave = std::min(kCopyConcurrency, work.size() - base);
       sim::Barrier barrier(sim, static_cast<int64_t>(wave));
       for (size_t j = 0; j < wave; ++j) {
         const size_t idx = work[base + j];
@@ -186,7 +206,7 @@ sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
         if (gate != nullptr && gate->dirty) work.push_back(i);
       }
     }
-    if (!work.empty() && !draining && rounds <= options_.max_dirty_rounds) {
+    if (!work.empty() && !draining && rounds <= kMaxDirtyRounds) {
       continue;  // another concurrent recopy round, writes still flow
     }
     if (!draining) {
@@ -199,7 +219,7 @@ sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
           gate->state = core::RangeGateState::kDraining;
         }
       }
-      // drain_timeout bounds *stall*, not total drain time: on a
+      // kDrainTimeout bounds *stall*, not total drain time: on a
       // backlogged source a counted write can sit behind a long token
       // queue, and an absolute deadline would abort every grow attempt
       // exactly when the fleet most needs one. As long as the in-flight
@@ -217,13 +237,13 @@ sim::Task MigrationCoordinator::RunBatch(std::vector<MigrationAssignment> plan,
         if (inflight == 0) break;
         if (first || inflight < last_inflight) {
           stalled = 0;
-        } else if (stalled >= options_.drain_timeout) {
+        } else if (stalled >= kDrainTimeout) {
           failed = true;  // a counted write never completed; bail out
           break;
         }
         last_inflight = inflight;
-        co_await sim::Delay(sim, options_.drain_poll_interval);
-        stalled += options_.drain_poll_interval;
+        co_await sim::Delay(sim, kDrainPollInterval);
+        stalled += kDrainPollInterval;
       }
       if (failed) break;
       // One last pass over anything dirtied between the last recopy

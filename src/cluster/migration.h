@@ -56,19 +56,6 @@ namespace reflex::cluster {
 class MigrationCoordinator {
  public:
   struct Options {
-    /** Attempts per stripe copy I/O before the batch aborts. */
-    int max_copy_retries = 3;
-    /** Stripe copies in flight at once. Copy traffic runs at
-     * best-effort priority, so on a busy source shard a sequential
-     * QD-1 stream stretches a rebalance across tens of milliseconds --
-     * exactly when an autoscaler grow most needs it finished. */
-    int copy_concurrency = 8;
-    /** Dirty-recopy rounds before escalating to drain regardless. */
-    int max_dirty_rounds = 3;
-    /** Poll interval while waiting for in-flight writes to quiesce. */
-    sim::TimeNs drain_poll_interval = sim::Micros(20);
-    /** Drain wait budget; exceeding it aborts the batch. */
-    sim::TimeNs drain_timeout = sim::Millis(5);
     /** Shape of the coordinator's per-shard copy clients. Timeouts
      * must stay enabled so a dead shard aborts the batch instead of
      * parking it forever. */

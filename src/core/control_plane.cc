@@ -8,6 +8,23 @@
 
 namespace reflex::core {
 
+namespace {
+
+/** Thread-count scaling thresholds of the load monitor: add a thread
+ * when the busiest one exceeds kScaleUpUtilization, remove one when
+ * the mean falls below kScaleDownUtilization. */
+constexpr double kScaleUpUtilization = 0.90;
+constexpr double kScaleDownUtilization = 0.20;
+
+/**
+ * Fraction of non-kOk responses (per monitor window) above which the
+ * control plane starts shedding BE load; shedding stops once the rate
+ * falls below half this threshold (hysteresis).
+ */
+constexpr double kErrorShedFraction = 0.05;
+
+}  // namespace
+
 ControlPlane::ControlPlane(ReflexServer& server) : server_(server) {}
 
 ControlPlane::~ControlPlane() {
@@ -109,7 +126,7 @@ void ControlPlane::RecomputeRates() {
   // Shed best-effort load while the device is browned out or errors
   // are elevated: LC reservations are untouched, BE tenants are
   // throttled to a trickle until the fault clears.
-  if (be_shed_active()) be_share *= server_.options().be_shed_factor;
+  if (be_shed_active()) be_share *= kBeShedFactor;
   server_.shared().be_token_rate = be_share;
 }
 
@@ -243,13 +260,12 @@ void ControlPlane::UpdateErrorRates(sim::TimeNs window) {
   if (resp_delta <= 0) return;
   const double fraction =
       static_cast<double>(err_delta) / static_cast<double>(resp_delta);
-  const double threshold = server_.options().error_shed_fraction;
   // Hysteresis: engage above the threshold, disengage below half of
   // it, so the shed decision does not flap around the boundary.
-  if (!error_shed_ && fraction > threshold) {
+  if (!error_shed_ && fraction > kErrorShedFraction) {
     error_shed_ = true;
     RecomputeRates();
-  } else if (error_shed_ && fraction < threshold / 2.0) {
+  } else if (error_shed_ && fraction < kErrorShedFraction / 2.0) {
     error_shed_ = false;
     RecomputeRates();
   }
@@ -281,11 +297,10 @@ sim::Task ControlPlane::MonitorLoop() {
       max_util = std::max(max_util, util);
       total_util += util;
     }
-    if (max_util > server_.options().scale_up_utilization &&
+    if (max_util > kScaleUpUtilization &&
         n < server_.options().max_threads) {
       ScaleTo(n + 1);
-    } else if (n > 1 &&
-               total_util / n < server_.options().scale_down_utilization) {
+    } else if (n > 1 && total_util / n < kScaleDownUtilization) {
       ScaleTo(n - 1);
     }
   }

@@ -30,6 +30,14 @@ class ReflexServer;
  */
 class ControlPlane {
  public:
+  /**
+   * Multiplier applied to the best-effort token share while the
+   * control plane sheds load (device brownout or elevated error
+   * rate). 0.1 keeps BE tenants barely alive so their queues drain
+   * once the fault clears.
+   */
+  static constexpr double kBeShedFactor = 0.1;
+
   explicit ControlPlane(ReflexServer& server);
   ~ControlPlane();
 
@@ -89,7 +97,7 @@ class ControlPlane {
   /**
    * Fault-plan notification: a device brownout window opened (active)
    * or closed. While any brownout is open the control plane sheds
-   * best-effort load (token share scaled by be_shed_factor) so LC
+   * best-effort load (token share scaled by kBeShedFactor) so LC
    * tenants keep their reservations on the degraded device.
    */
   void OnBrownout(bool active);

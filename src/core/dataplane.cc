@@ -9,6 +9,56 @@
 
 namespace reflex::core {
 
+namespace {
+
+// CPU cost constants of the ReFlex dataplane (calibrated in DESIGN.md
+// section 5 to reproduce 850K IOPS/core, ~20% of cycles in TCP, and
+// 2-8% in QoS scheduling).
+
+/** Fixed cost of one polling iteration that found work. */
+constexpr sim::TimeNs kPollFixed = 600;
+
+/** TCP/IP receive processing per message. */
+constexpr sim::TimeNs kTcpRxPerMsg = 130;
+
+/** Message parse + access-control + protocol handling per request
+ * (libix event dispatch plus the user-level server code). */
+constexpr sim::TimeNs kParsePerMsg = 380;
+
+/** Per-request QoS admission check (token spend). */
+constexpr sim::TimeNs kSchedAdmissionPerReq = 50;
+
+/** Per-request NVMe submission (command build + doorbell). */
+constexpr sim::TimeNs kSubmitPerReq = 150;
+
+/** NVMe completion handling per request. */
+constexpr sim::TimeNs kCompletionPerReq = 300;
+
+/** TCP/IP transmit processing per response. */
+constexpr sim::TimeNs kTcpTxPerMsg = 130;
+
+/** QoS scheduling round: fixed + per-tenant cost. */
+constexpr sim::TimeNs kSchedRoundBase = 300;
+constexpr sim::TimeNs kSchedPerTenant = 60;
+
+/**
+ * When tenants have queued demand waiting for tokens and the thread
+ * would otherwise idle, the thread re-runs the scheduler after this
+ * fixed delay (ArmRescheduleTimer). Nothing scales it to the tenants'
+ * SLOs.
+ */
+constexpr sim::TimeNs kIdleReschedDelay = sim::Micros(5);
+
+/**
+ * LLC pressure model (Figure 6c): effective last-level-cache budget
+ * for connection state on this thread, and the extra per-message
+ * cost when all state misses.
+ */
+constexpr int64_t kLlcBytes = int64_t{7} * 1024 * 1024;
+constexpr sim::TimeNs kLlcMissPenaltyPerMsg = 350;
+
+}  // namespace
+
 uint32_t ServerConnection::Park(RequestMsg msg) {
   return server_->parked_requests_.Add(std::move(msg));
 }
@@ -28,28 +78,29 @@ DataplaneThread::DataplaneThread(sim::Simulator& sim, ReflexServer& server,
                                  int index, flash::FlashDevice& device,
                                  SchedulerShared& shared,
                                  const RequestCostModel& cost_model,
-                                 const DataplaneConfig& config,
                                  QosScheduler::Config qos_config)
     : sim_(sim),
       server_(server),
       index_(index),
       device_(device),
       qp_(device.AllocQueuePair()),
-      config_(config),
+      max_batch_(server.options().max_batch),
+      // Datagram processing skips stream reassembly, ACK generation and
+      // congestion-control bookkeeping: roughly half the per-message
+      // protocol cost (section 4.1: a lighter transport improves both
+      // tail latency and throughput).
+      rx_per_msg_(server.options().transport == net::Transport::kUdp
+                      ? kTcpRxPerMsg / 2
+                      : kTcpRxPerMsg),
+      tx_per_msg_(server.options().transport == net::Transport::kUdp
+                      ? kTcpTxPerMsg / 2
+                      : kTcpTxPerMsg),
       scheduler_(shared, cost_model, qos_config) {
   if (qp_ == nullptr) {
     REFLEX_FATAL("device out of hardware queue pairs for thread %d", index);
   }
-  if (server.options().transport == net::Transport::kUdp) {
-    // Datagram processing skips stream reassembly, ACK generation and
-    // congestion-control bookkeeping: roughly half the per-message
-    // protocol cost (section 4.1: a lighter transport improves both
-    // tail latency and throughput).
-    config_.tcp_rx_per_msg /= 2;
-    config_.tcp_tx_per_msg /= 2;
-  }
-  rx_batch_.reserve(static_cast<size_t>(config_.max_batch));
-  cq_batch_.reserve(static_cast<size_t>(config_.max_batch));
+  rx_batch_.reserve(static_cast<size_t>(max_batch_));
+  cq_batch_.reserve(static_cast<size_t>(max_batch_));
   scheduler_.set_neg_limit_callback(
       [this](Tenant& t) { server_.control_plane().OnNegLimit(t); });
   scheduler_.set_metrics(
@@ -130,7 +181,7 @@ void DataplaneThread::Wake() {
 void DataplaneThread::ArmRescheduleTimer() {
   if (resched_armed_) return;
   resched_armed_ = true;
-  resched_timer_ = sim_.ScheduleAfter(config_.idle_resched_delay, [this] {
+  resched_timer_ = sim_.ScheduleAfter(kIdleReschedDelay, [this] {
     resched_armed_ = false;
     if (running_) Wake();
   });
@@ -143,8 +194,8 @@ double DataplaneThread::LlcFactor() const {
           : net::TcpConnection::kUdpStateBytes;
   const int64_t state_bytes =
       static_cast<int64_t>(server_.NumConnections()) * per_conn;
-  if (state_bytes <= config_.llc_bytes) return 0.0;
-  return 1.0 - static_cast<double>(config_.llc_bytes) /
+  if (state_bytes <= kLlcBytes) return 0.0;
+  return 1.0 - static_cast<double>(kLlcBytes) /
                    static_cast<double>(state_bytes);
 }
 
@@ -164,32 +215,31 @@ sim::Task DataplaneThread::RunLoop() {
     }
 
     // --- Gather this iteration's batch (adaptive, capped at 64) ---
-    const int nrx = std::min<int>(static_cast<int>(rx_ring_.size()),
-                                  config_.max_batch);
-    const int ncq = std::min<int>(static_cast<int>(cq_ring_.size()),
-                                  config_.max_batch);
+    const int nrx =
+        std::min<int>(static_cast<int>(rx_ring_.size()), max_batch_);
+    const int ncq =
+        std::min<int>(static_cast<int>(cq_ring_.size()), max_batch_);
     for (int i = 0; i < nrx; ++i) rx_batch_.push_back(rx_ring_.pop_front());
     for (int i = 0; i < ncq; ++i) cq_batch_.push_back(cq_ring_.pop_front());
 
     // --- Charge this iteration's CPU time ---
     const auto llc_extra = static_cast<sim::TimeNs>(
-        LlcFactor() *
-        static_cast<double>(config_.llc_miss_penalty_per_msg));
+        LlcFactor() * static_cast<double>(kLlcMissPenaltyPerMsg));
     sim::TimeNs tcp_cost = 0;
     sim::TimeNs flash_cost = 0;
     sim::TimeNs parse_cost = 0;
-    tcp_cost += nrx * (config_.tcp_rx_per_msg + llc_extra);
-    parse_cost += nrx * config_.parse_per_msg;
-    flash_cost += nrx * config_.submit_per_req;
-    flash_cost += ncq * config_.completion_per_req;
-    tcp_cost += ncq * (config_.tcp_tx_per_msg + llc_extra);
-    sim::TimeNs sched_cost = nrx * config_.sched_admission_per_req;
+    tcp_cost += nrx * (rx_per_msg_ + llc_extra);
+    parse_cost += nrx * kParsePerMsg;
+    flash_cost += nrx * kSubmitPerReq;
+    flash_cost += ncq * kCompletionPerReq;
+    tcp_cost += ncq * (tx_per_msg_ + llc_extra);
+    sim::TimeNs sched_cost = nrx * kSchedAdmissionPerReq;
     if (scheduler_.NumTenants() > 0) {
-      sched_cost += config_.sched_round_base +
-                    scheduler_.NumTenants() * config_.sched_per_tenant;
+      sched_cost +=
+          kSchedRoundBase + scheduler_.NumTenants() * kSchedPerTenant;
     }
     const sim::TimeNs total =
-        config_.poll_fixed + tcp_cost + parse_cost + flash_cost + sched_cost;
+        kPollFixed + tcp_cost + parse_cost + flash_cost + sched_cost;
     co_await sim::Delay(sim_, total);
 
     stats_.busy_ns += total;

@@ -72,57 +72,6 @@ class ServerConnection {
   std::string client_name_;
 };
 
-/**
- * CPU cost constants of the ReFlex dataplane (calibrated in DESIGN.md
- * section 5 to reproduce 850K IOPS/core, ~20% of cycles in TCP, and
- * 2-8% in QoS scheduling).
- */
-struct DataplaneConfig {
-  /** Fixed cost of one polling iteration that found work. */
-  sim::TimeNs poll_fixed = sim::TimeNs(600);
-
-  /** TCP/IP receive processing per message. */
-  sim::TimeNs tcp_rx_per_msg = sim::TimeNs(130);
-
-  /** Message parse + access-control + protocol handling per request
-   * (libix event dispatch plus the user-level server code). */
-  sim::TimeNs parse_per_msg = sim::TimeNs(380);
-
-  /** Per-request QoS admission check (token spend). */
-  sim::TimeNs sched_admission_per_req = sim::TimeNs(50);
-
-  /** Per-request NVMe submission (command build + doorbell). */
-  sim::TimeNs submit_per_req = sim::TimeNs(150);
-
-  /** NVMe completion handling per request. */
-  sim::TimeNs completion_per_req = sim::TimeNs(300);
-
-  /** TCP/IP transmit processing per response. */
-  sim::TimeNs tcp_tx_per_msg = sim::TimeNs(130);
-
-  /** QoS scheduling round: fixed + per-tenant cost. */
-  sim::TimeNs sched_round_base = sim::TimeNs(300);
-  sim::TimeNs sched_per_tenant = sim::TimeNs(60);
-
-  /** Adaptive batching cap (paper: 64). */
-  int max_batch = 64;
-
-  /**
-   * When demand waits for tokens and the thread would otherwise idle,
-   * re-run the scheduler after this delay. The control plane bounds it
-   * to 5% of the strictest SLO (section 3.2.2).
-   */
-  sim::TimeNs idle_resched_delay = sim::Micros(5);
-
-  /**
-   * LLC pressure model (Figure 6c): effective last-level-cache budget
-   * for connection state on this thread, and the extra per-message
-   * cost when all state misses.
-   */
-  int64_t llc_bytes = int64_t{7} * 1024 * 1024;
-  sim::TimeNs llc_miss_penalty_per_msg = sim::TimeNs(350);
-};
-
 /** Cycle-accounting counters for one dataplane thread (section 5.3). */
 struct DataplaneStats {
   int64_t iterations = 0;
@@ -150,7 +99,6 @@ class DataplaneThread {
   DataplaneThread(sim::Simulator& sim, ReflexServer& server, int index,
                   flash::FlashDevice& device, SchedulerShared& shared,
                   const RequestCostModel& cost_model,
-                  const DataplaneConfig& config,
                   QosScheduler::Config qos_config);
   ~DataplaneThread();
 
@@ -173,7 +121,6 @@ class DataplaneThread {
   int index() const { return index_; }
   QosScheduler& scheduler() { return scheduler_; }
   const DataplaneStats& stats() const { return stats_; }
-  const DataplaneConfig& config() const { return config_; }
 
   /** Network ingress: parked request `slot` arrived at the server NIC. */
   void EnqueueRx(ServerConnection* conn, uint32_t slot);
@@ -237,7 +184,12 @@ class DataplaneThread {
   int index_;
   flash::FlashDevice& device_;
   flash::QueuePair* qp_;
-  DataplaneConfig config_;
+  /** Adaptive batching cap (ServerOptions::max_batch). */
+  const int max_batch_;
+  /** Transport receive / transmit processing per message, fixed at
+   * construction from ServerOptions::transport. */
+  const sim::TimeNs rx_per_msg_;
+  const sim::TimeNs tx_per_msg_;
   QosScheduler scheduler_;
   DataplaneStats stats_;
 

@@ -67,13 +67,12 @@ void TokenBucketPolicy::FinishLc(Tenant& t) {
   const double pos_limit = hist[0] + hist[1] + hist[2];
   if (TokensOf(t) > pos_limit) {
     // Alg. 1 lines 13-15: only the *excess above POS_LIMIT* is
-    // donated (scaled by donate_fraction); the tenant keeps its full
+    // donated (scaled by kDonateFraction); the tenant keeps its full
     // burst allowance. Donating a fraction of the whole balance --
     // the previous behavior -- pulled the balance below POS_LIMIT
     // and eroded the very burst headroom POS_LIMIT exists to
     // protect (pinned by QosSchedulerTest.LcDonatesOnlyExcess...).
-    const double spill =
-        (TokensOf(t) - pos_limit) * ctx_.config->donate_fraction;
+    const double spill = (TokensOf(t) - pos_limit) * kDonateFraction;
     ctx_.shared->global_bucket.Donate(spill);
     TokensOf(t) -= spill;
     ctx_.shared->tokens_donated_total += spill;
@@ -130,10 +129,22 @@ void TokenBucketPolicy::CreditIdleBe(int64_t count, double dt) {
 
 // --- QwinPolicy (window-sized quotas for LC tenants) ---
 
+namespace {
+
+/** Window length as a fraction of the tenant's latency SLO. */
+constexpr double kWindowFraction = 0.5;
+
+/** Window length for tenants without a latency SLO. */
+constexpr sim::TimeNs kDefaultWindow = sim::Micros(500);
+
+/** Per-window quota cap, as a multiple of the reserved share. */
+constexpr double kBurstCap = 2.0;
+
+}  // namespace
+
 sim::TimeNs QwinPolicy::WindowLength(const Tenant& t) const {
-  if (t.slo().latency <= 0) return ctx_.config->qwin_default_window;
-  const double ns = ctx_.config->qwin_window_fraction *
-                    static_cast<double>(t.slo().latency);
+  if (t.slo().latency <= 0) return kDefaultWindow;
+  const double ns = kWindowFraction * static_cast<double>(t.slo().latency);
   return std::max<sim::TimeNs>(1, std::llround(ns));
 }
 
@@ -153,14 +164,13 @@ void QwinPolicy::AccrueLc(Tenant& t, sim::TimeNs now, double /*dt*/) {
   }
 
   // Quota for the new window: enough to drain the observed backlog
-  // plus the reserved share for the window, capped at burst_cap
+  // plus the reserved share for the window, capped at kBurstCap
   // shares. A negative balance (debt from the previous window's
   // overdraw) is paid back out of the new quota automatically since
   // the grant lands on top of it.
   const sim::TimeNs len = WindowLength(t);
   const double share = t.token_rate() * sim::ToSeconds(len);
-  const double quota =
-      std::min(QueuedCostOf(t) + share, ctx_.config->qwin_burst_cap * share);
+  const double quota = std::min(QueuedCostOf(t) + share, kBurstCap * share);
   TokensOf(t) += quota;
   ctx_.shared->tokens_generated_total += quota;
   if (ctx_.metrics->enabled()) ctx_.metrics->tokens_generated->Add(quota);
@@ -188,6 +198,14 @@ void QwinPolicy::OnRemoveTenant(Tenant& t) { windows_.erase(t.handle()); }
 
 // --- AdaptiveBePolicy (measured-rate BE inflight cap) ---
 
+namespace {
+
+/** Inflight floor so BE progress never stalls while the rate
+ * estimate warms up from zero. */
+constexpr int64_t kMinCapBytes = 64 * 1024;
+
+}  // namespace
+
 void AdaptiveBePolicy::BeginRound(sim::TimeNs /*now*/, double dt,
                                   const std::vector<Tenant*>& /*lc*/,
                                   const std::vector<Tenant*>& be) {
@@ -201,15 +219,11 @@ void AdaptiveBePolicy::BeginRound(sim::TimeNs /*now*/, double dt,
   last_completed_total_ = completed_total;
   if (dt > 0.0 && delta >= 0) {
     const double inst = static_cast<double>(delta) / dt;
-    rate_ = rate_primed_
-                ? rate_ + ctx_.config->adaptive_rate_alpha * (inst - rate_)
-                : inst;
+    rate_ = rate_primed_ ? rate_ + kRateAlpha * (inst - rate_) : inst;
     rate_primed_ = true;
   }
-  const double cap =
-      rate_ * sim::ToSeconds(ctx_.config->adaptive_drain_target);
-  cap_bytes_ = std::max(ctx_.config->adaptive_min_cap_bytes,
-                        static_cast<int64_t>(std::llround(cap)));
+  const double cap = rate_ * sim::ToSeconds(kDrainTarget);
+  cap_bytes_ = std::max(kMinCapBytes, static_cast<int64_t>(std::llround(cap)));
   inflight_be_bytes_ = inflight_bytes;
 }
 

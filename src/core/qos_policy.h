@@ -45,16 +45,13 @@ const char* QosPolicyKindName(QosPolicyKind kind);
 bool QosPolicyKindFromName(const std::string& name, QosPolicyKind* out);
 
 /**
- * Per-thread QoS scheduler configuration. Algorithm-agnostic knobs
- * (enforce) live beside per-policy parameters; each policy reads only
- * its own block. Exposed as QosScheduler::Config for compatibility.
+ * Per-thread QoS scheduler configuration: the NEG_LIMIT burst bound,
+ * the enforcement switch and the algorithm. Each policy owns its own
+ * constants. Exposed as QosScheduler::Config for compatibility.
  */
 struct QosConfig {
   /** Token deficit at which an LC tenant is rate-limited. */
   double neg_limit = -50.0;
-
-  /** Fraction of surplus above POS_LIMIT donated to the bucket. */
-  double donate_fraction = 0.9;
 
   /**
    * When false, the scheduler becomes a pass-through FIFO (requests
@@ -65,27 +62,6 @@ struct QosConfig {
 
   /** Which enforcement algorithm runs when `enforce` is true. */
   QosPolicyKind policy = QosPolicyKind::kTokenBucket;
-
-  // --- kQwin parameters ---
-  /** Window length as a fraction of the tenant's latency SLO. */
-  double qwin_window_fraction = 0.5;
-
-  /** Window length for tenants without a latency SLO. */
-  sim::TimeNs qwin_default_window = sim::Micros(500);
-
-  /** Per-window quota cap, as a multiple of the reserved share. */
-  double qwin_burst_cap = 2.0;
-
-  // --- kAdaptiveBe parameters ---
-  /** Target drain time for best-effort bytes queued at the device. */
-  sim::TimeNs adaptive_drain_target = sim::Micros(500);
-
-  /** EWMA smoothing for the measured BE service rate (0..1]. */
-  double adaptive_rate_alpha = 0.2;
-
-  /** Inflight floor so BE progress never stalls while the rate
-   * estimate warms up from zero. */
-  int64_t adaptive_min_cap_bytes = 64 * 1024;
 };
 
 /** Invoked when an LC tenant hits NEG_LIMIT (SLO renegotiation). */
@@ -190,6 +166,9 @@ class QosPolicy {
  */
 class TokenBucketPolicy : public QosPolicy {
  public:
+  /** Fraction of surplus above POS_LIMIT donated to the bucket. */
+  static constexpr double kDonateFraction = 0.9;
+
   explicit TokenBucketPolicy(const QosPolicyContext& ctx)
       : QosPolicy(ctx) {}
 
@@ -214,10 +193,10 @@ class TokenBucketPolicy : public QosPolicy {
 /**
  * QWin-style window-based enforcement (PAPERS.md: "QWin: Enforcing
  * Tail Latency SLO at Shared Storage Backend"). Each LC tenant's SLO
- * is divided into windows of `qwin_window_fraction * slo.latency`; at
+ * is divided into windows of `kWindowFraction * slo.latency`; at
  * every window open the quota is sized from observed queue state:
  *
- *   quota = min(backlog + share, qwin_burst_cap * share)
+ *   quota = min(backlog + share, kBurstCap * share)
  *   share = token_rate * window_seconds
  *
  * so a backlogged tenant gets exactly the budget needed to drain
@@ -259,7 +238,8 @@ class QwinPolicy : public TokenBucketPolicy {
  * policy measures the best-effort service rate from completed bytes
  * per round (EWMA-smoothed) and admits BE requests only while
  *
- *   inflight BE bytes + request bytes <= max(min_cap, rate * target)
+ *   inflight BE bytes + request bytes <= max(kMinCapBytes,
+ *                                            rate * kDrainTarget)
  *
  * so BE inflight tracks what the device actually drains within the
  * target, instead of a static limit that bloats device queues under
@@ -267,6 +247,12 @@ class QwinPolicy : public TokenBucketPolicy {
  */
 class AdaptiveBePolicy : public TokenBucketPolicy {
  public:
+  /** Target drain time for best-effort bytes queued at the device. */
+  static constexpr sim::TimeNs kDrainTarget = sim::Micros(500);
+
+  /** EWMA smoothing for the measured BE service rate (0..1]. */
+  static constexpr double kRateAlpha = 0.2;
+
   explicit AdaptiveBePolicy(const QosPolicyContext& ctx)
       : TokenBucketPolicy(ctx) {}
 

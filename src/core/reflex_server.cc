@@ -55,8 +55,7 @@ DataplaneThread* ReflexServer::AddThreadInternal() {
   }
   const int index = static_cast<int>(threads_.size());
   threads_.emplace_back(std::make_unique<DataplaneThread>(
-      sim_, *this, index, device_, shared_, cost_model_,
-      options_.dataplane, options_.qos));
+      sim_, *this, index, device_, shared_, cost_model_, options_.qos));
   ++active_threads_;
   shared_.num_threads = active_threads_;
   shared_.ResetMarks();

@@ -36,10 +36,10 @@ struct ServerOptions {
   /** Enables the periodic load monitor / auto-scaler. */
   bool auto_scale = false;
   sim::TimeNs monitor_interval = sim::Millis(10);
-  double scale_up_utilization = 0.90;
-  double scale_down_utilization = 0.20;
 
-  DataplaneConfig dataplane;
+  /** Adaptive batching cap per dataplane iteration (paper: 64). */
+  int max_batch = 64;
+
   QosScheduler::Config qos;
 
   /** Enforce ACLs strictly (deny-by-default). */
@@ -52,21 +52,6 @@ struct ServerOptions {
    * per-frame headers and almost no per-connection state.
    */
   net::Transport transport = net::Transport::kTcp;
-
-  /**
-   * Multiplier applied to the best-effort token share while the
-   * control plane sheds load (device brownout or elevated error
-   * rate). 0.1 keeps BE tenants barely alive so their queues drain
-   * once the fault clears.
-   */
-  double be_shed_factor = 0.1;
-
-  /**
-   * Fraction of non-kOk responses (per monitor window) above which
-   * the control plane starts shedding BE load; shedding stops once
-   * the rate falls below half this threshold (hysteresis).
-   */
-  double error_shed_fraction = 0.05;
 };
 
 /** Tenant handle reserved for control (tenant-unbound) connections. */

@@ -32,7 +32,13 @@ struct SloSpec {
   /** Tail read latency bound. */
   sim::TimeNs latency = 0;
 
-  /** Percentile at which `latency` applies (the paper uses p95). */
+  /**
+   * Percentile at which `latency` applies. Nothing reads it: admission
+   * always checks `latency` against the calibrated p95 curve, so only
+   * 0.95 is honoured. It stays because positional SloSpec initializers
+   * (the fig5 and fault_recovery benches, the tenant_qos perfbench
+   * workload and the determinism golden test) spell it out.
+   */
   double percentile = 0.95;
 
   /** Declared request size used to weight the token reservation. */

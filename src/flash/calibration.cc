@@ -13,6 +13,12 @@ namespace reflex::flash {
 
 namespace {
 
+/** Closed-loop queue depth used to find saturation throughput. */
+constexpr int kSaturationQueueDepth = 512;
+
+/** Read ratio at which the latency curve is measured. */
+constexpr double kCurveReadRatio = 0.90;
+
 /**
  * Callback-driven workload runner used for calibration probes and the
  * Figure 1 / Figure 3 benches. Issues 4KB-aligned random I/Os with a
@@ -214,7 +220,7 @@ double MeasureSaturationIops(sim::Simulator& sim, FlashDevice& device,
                     config.seed ^ 0x5a7e);
   const sim::TimeNs start = sim.Now();
   probe.RunClosedLoop(
-      config.saturation_queue_depth, start + config.warmup_duration,
+      kSaturationQueueDepth, start + config.warmup_duration,
       start + config.warmup_duration + config.measure_duration);
   return probe.MeasuredIops();
 }
@@ -272,8 +278,8 @@ CalibrationResult Calibrate(sim::Simulator& sim, FlashDevice& device,
   REFLEX_CHECK(k100 > 0.0);
   result.read_cost_readonly = result.token_capacity_per_sec / k100;
 
-  // Step 4: p95-vs-token-rate curve at the configured mixed ratio.
-  const double r = config.curve_read_ratio;
+  // Step 4: p95-vs-token-rate curve at a 90% read ratio.
+  const double r = kCurveReadRatio;
   const double tokens_per_io = r + (1.0 - r) * result.write_cost;
   for (double f : config.curve_fractions) {
     const double token_rate = f * result.token_capacity_per_sec;

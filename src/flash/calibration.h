@@ -57,10 +57,12 @@ struct CalibrationResult {
 };
 
 /**
- * The calibration of device A as the full calibrator recovers it,
- * returned as a constant. Tests and the simtest harness use it to skip
- * the (slow, seed-sensitive) calibration phase while still exercising
- * the real cost model and admission math.
+ * The calibration of device A as the full calibrator recovers it
+ * (verified by flash/calibration_test.cc and regenerated live by the
+ * fig3_cost_models bench), returned as a constant. Benches, tests and
+ * the simtest harness use it to skip the (slow, seed-sensitive)
+ * calibration phase while still exercising the real cost model and
+ * admission math.
  */
 CalibrationResult CannedCalibrationA();
 
@@ -78,15 +80,9 @@ struct CalibrationConfig {
   /** Warmup discarded before each measurement window. */
   sim::TimeNs warmup_duration = sim::Millis(100);
 
-  /** Closed-loop queue depth used to find saturation throughput. */
-  int saturation_queue_depth = 512;
-
   /** Load fractions (of measured capacity) for the latency curve. */
   std::vector<double> curve_fractions = {0.1, 0.2, 0.3, 0.4,  0.5,  0.6,
                                          0.7, 0.8, 0.85, 0.9, 0.95, 0.98};
-
-  /** Read ratio at which the latency curve is measured. */
-  double curve_read_ratio = 0.90;
 
   uint64_t seed = 42;
 };
@@ -107,8 +103,8 @@ CalibrationResult Calibrate(sim::Simulator& sim, FlashDevice& device,
 
 /**
  * Measures saturation IOPS for one workload mix on an idle device
- * (closed-loop at config.saturation_queue_depth). Exposed separately
- * for tests and for the Figure 1 / Figure 3 benches.
+ * (closed-loop at queue depth 512). Exposed separately for tests and
+ * for the Figure 1 / Figure 3 benches.
  */
 double MeasureSaturationIops(sim::Simulator& sim, FlashDevice& device,
                              double read_ratio, uint32_t request_bytes,

@@ -149,20 +149,4 @@ std::vector<MetricsRegistry::Entry> MetricsRegistry::Snapshot() const {
   return out;
 }
 
-void MetricsRegistry::ResetAll() {
-  for (auto& [key, slot] : metrics_) {
-    switch (slot.kind) {
-      case MetricKind::kCounter:
-        slot.counter->Reset();
-        break;
-      case MetricKind::kGauge:
-        slot.gauge->Reset();
-        break;
-      case MetricKind::kHistogram:
-        slot.histogram->Reset();
-        break;
-    }
-  }
-}
-
 }  // namespace reflex::obs

@@ -60,7 +60,6 @@ class Counter {
   void Add(double n = 1.0) { value_ += n; }
   void Increment() { value_ += 1.0; }
   double value() const { return value_; }
-  void Reset() { value_ = 0.0; }
 
  private:
   double value_ = 0.0;
@@ -72,7 +71,6 @@ class Gauge {
   void Set(double v) { value_ = v; }
   void Add(double n) { value_ += n; }
   double value() const { return value_; }
-  void Reset() { value_ = 0.0; }
 
  private:
   double value_ = 0.0;
@@ -114,9 +112,6 @@ class MetricsRegistry {
   std::vector<Entry> Snapshot() const;
 
   size_t size() const { return metrics_.size(); }
-
-  /** Zeroes every counter/gauge and clears every histogram. */
-  void ResetAll();
 
  private:
   struct Slot {

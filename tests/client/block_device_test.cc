@@ -5,6 +5,7 @@
 #include <cstring>
 #include <vector>
 
+#include "sim/fault.h"
 #include "testing/harness.h"
 
 namespace reflex::client {
@@ -60,6 +61,28 @@ TEST_F(BlockDeviceTest, LargeRequestSplitAcrossContexts) {
   ASSERT_TRUE(harness_.RunUntilReady([&] { return r.Ready(); }));
   ASSERT_TRUE(r.Get().ok());
   EXPECT_EQ(in, out);
+}
+
+TEST_F(BlockDeviceTest, FlashReadErrorOnOneChunkFailsWholeRequest) {
+  // A 16KB read split into four 4KB chunks: chunk i reads page i, which
+  // lives on die i. A media error pinned to die 2 fails the third chunk
+  // only; the request completes with that error, and no chunk is sent
+  // twice.
+  sim::FaultPlan plan(harness_.sim, 7);
+  plan.SetProbability(sim::FaultKind::kFlashReadError, /*id=*/2, 1.0);
+  harness_.device.SetFaultPlan(&plan);
+  BlockDevice::Options options;
+  options.max_request_sectors = 8;
+  BlockDevice bdev = MakeDevice(options);
+  const int64_t rx_before = harness_.server.thread(0).stats().requests_rx;
+
+  std::vector<uint8_t> in(16384);
+  auto r = bdev.Read(0, 16384, in.data());
+  ASSERT_TRUE(harness_.RunUntilReady([&] { return r.Ready(); }));
+  EXPECT_EQ(r.Get().status, core::ReqStatus::kDeviceError);
+  EXPECT_EQ(harness_.server.thread(0).stats().requests_rx - rx_before, 4);
+  EXPECT_EQ(harness_.device.stats().read_errors, 1);
+  EXPECT_EQ(harness_.device.stats().reads_completed, 3);
 }
 
 TEST_F(BlockDeviceTest, UnloadedLatencyIncludesKernelPath) {

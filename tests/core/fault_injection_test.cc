@@ -121,7 +121,7 @@ TEST(FaultInjectionTest, BrownoutShedsBestEffortTokenShare) {
   h.RunUntilReady([&] { return h.sim.Now() >= Millis(2); });
   EXPECT_TRUE(h.server.control_plane().be_shed_active());
   EXPECT_NEAR(be->token_rate(),
-              nominal * h.server.options().be_shed_factor,
+              nominal * core::ControlPlane::kBeShedFactor,
               nominal * 0.01)
       << "BE share shed during the brownout";
 
@@ -253,6 +253,31 @@ TEST(FaultInjectionTest, ReadSurvivesPacketLoss) {
   EXPECT_EQ(ok, 20) << "every read eventually succeeded";
   EXPECT_GE(client.fault_stats().retries, 1);
   EXPECT_GE(h.net.dropped_messages(), 1);
+}
+
+TEST(FaultInjectionTest, DroppedReadTimesOutAfterCappedBackoff) {
+  // Every transmission is dropped, so the read resolves only when its
+  // retries run out: six 2 ms timeouts plus five backoffs that double
+  // from backoff_base (1, 2, 4 ms) and then stay at the 5 ms cap.
+  Harness h;
+  FaultPlan plan(h.sim, 5);
+  h.net.SetFaultPlan(&plan);
+  plan.SetProbability(FaultKind::kNetDrop, 1.0);
+  core::Tenant* tenant = h.LcTenant();
+  client::ReflexClient::Options copts;
+  copts.stack = net::StackCosts::Null();  // no transmit cost per attempt
+  copts.retry.request_timeout = Millis(2);
+  copts.retry.max_retries = 5;
+  copts.retry.backoff_base = Millis(1);
+  client::ReflexClient client(h.sim, h.server, h.client_machine, copts);
+  auto session = client.AttachSession(tenant->handle());
+
+  auto io = session->Read(0, 8);
+  ASSERT_TRUE(h.RunUntilReady([&] { return io.Ready(); }));
+  EXPECT_EQ(io.Get().status, ReqStatus::kTimedOut);
+  EXPECT_EQ(io.Get().Latency(), 6 * Millis(2) + Millis(1 + 2 + 4 + 5 + 5));
+  EXPECT_EQ(client.fault_stats().timeouts, 6);
+  EXPECT_EQ(client.fault_stats().retries, 5);
 }
 
 // A read the server holds past the client's timeout. A read slowed by

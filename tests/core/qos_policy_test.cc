@@ -199,11 +199,11 @@ TEST_F(QosPolicyTest, AdaptiveBeRaisesCapWithMeasuredServiceRate) {
 
   const auto& adaptive =
       static_cast<const AdaptiveBePolicy&>(sched->policy());
-  const double expected_rate = config.adaptive_rate_alpha * 1e9;
+  const double expected_rate = AdaptiveBePolicy::kRateAlpha * 1e9;
   EXPECT_NEAR(adaptive.service_rate_bytes_per_sec(), expected_rate,
               expected_rate * 1e-9);
   const int64_t expected_cap = std::llround(
-      expected_rate * sim::ToSeconds(config.adaptive_drain_target));
+      expected_rate * sim::ToSeconds(AdaptiveBePolicy::kDrainTarget));
   EXPECT_EQ(adaptive.cap_bytes(), expected_cap);
 
   // The wider cap admits more of the backlog in the same round.

@@ -128,7 +128,8 @@ class RefScheduler {
       const double pos_limit =
           t.grant_history[0] + t.grant_history[1] + t.grant_history[2];
       if (t.tokens > pos_limit) {
-        const double spill = (t.tokens - pos_limit) * config_.donate_fraction;
+        const double spill =
+            (t.tokens - pos_limit) * TokenBucketPolicy::kDonateFraction;
         shared_.global_bucket.Donate(spill);
         t.tokens -= spill;
         shared_.tokens_donated_total += spill;

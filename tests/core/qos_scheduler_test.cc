@@ -133,7 +133,7 @@ TEST_F(QosSchedulerTest, LcSurplusSpillsToGlobalBucket) {
 }
 
 TEST_F(QosSchedulerTest, LcDonatesOnlyExcessAbovePosLimit) {
-  // Pins Alg. 1 lines 13-15: the donation is donate_fraction of the
+  // Pins Alg. 1 lines 13-15: the donation is kDonateFraction of the
   // *excess above POS_LIMIT*, not of the whole balance. Donating a
   // fraction of the whole balance would pull the tenant below
   // POS_LIMIT and erode the burst headroom POS_LIMIT protects.
@@ -151,7 +151,7 @@ TEST_F(QosSchedulerTest, LcDonatesOnlyExcessAbovePosLimit) {
   EXPECT_NEAR(t.tokens(), 6000.0, 1e-6);
   sched_.RunRound(Millis(70), Collect());  // gen 1000, tokens 7000
   // POS_LIMIT = 1000 + 4000 + 1000 = 6000; excess = 1000. With
-  // donate_fraction = 0.9 the bucket gets 900 and the tenant keeps
+  // kDonateFraction = 0.9 the bucket gets 900 and the tenant keeps
   // 6100 -- still >= POS_LIMIT. (The old whole-balance behavior would
   // donate 6300 and strand the tenant at 700, far below POS_LIMIT.)
   EXPECT_NEAR(shared_.global_bucket.Tokens(), 900.0, 1e-6);

@@ -103,21 +103,6 @@ TEST(LabelSetTest, NaturalOrderMixesDigitsAndText) {
   EXPECT_FALSE(Label("t", 3) < Label("t", 3));
 }
 
-TEST(MetricsRegistryTest, ResetAllZeroes) {
-  MetricsRegistry reg;
-  Counter* c = reg.GetCounter("n");
-  Gauge* g = reg.GetGauge("g");
-  sim::Histogram* h = reg.GetHistogram("h");
-  c->Add(5.0);
-  g->Set(5.0);
-  h->Record(5);
-  reg.ResetAll();
-  EXPECT_DOUBLE_EQ(c->value(), 0.0);
-  EXPECT_DOUBLE_EQ(g->value(), 0.0);
-  EXPECT_EQ(h->Count(), 0);
-  EXPECT_EQ(reg.size(), 3u) << "reset clears values, not registrations";
-}
-
 TEST(MetricsRegistryTest, KindMismatchDies) {
   MetricsRegistry reg;
   reg.GetCounter("x");

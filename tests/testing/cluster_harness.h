@@ -40,7 +40,7 @@ struct ClusterHarness {
                                                   int replication = 1) {
     cluster::FlashClusterOptions options;
     options.num_shards = num_shards;
-    options.calibration = SyntheticCalibrationA();
+    options.calibration = flash::CannedCalibrationA();
     options.shard_map.stripe_sectors = stripe_sectors;
     options.shard_map.replication = replication;
     return options;

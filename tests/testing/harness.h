@@ -14,16 +14,6 @@
 namespace reflex::testing {
 
 /**
- * A synthetic calibration for device A matching the values the full
- * calibrator recovers (tests that exercise the calibrator itself live
- * in flash/calibration_test.cc). Using a fixed result keeps server
- * tests fast and independent of calibrator noise.
- */
-inline flash::CalibrationResult SyntheticCalibrationA() {
-  return flash::CannedCalibrationA();
-}
-
-/**
  * Client options with fast retry/reconnect timers, tuned so fault
  * tests recover within a few simulated milliseconds. Shared by the
  * fault-injection suite and the simtest harness.
@@ -47,8 +37,8 @@ struct Harness {
         device(sim, profile, seed),
         server_machine(net.AddMachine("reflex-server")),
         client_machine(net.AddMachine("client-0")),
-        server(sim, net, server_machine, device, SyntheticCalibrationA(),
-               options) {}
+        server(sim, net, server_machine, device,
+               flash::CannedCalibrationA(), options) {}
 
   sim::Simulator sim;
   net::Network net;
