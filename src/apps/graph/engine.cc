@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <unordered_set>
 #include <utility>
 
 #include "sim/logging.h"
@@ -130,10 +129,14 @@ sim::Task GraphEngine::WccTask(sim::Promise<AlgoStats> promise) {
     co_await barrier.Done();
   }
 
-  // detlint: allow(unordered-container) only the distinct count is read;
-  // iteration order is never observed.
-  std::unordered_set<uint32_t> distinct(labels_.begin(), labels_.end());
-  stats.result_value = distinct.size();
+  // Every label is a vertex id, so a bitmap counts the distinct ones.
+  std::vector<bool> seen(n, false);
+  for (uint32_t label : labels_) {
+    if (!seen[label]) {
+      seen[label] = true;
+      ++stats.result_value;
+    }
+  }
   stats.exec_time = sim_.Now() - start;
   stats.flash_reads = cache_->stats().misses - misses_before;
   promise.Set(stats);

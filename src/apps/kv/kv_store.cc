@@ -275,29 +275,28 @@ sim::Task KvStore::ReadAllEntries(TableRef table, std::vector<KvEntry>* out,
 sim::Task KvStore::CompactTask(sim::VoidPromise promise) {
   ++stats_.compactions;
   // Merge priority: newer L0 tables override older ones; L0 overrides
-  // L1. Insert lowest priority first into an ordered map. The input
-  // set is snapshotted: L0 tables flushed while this background
-  // compaction runs are left for the next one.
-  std::map<std::string, KvEntry> merged;
+  // L1. The input set is snapshotted: L0 tables flushed while this
+  // background compaction runs are left for the next one.
   std::vector<TableRef> inputs;
   const size_t l0_snapshot = l0_.size();
   for (const TableRef& t : l1_) inputs.push_back(t);
   for (const TableRef& t : l0_) inputs.push_back(t);  // oldest..newest
 
-  int64_t total_entries = 0;
+  // Gather every input's entries oldest first; a stable sort by key
+  // then leaves each key's newest entry last among its equals.
+  std::vector<KvEntry> merged;
   for (const TableRef& t : inputs) {
-    std::vector<KvEntry> entries;
     sim::VoidPromise read_done(sim_);
     auto read_future = read_done.GetFuture();
-    ReadAllEntries(t, &entries, std::move(read_done));
+    ReadAllEntries(t, &merged, std::move(read_done));
     co_await read_future;
-    for (auto& e : entries) {
-      std::string k = e.key;
-      merged[std::move(k)] = std::move(e);
-    }
-    total_entries += static_cast<int64_t>(entries.size());
     stats_.bytes_compacted += static_cast<int64_t>(t->data_bytes);
   }
+  const auto total_entries = static_cast<int64_t>(merged.size());
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const KvEntry& a, const KvEntry& b) {
+                     return a.key < b.key;
+                   });
   co_await sim::Delay(sim_, kCpuPerCompactionEntry * total_entries);
 
   // Split the merged run into ~8MB L1 tables.
@@ -313,12 +312,15 @@ sim::Task KvStore::CompactTask(sim::VoidPromise promise) {
     current_bytes = 0;
     return f;
   };
-  for (auto& [k, v] : merged) {
+  for (size_t i = 0; i < merged.size(); ++i) {
+    KvEntry& e = merged[i];
+    // A newer input holds this key too.
+    if (i + 1 < merged.size() && merged[i + 1].key == e.key) continue;
     // This full merge rewrites the bottom level, so tombstones have
     // shadowed every older version and can be dropped for good.
-    if (v.tombstone) continue;
-    current_bytes += k.size() + v.value.size() + 4;
-    current.push_back(KvEntry{k, v.value, false});
+    if (e.tombstone) continue;
+    current_bytes += e.key.size() + e.value.size() + 4;
+    current.push_back(std::move(e));
     if (current_bytes >= kTargetTableBytes) {
       new_l1.push_back(co_await flush_current());
     }
@@ -369,6 +371,7 @@ sim::Task KvStore::GetTask(std::string key,
 
   // Snapshot table references so compaction cannot pull them away.
   std::vector<TableRef> candidates;
+  candidates.reserve(l0_.size() + l1_.size());
   for (auto it = l0_.rbegin(); it != l0_.rend(); ++it) {
     candidates.push_back(*it);  // newest L0 first
   }
@@ -377,12 +380,22 @@ sim::Task KvStore::GetTask(std::string key,
   }
 
   for (const TableRef& t : candidates) {
+    // Tables the key cannot be in are skipped here, without starting a
+    // search task.
+    if (key < t->first_key || key > t->last_key ||
+        !t->bloom->MayContain(key)) {
+      ++stats_.bloom_skips;
+      continue;
+    }
+    const int block = t->FindBlock(key);
+    if (block < 0) continue;
     bool found = false;
     bool tombstone = false;
     std::string value;
     sim::VoidPromise searched(sim_);
     auto searched_future = searched.GetFuture();
-    SearchTable(t, key, &found, &tombstone, &value, std::move(searched));
+    SearchTable(t.get(), block, &key, &found, &tombstone, &value,
+                std::move(searched));
     co_await searched_future;
     if (tombstone) break;  // deleted: newer tables already checked
     if (found) {
@@ -395,39 +408,27 @@ sim::Task KvStore::GetTask(std::string key,
   promise.Set(std::move(result));
 }
 
-sim::Task KvStore::SearchTable(TableRef table, std::string key, bool* found,
+sim::Task KvStore::SearchTable(const SSTableMeta* table, int block,
+                               const std::string* key, bool* found,
                                bool* tombstone_out, std::string* value_out,
                                sim::VoidPromise promise) {
-  if (key < table->first_key || key > table->last_key ||
-      !table->bloom->MayContain(key)) {
-    ++stats_.bloom_skips;
-    promise.Set(sim::Unit{});
-    co_return;
-  }
-  const int block = table->FindBlock(key);
-  if (block < 0) {
-    promise.Set(sim::Unit{});
-    co_return;
-  }
   ++stats_.block_reads;
   const uint8_t* page = co_await block_cache_.GetPage(
       table->extent_offset + static_cast<uint64_t>(block) * kBlockBytes);
   // SSTable blocks have no replica to fall back to: treat persistent
   // storage failure as fatal.
   REFLEX_CHECK(page != nullptr);
-  // Parse before the search delay: the page pointer is only valid
+  // Search before the search delay: the page pointer is only valid
   // until this task next suspends (a concurrent fetch may evict it).
-  std::vector<KvEntry> entries = ParseBlock(page);
-  co_await sim::Delay(sim_, options_.cpu_per_block_search);
-  const KvEntry* e = FindInBlock(entries, key);
-  if (e != nullptr) {
-    if (e->tombstone) {
+  if (const auto record = FindInBlock(page, *key)) {
+    if (record->tombstone) {
       *tombstone_out = true;
     } else {
       *found = true;
-      *value_out = e->value;
+      value_out->assign(record->value);
     }
   }
+  co_await sim::Delay(sim_, options_.cpu_per_block_search);
   promise.Set(sim::Unit{});
 }
 

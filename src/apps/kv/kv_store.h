@@ -107,8 +107,13 @@ class KvStore {
   sim::Task GetTask(std::string key, sim::Promise<GetResult> promise);
   sim::Task FlushTask(sim::VoidPromise promise);
 
-  /** Searches one table; sets *found / *tombstone_out / *value_out. */
-  sim::Task SearchTable(TableRef table, std::string key, bool* found,
+  /**
+   * Reads data block `block` of `table` and searches it for `*key`;
+   * sets *found / *tombstone_out / *value_out. The caller keeps the
+   * table and key alive until the promise resolves.
+   */
+  sim::Task SearchTable(const SSTableMeta* table, int block,
+                        const std::string* key, bool* found,
                         bool* tombstone_out, std::string* value_out,
                         sim::VoidPromise promise);
 

@@ -18,6 +18,27 @@ uint64_t Fnv1a(std::string_view s, uint64_t seed) {
   return h;
 }
 
+/**
+ * Decodes the record at *pos of a raw block into views of the block
+ * and advances *pos past it. Returns false at the terminator (klen 0)
+ * or where a header or record would run past kBlockBytes.
+ */
+bool NextRecord(const uint8_t* block, size_t* pos, BlockRecord* out) {
+  if (*pos + 4 > kBlockBytes) return false;
+  uint16_t klen, vlen;
+  std::memcpy(&klen, block + *pos, 2);
+  std::memcpy(&vlen, block + *pos + 2, 2);
+  if (klen == 0) return false;
+  out->tombstone = vlen == kTombstoneVlen;
+  const uint16_t value_bytes = out->tombstone ? 0 : vlen;
+  if (*pos + 4 + klen + value_bytes > kBlockBytes) return false;
+  const auto* bytes = reinterpret_cast<const char*>(block + *pos + 4);
+  out->key = std::string_view(bytes, klen);
+  out->value = std::string_view(bytes + klen, value_bytes);
+  *pos += 4 + klen + value_bytes;
+  return true;
+}
+
 }  // namespace
 
 BloomFilter::BloomFilter(size_t expected_keys, int bits_per_key,
@@ -27,22 +48,23 @@ BloomFilter::BloomFilter(size_t expected_keys, int bits_per_key,
   bits_.assign(bits, false);
 }
 
-uint64_t BloomFilter::HashN(std::string_view key, int i) const {
-  // Double hashing: h1 + i*h2.
+// Double hashing: probe i tests bit (h1 + i*h2) mod size, with both
+// hashes computed once per key.
+void BloomFilter::Add(std::string_view key) {
   const uint64_t h1 = Fnv1a(key, 0);
   const uint64_t h2 = Fnv1a(key, 0x9e3779b97f4a7c15ULL) | 1;
-  return h1 + static_cast<uint64_t>(i) * h2;
-}
-
-void BloomFilter::Add(std::string_view key) {
   for (int i = 0; i < hashes_; ++i) {
-    bits_[HashN(key, i) % bits_.size()] = true;
+    bits_[(h1 + static_cast<uint64_t>(i) * h2) % bits_.size()] = true;
   }
 }
 
 bool BloomFilter::MayContain(std::string_view key) const {
+  const uint64_t h1 = Fnv1a(key, 0);
+  const uint64_t h2 = Fnv1a(key, 0x9e3779b97f4a7c15ULL) | 1;
   for (int i = 0; i < hashes_; ++i) {
-    if (!bits_[HashN(key, i) % bits_.size()]) return false;
+    if (!bits_[(h1 + static_cast<uint64_t>(i) * h2) % bits_.size()]) {
+      return false;
+    }
   }
   return true;
 }
@@ -106,34 +128,23 @@ std::vector<uint8_t> BuildSSTableImage(const std::vector<KvEntry>& entries,
 std::vector<KvEntry> ParseBlock(const uint8_t* block) {
   std::vector<KvEntry> entries;
   size_t pos = 0;
-  while (pos + 4 <= kBlockBytes) {
-    uint16_t klen, vlen;
-    std::memcpy(&klen, block + pos, 2);
-    std::memcpy(&vlen, block + pos + 2, 2);
-    if (klen == 0) break;
-    const uint16_t value_bytes = vlen == kTombstoneVlen ? 0 : vlen;
-    if (pos + 4 + klen + value_bytes > kBlockBytes) break;
-    KvEntry e;
-    e.key.assign(reinterpret_cast<const char*>(block + pos + 4), klen);
-    if (vlen == kTombstoneVlen) {
-      e.tombstone = true;
-    } else {
-      e.value.assign(
-          reinterpret_cast<const char*>(block + pos + 4 + klen), vlen);
-    }
-    entries.push_back(std::move(e));
-    pos += 4 + klen + value_bytes;
+  BlockRecord r;
+  while (NextRecord(block, &pos, &r)) {
+    entries.push_back(
+        KvEntry{std::string(r.key), std::string(r.value), r.tombstone});
   }
   return entries;
 }
 
-const KvEntry* FindInBlock(const std::vector<KvEntry>& entries,
-                           std::string_view key) {
-  auto it = std::lower_bound(
-      entries.begin(), entries.end(), key,
-      [](const KvEntry& e, std::string_view k) { return e.key < k; });
-  if (it != entries.end() && it->key == key) return &*it;
-  return nullptr;
+std::optional<BlockRecord> FindInBlock(const uint8_t* block,
+                                       std::string_view key) {
+  size_t pos = 0;
+  BlockRecord r;
+  while (NextRecord(block, &pos, &r)) {
+    if (r.key == key) return r;
+    if (r.key > key) break;  // records are sorted
+  }
+  return std::nullopt;
 }
 
 }  // namespace reflex::apps::kv

@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -25,8 +26,6 @@ class BloomFilter {
   size_t SizeBytes() const { return bits_.size() / 8; }
 
  private:
-  uint64_t HashN(std::string_view key, int i) const;
-
   std::vector<bool> bits_;
   int hashes_;
 };
@@ -77,13 +76,24 @@ std::vector<uint8_t> BuildSSTableImage(const std::vector<KvEntry>& entries,
                                        int bloom_bits_per_key,
                                        SSTableMeta* meta);
 
-/** Parses one 4KB block into entries (for reads and compaction). */
+/** Parses one 4KB block into entries (for compaction). */
 std::vector<KvEntry> ParseBlock(const uint8_t* block);
 
-/** Searches a parsed block for a key (tombstones included). Returns
- * nullptr if absent. */
-const KvEntry* FindInBlock(const std::vector<KvEntry>& entries,
-                           std::string_view key);
+/** One record of a raw block; `key` and `value` point into the block. */
+struct BlockRecord {
+  std::string_view key;
+  std::string_view value;  // empty for a tombstone
+  bool tombstone = false;
+};
+
+/**
+ * Searches one raw 4KB block for `key` (tombstones included) without
+ * copying any record. Stops at the first record whose key sorts past
+ * `key`, and never reads past kBlockBytes, whatever the block holds.
+ * Returns nullopt if the key is absent.
+ */
+std::optional<BlockRecord> FindInBlock(const uint8_t* block,
+                                       std::string_view key);
 
 /** vlen sentinel marking a tombstone record. */
 inline constexpr uint16_t kTombstoneVlen = 0xFFFF;

@@ -282,14 +282,12 @@ double FlashDevice::DieUtilization() const {
 }
 
 uint8_t* FlashDevice::PageAt(uint64_t page_index, bool create) {
-  auto it = store_.find(page_index);
-  if (it != store_.end()) return it->second->data();
+  const uint32_t slot = page_slots_.Find(page_index);
+  if (slot != sim::FlatIndex::kNone) return pages_[slot]->data();
   if (!create) return nullptr;
-  auto page = std::make_unique<Page>();
-  page->fill(0);
-  uint8_t* raw = page->data();
-  store_.emplace(page_index, std::move(page));
-  return raw;
+  page_slots_.Insert(page_index, static_cast<uint32_t>(pages_.size()));
+  pages_.push_back(std::make_unique<Page>());  // value-initialized: zeroes
+  return pages_.back()->data();
 }
 
 void FlashDevice::CopyToStore(const FlashCommand& cmd) {

@@ -5,12 +5,12 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "flash/device_profile.h"
 #include "obs/hooks.h"
 #include "sim/fault.h"
+#include "sim/flat_index.h"
 #include "sim/histogram.h"
 #include "sim/random.h"
 #include "sim/ring.h"
@@ -200,9 +200,10 @@ class FlashDevice {
   sim::TimeNs last_write_time_ = -(1LL << 62);
 
   using Page = std::array<uint8_t, 4096>;
-  // detlint: allow(unordered-container) hot-path page store: lookup/insert
-  // only, never iterated, so hash layout can never reach event order.
-  std::unordered_map<uint64_t, std::unique_ptr<Page>> store_;
+  /** Written pages, in first-write order; pages are never freed. */
+  std::vector<std::unique_ptr<Page>> pages_;
+  /** Page index -> slot in pages_. */
+  sim::FlatIndex page_slots_;
 
   FlashDeviceStats stats_;
   sim::Histogram read_latency_;

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -12,6 +15,7 @@
 #include "baseline/local_spdk.h"
 #include "client/storage_backend.h"
 #include "flash/flash_device.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace reflex::apps::kv {
@@ -42,6 +46,50 @@ TEST(BloomFilterTest, LowFalsePositiveRate) {
   EXPECT_LT(false_positives, 300);
 }
 
+// Reference bloom probe, recomputing both hashes for every probe: bit
+// (h1 + i*h2) mod size, with h1, h2 two seeded FNV-1a passes. The
+// kv.bloom_skips counter depends on these exact bits.
+uint64_t ReferenceFnv1a(std::string_view s, uint64_t seed) {
+  uint64_t h = 0xcbf29ce484222325ULL ^ seed;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 0x100000001b3ULL;
+  }
+  return h;
+}
+
+uint64_t ReferenceHashN(std::string_view key, int i) {
+  const uint64_t h1 = ReferenceFnv1a(key, 0);
+  const uint64_t h2 = ReferenceFnv1a(key, 0x9e3779b97f4a7c15ULL) | 1;
+  return h1 + static_cast<uint64_t>(i) * h2;
+}
+
+TEST(BloomFilterTest, BitsMatchReferenceHash) {
+  constexpr size_t kKeys = 1000;
+  constexpr size_t kBits = kKeys * 10;  // default 10 bits per key
+  constexpr int kHashes = 6;
+  BloomFilter bloom(kKeys);
+  std::vector<bool> reference(kBits, false);
+  for (size_t i = 0; i < kKeys; ++i) {
+    const std::string key = DbBench::KeyFor(i * 3);
+    bloom.Add(key);
+    for (int h = 0; h < kHashes; ++h) {
+      reference[ReferenceHashN(key, h) % kBits] = true;
+    }
+  }
+  int agreed_positives = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const std::string key = DbBench::KeyFor(static_cast<uint64_t>(i));
+    bool expected = true;
+    for (int h = 0; h < kHashes; ++h) {
+      expected = expected && reference[ReferenceHashN(key, h) % kBits];
+    }
+    ASSERT_EQ(bloom.MayContain(key), expected) << key;
+    agreed_positives += expected;
+  }
+  EXPECT_GE(agreed_positives, 1000);  // every added key is a probe
+}
+
 TEST(SSTableFormatTest, ImageRoundTrip) {
   std::vector<KvEntry> entries;
   for (int i = 0; i < 500; ++i) {
@@ -57,22 +105,144 @@ TEST(SSTableFormatTest, ImageRoundTrip) {
   EXPECT_EQ(meta.last_key, "k00499");
   EXPECT_EQ(meta.NumBlocks(), image.size() / kBlockBytes);
 
-  // Every key is findable through the index + block parse.
+  // Every key is findable through the index + raw block search.
   for (const KvEntry& e : entries) {
     const int b = meta.FindBlock(e.key);
     ASSERT_GE(b, 0);
-    auto parsed = ParseBlock(image.data() +
-                             static_cast<size_t>(b) * kBlockBytes);
-    const KvEntry* found = FindInBlock(parsed, e.key);
-    ASSERT_NE(found, nullptr) << e.key;
+    const auto found =
+        FindInBlock(image.data() + static_cast<size_t>(b) * kBlockBytes,
+                    e.key);
+    ASSERT_TRUE(found.has_value()) << e.key;
     EXPECT_EQ(found->value, e.value);
     EXPECT_FALSE(found->tombstone);
   }
   // Absent keys are not found.
   const int b = meta.FindBlock("k00250x");
-  auto parsed =
-      ParseBlock(image.data() + static_cast<size_t>(b) * kBlockBytes);
-  EXPECT_EQ(FindInBlock(parsed, "k00250x"), nullptr);
+  EXPECT_FALSE(
+      FindInBlock(image.data() + static_cast<size_t>(b) * kBlockBytes,
+                  "k00250x")
+          .has_value());
+}
+
+// The reference search: parse the whole block, then binary-search it.
+std::optional<BlockRecord> ParsedSearch(const std::vector<KvEntry>& parsed,
+                                        std::string_view key) {
+  auto it = std::lower_bound(
+      parsed.begin(), parsed.end(), key,
+      [](const KvEntry& e, std::string_view k) { return e.key < k; });
+  if (it == parsed.end() || it->key != key) return std::nullopt;
+  return BlockRecord{it->key, it->value, it->tombstone};
+}
+
+void ExpectSameRecord(const std::optional<BlockRecord>& raw,
+                      const std::optional<BlockRecord>& parsed,
+                      std::string_view key) {
+  ASSERT_EQ(raw.has_value(), parsed.has_value()) << key;
+  if (!raw) return;
+  EXPECT_EQ(raw->key, parsed->key);
+  EXPECT_EQ(raw->tombstone, parsed->tombstone) << key;
+  EXPECT_EQ(raw->value, parsed->value) << key;
+}
+
+// The in-place search agrees with ParseBlock + lower_bound on every
+// block of an image: each present key (tombstones included) and absent
+// keys before the first, between two and after the last record.
+TEST(SSTableFormatTest, BlockSearchMatchesParse) {
+  std::vector<KvEntry> entries;
+  for (int i = 0; i < 300; ++i) {
+    char key[32];
+    std::snprintf(key, sizeof(key), "k%05d", i * 2);
+    const bool tombstone = i % 7 == 3;
+    entries.push_back(KvEntry{key,
+                              tombstone ? "" : std::string(i % 150, 'v'),
+                              tombstone});
+  }
+  // Exactly four 1 KB records fill the first block of this image, so it
+  // has no zero terminator.
+  std::vector<KvEntry> full;
+  for (int i = 0; i < 6; ++i) {
+    full.push_back(KvEntry{"f00" + std::to_string(i),
+                           std::string(1024 - 4 - 4, 'a' + i)});
+  }
+
+  for (const auto* source : {&entries, &full}) {
+    SSTableMeta meta;
+    const std::vector<uint8_t> image =
+        BuildSSTableImage(*source, 10, &meta);
+    for (uint32_t b = 0; b < meta.NumBlocks(); ++b) {
+      const uint8_t* block = image.data() + size_t{b} * kBlockBytes;
+      const std::vector<KvEntry> parsed = ParseBlock(block);
+      ASSERT_FALSE(parsed.empty());
+      std::vector<std::string> probes = {"", parsed.front().key + "!"};
+      probes.push_back(parsed.front().key.substr(0, 3));  // before first
+      for (const KvEntry& e : parsed) {
+        probes.push_back(e.key);
+        probes.push_back(e.key + "0");  // between two, or after the last
+      }
+      probes.push_back("zzz");
+      for (const std::string& key : probes) {
+        ExpectSameRecord(FindInBlock(block, key), ParsedSearch(parsed, key),
+                         key);
+      }
+    }
+    if (source == &full) {
+      const std::vector<KvEntry> first = ParseBlock(image.data());
+      ASSERT_EQ(first.size(), 4u);
+      EXPECT_NE(image[kBlockBytes - 1], 0) << "block must be full";
+      EXPECT_EQ(FindInBlock(image.data(), "f003")->value, full[3].value);
+    }
+  }
+}
+
+// Garbage blocks: the search returns not-found and stays inside the
+// block (each block is its own kBlockBytes heap buffer, so the
+// sanitizer build catches any read past it).
+TEST(SSTableFormatTest, MalformedBlockSearchStaysInBounds) {
+  sim::Rng rng(42);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<uint8_t> block(kBlockBytes);
+    for (uint8_t& byte : block) byte = static_cast<uint8_t>(rng.Next());
+    if (round % 2 == 1) {
+      // Small headers, so the walk visits many records before it runs
+      // off the end.
+      for (size_t pos = 0; pos + 4 <= kBlockBytes; pos += 16) {
+        block[pos] = static_cast<uint8_t>(1 + rng.NextBounded(8));
+        block[pos + 1] = 0;
+        block[pos + 2] = static_cast<uint8_t>(rng.NextBounded(8));
+        block[pos + 3] = 0;
+      }
+    }
+    EXPECT_FALSE(FindInBlock(block.data(), "k00042").has_value()) << round;
+    EXPECT_FALSE(FindInBlock(block.data(), "\xff\xff\xff").has_value())
+        << round;
+  }
+
+  // A valid record followed by one whose klen, then vlen, points past
+  // the end of the block: the walk stops there.
+  auto put_header = [](std::vector<uint8_t>* block, size_t pos,
+                       uint16_t klen, uint16_t vlen) {
+    std::memcpy(block->data() + pos, &klen, 2);
+    std::memcpy(block->data() + pos + 2, &vlen, 2);
+  };
+  for (const bool bad_klen : {true, false}) {
+    std::vector<uint8_t> block(kBlockBytes, 0);
+    put_header(&block, 0, 1, 1);
+    block[4] = 'a';
+    block[5] = 'x';
+    put_header(&block, 6, bad_klen ? 5000 : 3, bad_klen ? 1 : 5000);
+    std::memcpy(block.data() + 10, "zzz", 3);
+    ASSERT_TRUE(FindInBlock(block.data(), "a").has_value());
+    EXPECT_EQ(FindInBlock(block.data(), "a")->value, "x");
+    EXPECT_FALSE(FindInBlock(block.data(), "zzz").has_value());
+    EXPECT_FALSE(FindInBlock(block.data(), "b").has_value());
+  }
+
+  // Records up to two bytes before the end, then a header cut short.
+  std::vector<uint8_t> block(kBlockBytes, 0xFF);
+  put_header(&block, 0, 1, kBlockBytes - 4 - 1 - 2);
+  block[4] = 'a';
+  EXPECT_TRUE(FindInBlock(block.data(), "a").has_value());
+  EXPECT_FALSE(FindInBlock(block.data(), "b").has_value());
 }
 
 class KvStoreTest : public ::testing::Test {
@@ -250,6 +420,54 @@ TEST_F(KvStoreTest, CompactionKeepsNewestVersion) {
   }
 }
 
+// One key in L1, overwritten in one L0 table, tombstoned in a second
+// and re-put in a third: the compaction of all four inputs keeps the
+// newest value, and drops a key whose newest entry is a tombstone.
+TEST_F(KvStoreTest, CompactionMergesNewestOfManyInputs) {
+  KvStore::Options o = SmallOptions();
+  o.l0_compaction_trigger = 3;
+  KvStore store(sim_, backend_, o);
+  for (int round = 0; round < 3; ++round) {
+    for (int i = 0; i < 20; ++i) {
+      Await(store.Put(DbBench::KeyFor(i), "l1-" + std::to_string(i)));
+    }
+    Await(store.Flush());
+  }
+  Await(store.WaitCompactionIdle());
+  ASSERT_EQ(store.l0_tables(), 0);
+  ASSERT_GE(store.l1_tables(), 1);
+  const int64_t compactions = store.stats().compactions;
+  const std::string kept = DbBench::KeyFor(5);
+  const std::string deleted = DbBench::KeyFor(6);
+
+  Await(store.Put(kept, "l0-a"));
+  Await(store.Put(deleted, "l0-a"));
+  Await(store.Flush());
+  Await(store.Delete(kept));
+  Await(store.Delete(deleted));
+  Await(store.Flush());
+  EXPECT_FALSE(Await(store.Get(kept)).found);
+  Await(store.Put(kept, "l0-c"));
+  Await(store.Flush());
+  Await(store.WaitCompactionIdle());
+
+  EXPECT_EQ(store.stats().compactions, compactions + 1);
+  EXPECT_EQ(store.l0_tables(), 0);
+  GetResult r = Await(store.Get(kept));
+  ASSERT_TRUE(r.found);
+  EXPECT_EQ(r.value, "l0-c");
+  // The tombstone is gone from L1 too: its bloom filter rules the key
+  // out, so the lookup reads no block.
+  const int64_t block_reads = store.stats().block_reads;
+  EXPECT_FALSE(Await(store.Get(deleted)).found);
+  EXPECT_EQ(store.stats().block_reads, block_reads);
+  for (int i = 0; i < 20; ++i) {
+    if (i == 5 || i == 6) continue;
+    EXPECT_EQ(Await(store.Get(DbBench::KeyFor(i))).value,
+              "l1-" + std::to_string(i));
+  }
+}
+
 TEST_F(KvStoreTest, BloomFiltersSkipTables) {
   KvStore store(sim_, backend_, SmallOptions());
   for (int i = 0; i < 1500; ++i) {
@@ -285,6 +503,14 @@ TEST(SSTableFormatTest, TombstoneRoundTrip) {
   EXPECT_EQ(parsed[0].value, "value");
   EXPECT_TRUE(parsed[1].tombstone);
   EXPECT_EQ(parsed[1].key, "dead");
+  const auto alive = FindInBlock(image.data(), "alive");
+  ASSERT_TRUE(alive.has_value());
+  EXPECT_FALSE(alive->tombstone);
+  EXPECT_EQ(alive->value, "value");
+  const auto dead = FindInBlock(image.data(), "dead");
+  ASSERT_TRUE(dead.has_value());
+  EXPECT_TRUE(dead->tombstone);
+  EXPECT_TRUE(dead->value.empty());
 }
 
 TEST_F(KvStoreTest, DeleteHidesKey) {

@@ -7,12 +7,19 @@
 # stderr, the exit code and every file each run writes. Each run gets
 # its own working directory and its own REFLEX_OBS_DIR.
 #
+# It also builds perfbench from both trees (RelWithDebInfo, as
+# perfbench/run.py does) and runs every workload of BENCHMARK.json once
+# with --seed 1 --trace. Everything in the result line except the
+# metrics whose kind is not "sim" (host timings) must match: the
+# simulated metrics, checks, notes and attempted/failed counts.
+#
 # Usage: tools/bench_identical.sh <base-ref>
 #   JOBS=<n>      build and run parallelism (default 2)
 #   WORK_DIR=<d>  scratch directory (default: a fresh mktemp -d); kept
 #                 afterwards so differing runs can be inspected
 #
-# Prints one line per binary and exits 0 only if all are identical.
+# Prints one line per binary and perfbench workload and exits 0 only if
+# all are identical.
 set -euo pipefail
 
 if [[ $# -ne 1 ]]; then
@@ -41,9 +48,22 @@ build() {  # <source dir> <build dir>
       { tail -50 "$2.$dir.log" >&2; return 1; }
   done
 }
-mkdir -p "$work/build-base" "$work/build-head"
+build_perfbench() {  # <source dir> <build dir>
+  cmake -S "$1/perfbench" -B "$2" -G "Unix Makefiles" \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo > "$2.configure.log" 2>&1 ||
+    { cat "$2.configure.log" >&2; return 1; }
+  make -C "$2" -j"$jobs" perfbench > "$2.log" 2>&1 ||
+    { tail -50 "$2.log" >&2; return 1; }
+}
+mkdir -p "$work/build-base" "$work/build-head" \
+  "$work/perfbench-base" "$work/perfbench-head"
 build "$work/base-src" "$work/build-base"
 build "$repo" "$work/build-head"
+build_perfbench "$work/base-src" "$work/perfbench-base"
+build_perfbench "$repo" "$work/perfbench-head"
+workloads=$(python3 -c 'import json, sys
+print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
+  "$repo/BENCHMARK.json")
 
 binaries() {  # <build dir>: relative paths of the binaries to run
   for dir in bench examples; do
@@ -68,12 +88,32 @@ run_one() {
     > "$out/stdout" 2> "$out/stderr") || status=$?
   echo "$status" > "$out/exit"
 }
-export -f run_one
+# run_perfbench <side> <workload>: one traced run; keeps its exit code,
+# stderr and the result line without host-kind metrics.
+run_perfbench() {
+  local side=$1 workload=$2
+  local out="$work/runs/$side/perfbench_$workload"
+  rm -rf "$out"
+  mkdir -p "$out"
+  local status=0
+  "$work/perfbench-$side/perfbench" "$workload" --seed 1 --trace \
+    > "$out/stdout" 2> "$out/stderr" || status=$?
+  echo "$status" > "$out/exit"
+  tail -n 1 "$out/stdout" | python3 -c 'import json, sys
+r = json.loads(sys.stdin.read())
+r["metrics"] = {n: m for n, m in r["metrics"].items() if m["kind"] == "sim"}
+print(json.dumps(r, indent=1, sort_keys=True))' > "$out/sim.json" 2>&1 || true
+  rm "$out/stdout"
+}
+export -f run_one run_perfbench
 export work
 
 for side in base head; do
   printf '%s\n' $names | xargs -P "$jobs" -I{} bash -c "run_one $side {}"
+  printf '%s\n' $workloads |
+    xargs -P "$jobs" -I{} bash -c "run_perfbench $side {}"
 done
+names="$names $(printf 'perfbench/%s\n' $workloads)"
 
 different=0
 for bin in $names; do
@@ -88,7 +128,7 @@ for bin in $names; do
 done
 
 if [[ $different -ne 0 ]]; then
-  echo "$different binaries differ"
+  echo "$different runs differ"
   exit 1
 fi
-echo "all $(wc -w <<< "$names") binaries identical"
+echo "all $(wc -w <<< "$names") runs identical"
