@@ -87,19 +87,25 @@ sim::Task DbBench::ReadPhaseTask(bool with_writer,
   result.name = with_writer ? "readwhilewriting" : "randomread";
   const sim::TimeNs start = sim_.Now();
 
-  auto stop_writer = std::make_shared<bool>(false);
-  if (with_writer) WriterThread(stop_writer);
+  bool stop_writer = false;
+  sim::VoidPromise writer_exit(sim_);
+  auto writer_exited = writer_exit.GetFuture();
+  if (with_writer) WriterThread(&stop_writer, std::move(writer_exit));
 
   sim::Barrier barrier(sim_, config_.read_threads);
   for (int t = 0; t < config_.read_threads; ++t) {
     ReaderThread(t, &result, &barrier);
   }
   co_await barrier.Done();
-  *stop_writer = true;
+  stop_writer = true;
 
   result.duration = sim_.Now() - start;
   result.ops_per_sec =
       static_cast<double>(result.ops) / sim::ToSeconds(result.duration);
+  // The phase ends with the readers, but resolves only once the writer
+  // has seen the flag and exited: a caller may tear the world down as
+  // soon as the phase resolves, and a parked writer would leak.
+  if (with_writer) co_await writer_exited;
   promise.Set(std::move(result));
 }
 
@@ -125,7 +131,8 @@ sim::Task DbBench::ReaderThread(int id, PhaseResult* result,
   barrier->Arrive();
 }
 
-sim::Task DbBench::WriterThread(std::shared_ptr<bool> stop_flag) {
+sim::Task DbBench::WriterThread(const bool* stop_flag,
+                                sim::VoidPromise exited) {
   sim::Rng rng(config_.seed ^ 0xabcd, "db_bench_writer");
   const double mean_gap_ns = 1e9 / config_.write_rate;
   while (!*stop_flag) {
@@ -137,6 +144,7 @@ sim::Task DbBench::WriterThread(std::shared_ptr<bool> stop_flag) {
                                               config_.value_bytes - 8);
     co_await store_.Put(KeyFor(key_index), std::move(value));
   }
+  exited.Set(sim::Unit{});
 }
 
 }  // namespace reflex::apps::kv

@@ -2,7 +2,6 @@
 #define REFLEX_APPS_KV_DB_BENCH_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 
 #include "apps/kv/kv_store.h"
@@ -59,7 +58,8 @@ class DbBench {
                           sim::Promise<PhaseResult> promise);
   sim::Task ReaderThread(int id, PhaseResult* result,
                          sim::Barrier* barrier);
-  sim::Task WriterThread(std::shared_ptr<bool> stop_flag);
+  /** Puts at config_.write_rate until *stop_flag; then sets `exited`. */
+  sim::Task WriterThread(const bool* stop_flag, sim::VoidPromise exited);
 
   sim::Simulator& sim_;
   KvStore& store_;

@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <cstring>
+#include <deque>
+#include <span>
 #include <utility>
+#include <vector>
 
 #include "sim/logging.h"
 
@@ -23,6 +26,79 @@ constexpr sim::TimeNs kCpuPerPut = sim::Micros(3.0);
 constexpr sim::TimeNs kCpuPerCompactionEntry = 250;
 
 uint64_t AlignUp4K(uint64_t v) { return (v + 4095) / 4096 * 4096; }
+
+/** A sorted run of table images, walked one record at a time. */
+class Run {
+ public:
+  explicit Run(std::span<const std::vector<uint8_t>> images)
+      : images_(images) {
+    Advance();
+  }
+
+  bool done() const { return done_; }
+  const BlockRecord& head() const { return head_; }
+
+  /** Moves to the next record, from the end of one image into the next. */
+  void Advance() {
+    while (!walker_.Next(&head_)) {
+      if (next_image_ == images_.size()) {
+        done_ = true;
+        return;
+      }
+      const std::vector<uint8_t>& image = images_[next_image_++];
+      walker_ = RecordWalker(image.data(), image.size());
+    }
+  }
+
+ private:
+  std::span<const std::vector<uint8_t>> images_;
+  size_t next_image_ = 0;
+  RecordWalker walker_{nullptr, 0};
+  BlockRecord head_;
+  bool done_ = false;
+};
+
+/**
+ * K-way merges compaction inputs: the first `l1_tables` images are L1,
+ * one run in key order, and each image after them is one L0 table,
+ * oldest first. For each key the newest run's record wins; a winning
+ * tombstone has shadowed every older version and is dropped for good,
+ * since this full merge rewrites the bottom level. Returns views of the
+ * surviving records and sets *inputs to the number of records read.
+ */
+std::vector<BlockRecord> MergeRuns(
+    const std::vector<std::vector<uint8_t>>& images, size_t l1_tables,
+    int64_t* inputs) {
+  const std::span<const std::vector<uint8_t>> all(images);
+  std::vector<Run> runs;
+  runs.reserve(1 + images.size() - l1_tables);
+  runs.emplace_back(all.first(l1_tables));
+  for (size_t i = l1_tables; i < images.size(); ++i) {
+    runs.emplace_back(all.subspan(i, 1));
+  }
+  std::vector<BlockRecord> merged;
+  for (;;) {
+    // The smallest key; among runs that hold it, the newest (last).
+    const Run* newest = nullptr;
+    for (const Run& run : runs) {
+      if (!run.done() &&
+          (newest == nullptr || run.head().key <= newest->head().key)) {
+        newest = &run;
+      }
+    }
+    if (newest == nullptr) break;
+    const BlockRecord winner = newest->head();
+    if (!winner.tombstone) merged.push_back(winner);
+    for (Run& run : runs) {
+      if (!run.done() && run.head().key == winner.key) {
+        run.Advance();
+        ++*inputs;
+      }
+    }
+  }
+  return merged;
+}
+
 }  // namespace
 
 KvStore::KvStore(sim::Simulator& sim, client::StorageBackend& backend,
@@ -173,16 +249,15 @@ sim::Task KvStore::FlushTask(sim::VoidPromise promise) {
   flushing_ = std::move(memtable_);
   memtable_.clear();
   memtable_size_bytes_ = 0;
-  std::vector<KvEntry> entries;
-  entries.reserve(flushing_.size());
-  for (auto& [k, v] : flushing_) {
-    entries.push_back(KvEntry{k, v.value, v.tombstone});
-  }
-
-  sim::Promise<TableRef> table_promise(sim_);
-  auto table_future = table_promise.GetFuture();
-  WriteTable(std::move(entries), std::move(table_promise));
-  TableRef table = co_await table_future;
+  sim::Future<TableRef> written = [this] {
+    std::vector<BlockRecord> records;
+    records.reserve(flushing_.size());
+    for (const auto& [key, v] : flushing_) {
+      records.push_back(BlockRecord{key, v.value, v.tombstone});
+    }
+    return WriteTable(records);
+  }();
+  TableRef table = co_await written;
   l0_.push_back(table);
   flushing_.clear();
   ++stats_.memtable_flushes;
@@ -209,18 +284,25 @@ sim::VoidFuture KvStore::WaitCompactionIdle() {
   return future;
 }
 
-sim::Task KvStore::WriteTable(std::vector<KvEntry> entries,
-                              sim::Promise<TableRef> promise) {
+sim::Future<KvStore::TableRef> KvStore::WriteTable(
+    std::span<const BlockRecord> records) {
   auto meta = std::make_shared<SSTableMeta>();
   std::vector<uint8_t> image =
-      BuildSSTableImage(entries, kBloomBitsPerKey, meta.get());
+      BuildSSTableImage(records, kBloomBitsPerKey, meta.get());
   meta->id = next_table_id_++;
   meta->extent_bytes = AlignUp4K(image.size());
   meta->extent_offset = AllocateExtent(meta->extent_bytes);
   // The extent may recycle a compacted table's blocks: drop stale
   // cache entries before new data becomes visible.
   block_cache_.Invalidate(meta->extent_offset, meta->extent_bytes);
+  sim::Promise<TableRef> promise(sim_);
+  auto future = promise.GetFuture();
+  WriteTableTask(std::move(image), std::move(meta), std::move(promise));
+  return future;
+}
 
+sim::Task KvStore::WriteTableTask(std::vector<uint8_t> image, TableRef meta,
+                                  sim::Promise<TableRef> promise) {
   // Pipeline the flush: keep several large writes in flight, as
   // RocksDB's background flush threads do.
   std::deque<sim::Future<client::IoResult>> inflight;
@@ -243,17 +325,17 @@ sim::Task KvStore::WriteTable(std::vector<KvEntry> entries,
   promise.Set(std::move(meta));
 }
 
-sim::Task KvStore::ReadAllEntries(TableRef table, std::vector<KvEntry>* out,
-                                  sim::VoidPromise promise) {
+sim::Task KvStore::ReadTable(TableRef table,
+                             sim::Promise<std::vector<uint8_t>> promise) {
   // Compaction reads bypass the block cache (as RocksDB does) and use
   // large sequential I/Os.
-  std::vector<uint8_t> buf(table->data_bytes);
+  std::vector<uint8_t> image(table->data_bytes);
   std::deque<sim::Future<client::IoResult>> inflight;
-  for (uint64_t off = 0; off < buf.size(); off += kIoChunk) {
+  for (uint64_t off = 0; off < image.size(); off += kIoChunk) {
     const auto n = static_cast<uint32_t>(
-        std::min<uint64_t>(kIoChunk, buf.size() - off));
+        std::min<uint64_t>(kIoChunk, image.size() - off));
     inflight.push_back(backend_.ReadBytes(table->extent_offset + off, n,
-                                          buf.data() + off));
+                                          image.data() + off));
     if (inflight.size() >= 8) {
       client::IoResult r = co_await inflight.front();
       inflight.pop_front();
@@ -265,67 +347,53 @@ sim::Task KvStore::ReadAllEntries(TableRef table, std::vector<KvEntry>* out,
     inflight.pop_front();
     if (!r.ok()) REFLEX_PANIC("sstable read failed");
   }
-  for (uint64_t b = 0; b + kBlockBytes <= buf.size(); b += kBlockBytes) {
-    std::vector<KvEntry> block = ParseBlock(buf.data() + b);
-    for (auto& e : block) out->push_back(std::move(e));
-  }
-  promise.Set(sim::Unit{});
+  promise.Set(std::move(image));
 }
 
 sim::Task KvStore::CompactTask(sim::VoidPromise promise) {
   ++stats_.compactions;
-  // Merge priority: newer L0 tables override older ones; L0 overrides
-  // L1. The input set is snapshotted: L0 tables flushed while this
+  // The input set is snapshotted: L0 tables flushed while this
   // background compaction runs are left for the next one.
   std::vector<TableRef> inputs;
   const size_t l0_snapshot = l0_.size();
-  for (const TableRef& t : l1_) inputs.push_back(t);
+  for (size_t i = 0; i < l1_.size(); ++i) {
+    // L1 is one sorted run only if its tables are in key order.
+    if (i > 0) REFLEX_CHECK(l1_[i - 1]->last_key < l1_[i]->first_key);
+    inputs.push_back(l1_[i]);
+  }
   for (const TableRef& t : l0_) inputs.push_back(t);  // oldest..newest
 
-  // Gather every input's entries oldest first; a stable sort by key
-  // then leaves each key's newest entry last among its equals.
-  std::vector<KvEntry> merged;
+  // This frame owns every input image until the output is written; the
+  // merged records are views of them.
+  std::vector<std::vector<uint8_t>> images;
+  images.reserve(inputs.size());
   for (const TableRef& t : inputs) {
-    sim::VoidPromise read_done(sim_);
-    auto read_future = read_done.GetFuture();
-    ReadAllEntries(t, &merged, std::move(read_done));
-    co_await read_future;
+    sim::Promise<std::vector<uint8_t>> read(sim_);
+    auto read_future = read.GetFuture();
+    ReadTable(t, std::move(read));
+    images.push_back(co_await read_future);
     stats_.bytes_compacted += static_cast<int64_t>(t->data_bytes);
   }
-  const auto total_entries = static_cast<int64_t>(merged.size());
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const KvEntry& a, const KvEntry& b) {
-                     return a.key < b.key;
-                   });
+  int64_t total_entries = 0;
+  const std::vector<BlockRecord> merged =
+      MergeRuns(images, l1_.size(), &total_entries);
   co_await sim::Delay(sim_, kCpuPerCompactionEntry * total_entries);
 
   // Split the merged run into ~8MB L1 tables.
   constexpr uint64_t kTargetTableBytes = 8ULL << 20;
   std::vector<TableRef> new_l1;
-  std::vector<KvEntry> current;
-  uint64_t current_bytes = 0;
-  auto flush_current = [&]() -> sim::Future<TableRef> {
-    sim::Promise<TableRef> p(sim_);
-    auto f = p.GetFuture();
-    WriteTable(std::move(current), std::move(p));
-    current.clear();
-    current_bytes = 0;
-    return f;
-  };
+  size_t table_start = 0;
+  uint64_t table_bytes = 0;
   for (size_t i = 0; i < merged.size(); ++i) {
-    KvEntry& e = merged[i];
-    // A newer input holds this key too.
-    if (i + 1 < merged.size() && merged[i + 1].key == e.key) continue;
-    // This full merge rewrites the bottom level, so tombstones have
-    // shadowed every older version and can be dropped for good.
-    if (e.tombstone) continue;
-    current_bytes += e.key.size() + e.value.size() + 4;
-    current.push_back(std::move(e));
-    if (current_bytes >= kTargetTableBytes) {
-      new_l1.push_back(co_await flush_current());
+    table_bytes += merged[i].key.size() + merged[i].value.size() + 4;
+    if (table_bytes >= kTargetTableBytes || i + 1 == merged.size()) {
+      sim::Future<TableRef> written = WriteTable(
+          std::span(merged).subspan(table_start, i + 1 - table_start));
+      new_l1.push_back(co_await written);
+      table_start = i + 1;
+      table_bytes = 0;
     }
   }
-  if (!current.empty()) new_l1.push_back(co_await flush_current());
 
   // Retire inputs. Extents are freed now; readers that still hold a
   // TableRef keep the metadata alive, and WriteTable invalidates the

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -117,16 +118,22 @@ class KvStore {
                         bool* tombstone_out, std::string* value_out,
                         sim::VoidPromise promise);
 
-  /** Writes sorted entries as a new SSTable; returns its metadata. */
-  sim::Task WriteTable(std::vector<KvEntry> entries,
-                       sim::Promise<TableRef> promise);
+  /**
+   * Builds the image of a new SSTable from sorted records, places it,
+   * and starts writing it; resolves with its metadata once written.
+   * The records are read before this returns.
+   */
+  sim::Future<TableRef> WriteTable(std::span<const BlockRecord> records);
+  /** WriteTable's writes; owns the image and metadata it writes. */
+  sim::Task WriteTableTask(std::vector<uint8_t> image, TableRef meta,
+                           sim::Promise<TableRef> promise);
 
   /** Merges L0 + L1 into a fresh L1 (simple full-merge compaction). */
   sim::Task CompactTask(sim::VoidPromise promise);
 
-  /** Reads all entries of a table (sequential block reads). */
-  sim::Task ReadAllEntries(TableRef table, std::vector<KvEntry>* out,
-                           sim::VoidPromise promise);
+  /** Reads a table's raw image (sequential block reads). */
+  sim::Task ReadTable(TableRef table,
+                      sim::Promise<std::vector<uint8_t>> promise);
 
   uint64_t AllocateExtent(uint64_t bytes);
   void FreeExtent(uint64_t offset, uint64_t bytes);

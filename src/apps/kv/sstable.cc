@@ -39,6 +39,11 @@ bool NextRecord(const uint8_t* block, size_t* pos, BlockRecord* out) {
   return true;
 }
 
+/** Encoded size of a record: header, key and (unless a tombstone) value. */
+size_t RecordBytes(const BlockRecord& r) {
+  return 4 + r.key.size() + (r.tombstone ? 0 : r.value.size());
+}
+
 }  // namespace
 
 BloomFilter::BloomFilter(size_t expected_keys, int bits_per_key,
@@ -81,59 +86,71 @@ int SSTableMeta::FindBlock(std::string_view key) const {
   return static_cast<int>(it - block_first_keys.begin()) - 1;
 }
 
-std::vector<uint8_t> BuildSSTableImage(const std::vector<KvEntry>& entries,
+std::vector<uint8_t> BuildSSTableImage(std::span<const BlockRecord> records,
                                        int bloom_bits_per_key,
                                        SSTableMeta* meta) {
-  REFLEX_CHECK(!entries.empty());
+  REFLEX_CHECK(!records.empty());
   REFLEX_CHECK(meta != nullptr);
-  meta->bloom = std::make_unique<BloomFilter>(entries.size(),
-                                              bloom_bits_per_key);
-  meta->num_entries = entries.size();
-  meta->first_key = entries.front().key;
-  meta->last_key = entries.back().key;
-  meta->block_first_keys.clear();
-
-  std::vector<uint8_t> image;
-  size_t block_used = kBlockBytes;  // force a new block immediately
-  for (const KvEntry& e : entries) {
-    REFLEX_CHECK(e.key.size() < 65535 && e.value.size() < 65534);
-    const size_t value_size = e.tombstone ? 0 : e.value.size();
-    const size_t rec = 4 + e.key.size() + value_size;
+  // Count the blocks first, so the image is allocated once.
+  size_t blocks = 0;
+  size_t block_used = kBlockBytes;  // the first record opens a block
+  for (const BlockRecord& r : records) {
+    REFLEX_CHECK(r.key.size() < 65535 && r.value.size() < 65534);
+    const size_t rec = RecordBytes(r);
     REFLEX_CHECK(rec <= kBlockBytes);
     if (block_used + rec > kBlockBytes) {
-      // Open a new zero-filled block; the zero bytes left in the
-      // previous block act as its terminator (klen == 0).
-      image.insert(image.end(), kBlockBytes, 0);
+      ++blocks;
       block_used = 0;
-      meta->block_first_keys.push_back(e.key);
-    }
-    uint8_t* out = image.data() + image.size() - kBlockBytes + block_used;
-    const auto klen = static_cast<uint16_t>(e.key.size());
-    const uint16_t vlen = e.tombstone
-                              ? kTombstoneVlen
-                              : static_cast<uint16_t>(e.value.size());
-    std::memcpy(out, &klen, 2);
-    std::memcpy(out + 2, &vlen, 2);
-    std::memcpy(out + 4, e.key.data(), klen);
-    if (!e.tombstone) {
-      std::memcpy(out + 4 + klen, e.value.data(), e.value.size());
     }
     block_used += rec;
-    meta->bloom->Add(e.key);
+  }
+
+  meta->bloom = std::make_unique<BloomFilter>(records.size(),
+                                              bloom_bits_per_key);
+  meta->num_entries = records.size();
+  meta->first_key = records.front().key;
+  meta->last_key = records.back().key;
+  meta->block_first_keys.clear();
+  meta->block_first_keys.reserve(blocks);
+
+  // Zero-filled: the zero bytes left after a block's last record act
+  // as its terminator (klen == 0).
+  std::vector<uint8_t> image(blocks * kBlockBytes);
+  uint8_t* out = image.data();
+  block_used = kBlockBytes;
+  for (const BlockRecord& r : records) {
+    const size_t rec = RecordBytes(r);
+    if (block_used + rec > kBlockBytes) {
+      REFLEX_CHECK(meta->block_first_keys.size() < blocks);
+      out = image.data() + meta->block_first_keys.size() * kBlockBytes;
+      block_used = 0;
+      meta->block_first_keys.emplace_back(r.key);
+    }
+    const auto klen = static_cast<uint16_t>(r.key.size());
+    const uint16_t vlen = r.tombstone
+                              ? kTombstoneVlen
+                              : static_cast<uint16_t>(r.value.size());
+    std::memcpy(out, &klen, 2);
+    std::memcpy(out + 2, &vlen, 2);
+    std::memcpy(out + 4, r.key.data(), klen);
+    if (!r.tombstone && vlen > 0) {
+      std::memcpy(out + 4 + klen, r.value.data(), vlen);
+    }
+    out += rec;
+    block_used += rec;
+    meta->bloom->Add(r.key);
   }
   meta->data_bytes = image.size();
   return image;
 }
 
-std::vector<KvEntry> ParseBlock(const uint8_t* block) {
-  std::vector<KvEntry> entries;
-  size_t pos = 0;
-  BlockRecord r;
-  while (NextRecord(block, &pos, &r)) {
-    entries.push_back(
-        KvEntry{std::string(r.key), std::string(r.value), r.tombstone});
+bool RecordWalker::Next(BlockRecord* out) {
+  while (block_ + kBlockBytes <= bytes_) {
+    if (NextRecord(image_ + block_, &pos_, out)) return true;
+    block_ += kBlockBytes;
+    pos_ = 0;
   }
-  return entries;
+  return false;
 }
 
 std::optional<BlockRecord> FindInBlock(const uint8_t* block,

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -56,34 +57,51 @@ struct SSTableMeta {
   int FindBlock(std::string_view key) const;
 };
 
-/** One key/value pair (or a deletion tombstone). */
-struct KvEntry {
-  std::string key;
-  std::string value;
+/**
+ * One record: a key/value pair or a deletion tombstone. `key` and
+ * `value` are views of storage the caller keeps alive: a raw block, or
+ * whatever the records handed to BuildSSTableImage are written from.
+ */
+struct BlockRecord {
+  std::string_view key;
+  std::string_view value;  // empty for a tombstone
   bool tombstone = false;
 };
 
 inline constexpr uint32_t kBlockBytes = 4096;
 
 /**
- * Serializes sorted entries into 4KB data blocks. Record format:
+ * Serializes sorted records into 4KB data blocks. Record format:
  * [u16 klen][u16 vlen][key][value]; a zero klen terminates a block and
- * vlen = 0xFFFF marks a deletion tombstone (no value bytes). Returns
- * the block image (multiple of 4KB) and fills `meta` (bloom, index,
- * key range).
+ * vlen = 0xFFFF marks a deletion tombstone (no value bytes). A record
+ * opens a new block when it does not fit in what is left of the
+ * current one. The image is sized in one pass over the records and
+ * each record is written straight from its views. Returns the block
+ * image (multiple of 4KB) and fills `meta` (bloom, index, key range).
  */
-std::vector<uint8_t> BuildSSTableImage(const std::vector<KvEntry>& entries,
+std::vector<uint8_t> BuildSSTableImage(std::span<const BlockRecord> records,
                                        int bloom_bits_per_key,
                                        SSTableMeta* meta);
 
-/** Parses one 4KB block into entries (for compaction). */
-std::vector<KvEntry> ParseBlock(const uint8_t* block);
+/**
+ * Walks the records of a raw image (whole 4KB blocks) in order, block
+ * by block, as views of the image. Within a block it stops at the
+ * terminator and never reads past kBlockBytes, whatever the block
+ * holds.
+ */
+class RecordWalker {
+ public:
+  RecordWalker(const uint8_t* image, size_t bytes)
+      : image_(image), bytes_(bytes) {}
 
-/** One record of a raw block; `key` and `value` point into the block. */
-struct BlockRecord {
-  std::string_view key;
-  std::string_view value;  // empty for a tombstone
-  bool tombstone = false;
+  /** Sets *out to the next record; returns false past the last one. */
+  bool Next(BlockRecord* out);
+
+ private:
+  const uint8_t* image_;
+  size_t bytes_;
+  size_t block_ = 0;  // byte offset of the current block
+  size_t pos_ = 0;    // offset within the current block
 };
 
 /**
