@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <functional>
 #include <numeric>
 #include <queue>
@@ -13,6 +15,7 @@
 #include "baseline/local_spdk.h"
 #include "client/storage_backend.h"
 #include "flash/flash_device.h"
+#include "sim/random.h"
 #include "sim/simulator.h"
 
 namespace reflex::apps::graph {
@@ -251,6 +254,143 @@ TEST(GraphGenTest, RmatIsSkewed) {
 TEST(GraphGenTest, Deterministic) {
   EXPECT_EQ(GenerateRmat(512, 1000, 42), GenerateRmat(512, 1000, 42));
   EXPECT_NE(GenerateRmat(512, 1000, 42), GenerateRmat(512, 1000, 43));
+}
+
+// The R-MAT generator as it was written before its quadrant choice
+// became branch-free: one double per level through an if / else chain.
+std::vector<Edge> ReferenceRmat(uint32_t num_vertices, uint64_t num_edges,
+                                uint64_t seed, double a, double b,
+                                double c) {
+  sim::Rng rng(seed, "rmat");
+  const int levels = 64 - std::countl_zero(
+                              static_cast<uint64_t>(num_vertices - 1));
+  std::vector<Edge> edges;
+  edges.reserve(num_edges);
+  while (edges.size() < num_edges) {
+    uint64_t src = 0, dst = 0;
+    for (int l = 0; l < levels; ++l) {
+      const double p = rng.NextDouble();
+      src <<= 1;
+      dst <<= 1;
+      if (p < a) {
+        // top-left quadrant
+      } else if (p < a + b) {
+        dst |= 1;
+      } else if (p < a + b + c) {
+        src |= 1;
+      } else {
+        src |= 1;
+        dst |= 1;
+      }
+    }
+    if (src >= num_vertices || dst >= num_vertices || src == dst) continue;
+    edges.emplace_back(static_cast<uint32_t>(src),
+                       static_cast<uint32_t>(dst));
+  }
+  return edges;
+}
+
+// The reference generator's quadrant for draw p, as (src << 1) | dst.
+uint32_t ReferenceQuadrant(double p, double a, double b, double c) {
+  if (p < a) return 0;
+  if (p < a + b) return 1;
+  if (p < a + b + c) return 2;
+  return 3;
+}
+
+TEST(GraphGenTest, RmatMatchesReferenceGenerator) {
+  struct Probs {
+    double a, b, c;
+  };
+  // Defaults, uniform, mild skew, c = 0 and a = 0.
+  const Probs probs[] = {{0.57, 0.19, 0.19},
+                         {0.25, 0.25, 0.25},
+                         {0.45, 0.15, 0.15},
+                         {0.9, 0.05, 0.0},
+                         {0.0, 0.5, 0.25}};
+  for (uint32_t n : {2u, 3u, 1000u, 1024u, 1025u, 50000u}) {
+    for (uint64_t seed : {1u, 7u, 2026u}) {
+      for (const Probs& p : probs) {
+        SCOPED_TRACE(testing::Message()
+                     << "n=" << n << " seed=" << seed << " a=" << p.a
+                     << " b=" << p.b << " c=" << p.c);
+        // Without a top-left quadrant, n = 1025 keeps only edges with an
+        // end at exactly 1024, about one attempt in 4,000.
+        const uint64_t m = p.a == 0 ? 100 : 4000;
+        ASSERT_EQ(GenerateRmat(n, m, seed, p.a, p.b, p.c),
+                  ReferenceRmat(n, m, seed, p.a, p.b, p.c));
+      }
+    }
+  }
+}
+
+TEST(GraphGenTest, QuadrantBoundIsExact) {
+  // Doubles below 0.5 carry bits finer than 2^-53, so ceil and floor of
+  // x * 2^53 differ there; converting a raw 64-bit draw keeps them.
+  sim::Rng rng(5, "quadrant_bound");
+  std::vector<double> xs = {0.57, 0.57 + 0.19, 0.57 + 0.19 + 0.19};
+  while (xs.size() < 3 + 1000) {
+    const double x = static_cast<double>(rng.Next()) * 0x1.0p-64;
+    if (x < 1.0) xs.push_back(x);
+  }
+  for (double x : xs) {
+    const uint64_t bound = internal::UnitBound(x);
+    ASSERT_GE(bound, 2u) << x;
+    for (uint64_t k = bound - 2; k <= bound + 1; ++k) {
+      const double p = static_cast<double>(k) * 0x1.0p-53;
+      ASSERT_EQ(k >= bound, p >= x) << "x=" << x << " k=" << k;
+    }
+  }
+  // The quadrant at and around each bound, for the defaults and for
+  // (a, b, c) triples of random values scaled to sum below 1.
+  std::vector<std::array<double, 3>> probs = {{0.57, 0.19, 0.19}};
+  for (size_t i = 3; i + 2 < xs.size(); i += 3) {
+    probs.push_back({xs[i] / 4, xs[i + 1] / 4, xs[i + 2] / 4});
+  }
+  for (const auto& [a, b, c] : probs) {
+    const internal::QuadrantBounds q{internal::UnitBound(a),
+                                     internal::UnitBound(a + b),
+                                     internal::UnitBound(a + b + c)};
+    for (uint64_t bound : {q.ka, q.kab, q.kabc}) {
+      for (uint64_t k = bound - 2; k <= bound + 1; ++k) {
+        const double p = static_cast<double>(k) * 0x1.0p-53;
+        ASSERT_EQ(internal::Quadrant(k, q), ReferenceQuadrant(p, a, b, c))
+            << "a=" << a << " b=" << b << " c=" << c << " k=" << k;
+      }
+    }
+  }
+}
+
+// FNV-1a-64 over each edge's source and then destination, each as four
+// little-endian bytes.
+uint64_t EdgeListHash(const std::vector<Edge>& edges) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](uint32_t v) {
+    for (int i = 0; i < 4; ++i) {
+      h ^= (v >> (8 * i)) & 0xff;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (const Edge& e : edges) {
+    mix(e.first);
+    mix(e.second);
+  }
+  return h;
+}
+
+TEST(GraphGenTest, RmatEdgesArePinned) {
+  // perfbench graph_scc at seeds 1 and 3, and fig7b_flashx.
+  EXPECT_EQ(EdgeListHash(GenerateRmat(50000, 800000, 1)),
+            0x89702617873d8a2cULL);
+  EXPECT_EQ(EdgeListHash(GenerateRmat(50000, 800000, 3)),
+            0x2f589bebce899e47ULL);
+  EXPECT_EQ(EdgeListHash(GenerateRmat(100000, 1600000, 2026)),
+            0x970978ccc2feba33ULL);
+}
+
+TEST(GraphGenTest, RejectsNegativeQuadrantProbability) {
+  EXPECT_DEATH(GenerateRmat(1024, 10, 1, 0.6, -0.1, 0.3),
+               "check failed: a >= 0");
 }
 
 }  // namespace
