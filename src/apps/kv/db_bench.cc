@@ -1,6 +1,6 @@
 #include "apps/kv/db_bench.h"
 
-#include <cstdio>
+#include <algorithm>
 #include <utility>
 
 #include "sim/logging.h"
@@ -15,10 +15,19 @@ DbBench::DbBench(sim::Simulator& sim, KvStore& store, Config config)
       writer_cursor_(config.num_keys) {}
 
 std::string DbBench::KeyFor(uint64_t i) {
-  char buf[24];
-  std::snprintf(buf, sizeof(buf), "%016llu",
-                static_cast<unsigned long long>(i));
-  return buf;
+  // The bytes of snprintf("%016llu"): at least 16 digits, zero-padded,
+  // and all 20 of UINT64_MAX.
+  constexpr size_t kPad = 16;
+  char buf[20];
+  char* const end = buf + sizeof(buf);
+  char* digits = end;
+  do {
+    *--digits = static_cast<char>('0' + i % 10);
+    i /= 10;
+  } while (i != 0);
+  char* const first = std::min(digits, end - kPad);
+  std::fill(first, digits, '0');
+  return std::string(first, end);
 }
 
 std::string DbBench::ValueFor(uint64_t i, uint32_t len) {

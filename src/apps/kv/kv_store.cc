@@ -109,7 +109,8 @@ KvStore::KvStore(sim::Simulator& sim, client::StorageBackend& backend,
       block_cache_(sim, backend, options.block_cache_blocks,
                    /*max_outstanding=*/64),
       wal_block_(kBlockBytes, 0),
-      alloc_cursor_(options.region_offset + options.wal_bytes),
+      extents_(options.region_offset + options.wal_bytes,
+               options.region_offset + options.region_bytes),
       write_lock_(sim, 1) {
   REFLEX_CHECK(options_.region_offset % 4096 == 0);
   REFLEX_CHECK(options_.wal_bytes % 4096 == 0);
@@ -117,32 +118,66 @@ KvStore::KvStore(sim::Simulator& sim, client::StorageBackend& backend,
   REFLEX_CHECK(options_.l0_compaction_trigger >= 1);
 }
 
-uint64_t KvStore::AllocateExtent(uint64_t bytes) {
+ExtentAllocator::ExtentAllocator(uint64_t begin, uint64_t end)
+    : begin_(begin), end_(end), cursor_(begin) {
+  REFLEX_CHECK(begin % 4096 == 0 && begin <= end);
+}
+
+uint64_t ExtentAllocator::Allocate(uint64_t bytes) {
   bytes = AlignUp4K(bytes);
-  for (size_t i = 0; i < free_extents_.size(); ++i) {
-    if (free_extents_[i].second >= bytes) {
-      const uint64_t offset = free_extents_[i].first;
-      free_extents_[i].first += bytes;
-      free_extents_[i].second -= bytes;
-      if (free_extents_[i].second == 0) {
-        free_extents_.erase(free_extents_.begin() +
-                            static_cast<long>(i));
-      }
-      return offset;
-    }
+  for (auto it = holes_.begin(); it != holes_.end(); ++it) {
+    if (it->second < bytes) continue;
+    const uint64_t offset = it->first;
+    it->first += bytes;
+    it->second -= bytes;
+    if (it->second == 0) holes_.erase(it);
+    return offset;
   }
-  const uint64_t offset = alloc_cursor_;
-  alloc_cursor_ += bytes;
-  if (alloc_cursor_ >
-      options_.region_offset + options_.region_bytes) {
-    REFLEX_FATAL("KvStore region exhausted (%llu bytes)",
-                 static_cast<unsigned long long>(options_.region_bytes));
+  if (bytes > end_ - cursor_) {
+    REFLEX_FATAL("KvStore region exhausted (%llu bytes of tables)",
+                 static_cast<unsigned long long>(end_ - begin_));
   }
+  const uint64_t offset = cursor_;
+  cursor_ += bytes;
   return offset;
 }
 
-void KvStore::FreeExtent(uint64_t offset, uint64_t bytes) {
-  free_extents_.emplace_back(offset, AlignUp4K(bytes));
+void ExtentAllocator::Free(uint64_t offset, uint64_t bytes) {
+  uint64_t end = offset + AlignUp4K(bytes);
+  REFLEX_CHECK(offset >= begin_ && end <= cursor_);
+  auto next = std::lower_bound(
+      holes_.begin(), holes_.end(), offset,
+      [](const std::pair<uint64_t, uint64_t>& h, uint64_t o) {
+        return h.first < o;
+      });
+  REFLEX_CHECK(next == holes_.end() || end <= next->first);
+  // Absorb the holes that touch the freed extent on either side.
+  if (next != holes_.end() && next->first == end) {
+    end += next->second;
+    next = holes_.erase(next);
+  }
+  if (next != holes_.begin()) {
+    const auto prev = next - 1;
+    REFLEX_CHECK(prev->first + prev->second <= offset);
+    if (prev->first + prev->second == offset) {
+      offset = prev->first;
+      next = holes_.erase(prev);
+    }
+  }
+  if (end == cursor_) {
+    cursor_ = offset;
+  } else {
+    holes_.insert(next, {offset, end - offset});
+  }
+}
+
+uint64_t KvStore::AllocateExtent(uint64_t bytes) {
+  std::erase_if(retired_, [this](const Retired& r) {
+    if (!r.table.expired()) return false;
+    extents_.Free(r.offset, r.bytes);
+    return true;
+  });
+  return extents_.Allocate(bytes);
 }
 
 sim::Future<bool> KvStore::Put(std::string key, std::string value) {
@@ -395,11 +430,12 @@ sim::Task KvStore::CompactTask(sim::VoidPromise promise) {
     }
   }
 
-  // Retire inputs. Extents are freed now; readers that still hold a
-  // TableRef keep the metadata alive, and WriteTable invalidates the
-  // block cache before any recycled extent is rewritten.
+  // Retire inputs. A Get that snapshotted one may still read its
+  // blocks, so its extent is freed by a later AllocateExtent, once no
+  // Get holds it; WriteTable invalidates the block cache before a
+  // recycled extent is rewritten.
   for (const TableRef& t : inputs) {
-    FreeExtent(t->extent_offset, t->extent_bytes);
+    retired_.push_back(Retired{t, t->extent_offset, t->extent_bytes});
   }
   // Keep L0 tables that arrived after the snapshot.
   l0_.erase(l0_.begin(), l0_.begin() + static_cast<long>(l0_snapshot));

@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "apps/kv/sstable.h"
@@ -21,6 +22,37 @@ namespace reflex::apps::kv {
 struct GetResult {
   bool found = false;
   std::string value;
+};
+
+/**
+ * First-fit allocator of 4KB-aligned extents of [begin, end). Free
+ * holes are kept in address order, each merged with its neighbours,
+ * and a hole that reaches the bump pointer is handed back to it, so
+ * freed space is reused in whole and the cursor only grows when no hole
+ * fits.
+ */
+class ExtentAllocator {
+ public:
+  ExtentAllocator(uint64_t begin, uint64_t end);
+
+  /** Returns the offset of `bytes` (rounded up to 4KB); fatal once the
+   * range is exhausted. */
+  uint64_t Allocate(uint64_t bytes);
+  /** Returns an allocated extent (offset and size as allocated). */
+  void Free(uint64_t offset, uint64_t bytes);
+
+  /** End of the space ever handed out and not returned to the cursor. */
+  uint64_t cursor() const { return cursor_; }
+  /** Free holes below the cursor: (offset, bytes), sorted, none touch. */
+  const std::vector<std::pair<uint64_t, uint64_t>>& holes() const {
+    return holes_;
+  }
+
+ private:
+  uint64_t begin_;
+  uint64_t end_;
+  uint64_t cursor_;
+  std::vector<std::pair<uint64_t, uint64_t>> holes_;
 };
 
 /**
@@ -135,8 +167,9 @@ class KvStore {
   sim::Task ReadTable(TableRef table,
                       sim::Promise<std::vector<uint8_t>> promise);
 
+  /** Frees the extent of every retired table that no Get still
+   * holds, then allocates `bytes`. */
   uint64_t AllocateExtent(uint64_t bytes);
-  void FreeExtent(uint64_t offset, uint64_t bytes);
 
   sim::Simulator& sim_;
   client::StorageBackend& backend_;
@@ -162,9 +195,19 @@ class KvStore {
   uint32_t wal_block_used_ = 0;
   std::vector<uint8_t> wal_block_;
 
-  // Extent allocator: bump pointer + first-fit free list.
-  uint64_t alloc_cursor_;
-  std::vector<std::pair<uint64_t, uint64_t>> free_extents_;
+  ExtentAllocator extents_;
+  /**
+   * A compaction input whose extent is not yet free: a Get that
+   * snapshotted the table may still read its blocks, so the extent is
+   * freed only once no TableRef is left. The reference is weak, so the
+   * table's metadata goes with the last Get that holds it.
+   */
+  struct Retired {
+    std::weak_ptr<SSTableMeta> table;
+    uint64_t offset;
+    uint64_t bytes;
+  };
+  std::vector<Retired> retired_;
 
   /** Serializes writers (Put/Flush), like the RocksDB write thread;
    * readers proceed concurrently and compaction runs in background. */

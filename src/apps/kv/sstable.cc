@@ -9,15 +9,6 @@ namespace reflex::apps::kv {
 
 namespace {
 
-uint64_t Fnv1a(std::string_view s, uint64_t seed) {
-  uint64_t h = 0xcbf29ce484222325ULL ^ seed;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
-
 /**
  * Decodes the record at *pos of a raw block into views of the block
  * and advances *pos past it. Returns false at the terminator (klen 0)
@@ -44,32 +35,46 @@ size_t RecordBytes(const BlockRecord& r) {
   return 4 + r.key.size() + (r.tombstone ? 0 : r.value.size());
 }
 
+struct ProbeHashes {
+  uint64_t h1;
+  uint64_t h2;
+};
+
+/** Two seeded FNV-1a hashes of the key, computed in one pass; h2 is odd. */
+ProbeHashes HashKey(std::string_view key) {
+  constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
+  uint64_t h1 = 0xcbf29ce484222325ULL;
+  uint64_t h2 = h1 ^ 0x9e3779b97f4a7c15ULL;
+  for (char c : key) {
+    const auto byte = static_cast<unsigned char>(c);
+    h1 = (h1 ^ byte) * kFnvPrime;
+    h2 = (h2 ^ byte) * kFnvPrime;
+  }
+  return {h1, h2 | 1};
+}
+
 }  // namespace
 
 BloomFilter::BloomFilter(size_t expected_keys, int bits_per_key,
                          int hashes)
-    : hashes_(hashes) {
-  size_t bits = std::max<size_t>(64, expected_keys * bits_per_key);
-  bits_.assign(bits, false);
-}
+    : num_bits_(std::max<uint64_t>(64, expected_keys * bits_per_key)),
+      words_((num_bits_ + 63) / 64, 0),
+      hashes_(hashes) {}
 
-// Double hashing: probe i tests bit (h1 + i*h2) mod size, with both
-// hashes computed once per key.
+// Double hashing: probe i tests bit (h1 + i*h2) mod num_bits_.
 void BloomFilter::Add(std::string_view key) {
-  const uint64_t h1 = Fnv1a(key, 0);
-  const uint64_t h2 = Fnv1a(key, 0x9e3779b97f4a7c15ULL) | 1;
+  const auto [h1, h2] = HashKey(key);
   for (int i = 0; i < hashes_; ++i) {
-    bits_[(h1 + static_cast<uint64_t>(i) * h2) % bits_.size()] = true;
+    const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % num_bits_;
+    words_[bit / 64] |= uint64_t{1} << (bit % 64);
   }
 }
 
 bool BloomFilter::MayContain(std::string_view key) const {
-  const uint64_t h1 = Fnv1a(key, 0);
-  const uint64_t h2 = Fnv1a(key, 0x9e3779b97f4a7c15ULL) | 1;
+  const auto [h1, h2] = HashKey(key);
   for (int i = 0; i < hashes_; ++i) {
-    if (!bits_[(h1 + static_cast<uint64_t>(i) * h2) % bits_.size()]) {
-      return false;
-    }
+    const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % num_bits_;
+    if ((words_[bit / 64] >> (bit % 64) & 1) == 0) return false;
   }
   return true;
 }

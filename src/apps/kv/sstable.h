@@ -24,10 +24,10 @@ class BloomFilter {
 
   void Add(std::string_view key);
   bool MayContain(std::string_view key) const;
-  size_t SizeBytes() const { return bits_.size() / 8; }
 
  private:
-  std::vector<bool> bits_;
+  uint64_t num_bits_;
+  std::vector<uint64_t> words_;
   int hashes_;
 };
 

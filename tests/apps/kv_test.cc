@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -91,6 +93,59 @@ TEST(BloomFilterTest, BitsMatchReferenceHash) {
     agreed_positives += expected;
   }
   EXPECT_GE(agreed_positives, 1000);  // every added key is a probe
+}
+
+// 1,000 keys at 7 bits each: 7,000 bits, not a multiple of 64, so the
+// last word is partly used and 2^64 mod size is not 0. Some probe
+// sums must wrap past 2^64, so a probe computed from anything but the
+// wrapped 64-bit sum would set other bits.
+TEST(BloomFilterTest, OddSizeWithWrappingSumsMatchesReference) {
+  constexpr size_t kKeys = 1000;
+  constexpr size_t kBits = kKeys * 7;
+  constexpr int kHashes = 9;
+  static_assert(kBits % 64 != 0);
+  BloomFilter bloom(kKeys, 7, kHashes);
+  std::vector<bool> reference(kBits, false);
+  int wrapped = 0;
+  for (size_t i = 0; i < kKeys; ++i) {
+    const std::string key = "odd-" + std::to_string(i * 5);
+    bloom.Add(key);
+    for (int h = 0; h < kHashes; ++h) {
+      reference[ReferenceHashN(key, h) % kBits] = true;
+      if (h > 0 && ReferenceHashN(key, h) < ReferenceHashN(key, h - 1)) {
+        ++wrapped;
+      }
+    }
+  }
+  EXPECT_GT(wrapped, 1000);
+  for (int i = 0; i < 20000; ++i) {
+    const std::string key = "odd-" + std::to_string(i);
+    bool expected = true;
+    for (int h = 0; h < kHashes; ++h) {
+      expected = expected && reference[ReferenceHashN(key, h) % kBits];
+    }
+    ASSERT_EQ(bloom.MayContain(key), expected) << key;
+  }
+}
+
+TEST(DbBenchTest, KeyForMatchesSnprintf) {
+  for (const uint64_t i :
+       {uint64_t{0}, uint64_t{7}, uint64_t{59999}, uint64_t{123456789},
+        uint64_t{9999999999999999}, uint64_t{10000000000000000},
+        uint64_t{12345678901234567}, UINT64_MAX}) {
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llu",
+                  static_cast<unsigned long long>(i));
+    EXPECT_EQ(DbBench::KeyFor(i), std::string(buf)) << i;
+  }
+  sim::Rng rng(5, "key_for");
+  for (int n = 0; n < 10000; ++n) {
+    const uint64_t i = rng.Next() >> rng.NextBounded(64);
+    char buf[24];
+    std::snprintf(buf, sizeof(buf), "%016llu",
+                  static_cast<unsigned long long>(i));
+    ASSERT_EQ(DbBench::KeyFor(i), std::string(buf)) << i;
+  }
 }
 
 /** Owns the bytes of test records; records() lists views of them. */
@@ -740,6 +795,215 @@ TEST_F(KvStoreTest, CompactionMatchesModelUnderChurn) {
     EXPECT_GE(multi_table_merges, 3);
     EXPECT_GE(store.stats().compactions, 4);
   }
+}
+
+// Checks the allocator against the live extents it handed out: holes
+// and live extents (rounded up to 4 KB) tile [begin, cursor) with no
+// gap or overlap, holes are sorted and non-empty, no two holes touch,
+// and no hole reaches the cursor.
+void ExpectTiled(const ExtentAllocator& alloc, uint64_t begin,
+                 const std::map<uint64_t, uint64_t>& live) {
+  std::vector<std::pair<uint64_t, uint64_t>> holes = alloc.holes();
+  ASSERT_TRUE(std::is_sorted(holes.begin(), holes.end()));
+  std::map<uint64_t, std::pair<uint64_t, bool>> pieces;  // -> bytes, hole
+  for (const auto& [offset, bytes] : live) {
+    pieces.emplace(offset, std::make_pair((bytes + 4095) / 4096 * 4096,
+                                          false));
+  }
+  for (const auto& [offset, bytes] : holes) {
+    ASSERT_GT(bytes, 0u);
+    ASSERT_TRUE(pieces.emplace(offset, std::make_pair(bytes, true)).second)
+        << offset;
+  }
+  uint64_t end = begin;
+  bool after_hole = false;
+  for (const auto& [offset, piece] : pieces) {
+    ASSERT_EQ(offset, end) << "gap or overlap";
+    ASSERT_FALSE(after_hole && piece.second) << "unmerged holes at " << offset;
+    end += piece.first;
+    after_hole = piece.second;
+  }
+  EXPECT_EQ(end, alloc.cursor());
+  EXPECT_FALSE(after_hole) << "a hole reaches the cursor";
+}
+
+// Random allocate/free sequences against a reference map of live
+// extents: every allocation is first fit (the lowest hole that holds
+// it, else the cursor), the free list stays sorted and merged after
+// every step, and freeing everything brings the cursor back.
+TEST(ExtentAllocatorTest, RandomSequencesMatchReference) {
+  constexpr uint64_t kBegin = 4ULL << 20;
+  for (uint64_t seed = 1; seed <= 20; ++seed) {
+    ExtentAllocator alloc(kBegin, kBegin + (1ULL << 30));
+    std::map<uint64_t, uint64_t> live;  // offset -> bytes requested
+    sim::Rng rng(seed, "extent_alloc");
+    for (int op = 0; op < 1500; ++op) {
+      if (live.empty() || rng.NextBounded(100) < 55) {
+        const uint64_t bytes = 1 + rng.NextBounded(16 * 4096);
+        uint64_t expected = alloc.cursor();
+        for (const auto& [offset, hole] : alloc.holes()) {
+          if (hole >= bytes) {
+            expected = offset;
+            break;
+          }
+        }
+        const uint64_t offset = alloc.Allocate(bytes);
+        ASSERT_EQ(offset, expected) << "seed " << seed << " op " << op;
+        live.emplace(offset, bytes);
+      } else {
+        auto it = live.begin();
+        std::advance(it, static_cast<long>(rng.NextBounded(live.size())));
+        alloc.Free(it->first, it->second);
+        live.erase(it);
+      }
+      ExpectTiled(alloc, kBegin, live);
+      if (HasFatalFailure()) return;
+    }
+    while (!live.empty()) {
+      auto it = live.begin();
+      std::advance(it, static_cast<long>(rng.NextBounded(live.size())));
+      alloc.Free(it->first, it->second);
+      live.erase(it);
+      ExpectTiled(alloc, kBegin, live);
+      if (HasFatalFailure()) return;
+    }
+    EXPECT_EQ(alloc.cursor(), kBegin);
+    EXPECT_TRUE(alloc.holes().empty());
+  }
+}
+
+TEST(ExtentAllocatorTest, FreedSpaceSatisfiesWhatTheCursorCannot) {
+  ExtentAllocator alloc(0, 3 * 4096);
+  const uint64_t a = alloc.Allocate(4096);
+  const uint64_t b = alloc.Allocate(100);
+  alloc.Allocate(4096);
+  EXPECT_DEATH(alloc.Allocate(1), "KvStore region exhausted");
+  // Two neighbouring holes merge into one that holds 8 KB.
+  alloc.Free(a, 4096);
+  alloc.Free(b, 100);
+  ASSERT_EQ(alloc.holes().size(), 1u);
+  EXPECT_EQ(alloc.Allocate(2 * 4096), a);
+  EXPECT_TRUE(alloc.holes().empty());
+}
+
+// A store that keeps overwriting and adding keys (7,500 keys, about
+// 1.3 MB at the end, 15 compactions) needs 3-4 MB of extents when
+// freed holes merge: old tables stay until their compaction has
+// written the new ones. A free list that never merges holes cannot
+// place a compaction output that outgrew every earlier table, so it
+// bumps the cursor on almost every compaction, needs 8-12 MB, and runs
+// out of this 6 MB region.
+TEST_F(KvStoreTest, ChurnReusesFreedExtents) {
+  KvStore::Options o = SmallOptions();
+  o.region_bytes = o.wal_bytes + (6ULL << 20);
+  o.memtable_bytes = 128 << 10;
+  o.l0_compaction_trigger = 3;
+  KvStore store(sim_, backend_, o);
+  sim::Rng rng(3, "kv_region_churn");
+  std::map<uint64_t, std::string> model;
+  uint64_t next_key = 0;
+  for (int op = 0; op < 30000; ++op) {
+    const uint64_t key = rng.NextBounded(4) == 0 || model.empty()
+                             ? next_key++
+                             : rng.NextBounded(next_key);
+    std::string value = std::to_string(op) + "-" +
+                        std::string(100 + rng.NextBounded(100), 'v');
+    ASSERT_TRUE(Await(store.Put(DbBench::KeyFor(key), value))) << op;
+    model[key] = std::move(value);
+  }
+  Await(store.Flush());
+  Await(store.WaitCompactionIdle());
+  EXPECT_GE(store.stats().compactions, 15);
+  for (const auto& [key, value] : model) {
+    const GetResult r = Await(store.Get(DbBench::KeyFor(key)));
+    ASSERT_TRUE(r.found) << key;
+    ASSERT_EQ(r.value, value) << key;
+  }
+}
+
+// A Get that snapshotted the old L1 still reads it after the
+// compaction that replaced it, even though the flush that stalled on
+// that compaction is placed the moment it ends: the retired tables'
+// extents stay allocated until no Get holds them. The Get is kept in
+// flight by a slow search of an L0 table whose bloom filter passes the
+// key although the table does not hold it.
+TEST_F(KvStoreTest, GetHoldsRetiredTablesAcrossCompaction) {
+  KvStore::Options o = SmallOptions();
+  o.memtable_bytes = 1 << 20;
+  o.l0_compaction_trigger = 8;  // the stall trigger: the next flush waits
+  o.cpu_per_block_search = Millis(100);
+  KvStore store(sim_, backend_, o);
+  auto flush_table = [&](const std::vector<std::string>& keys,
+                         const std::string& tag) {
+    for (const std::string& key : keys) {
+      ASSERT_TRUE(Await(store.Put(key, tag + DbBench::ValueFor(7, 100))));
+    }
+    Await(store.Flush());
+  };
+  auto one_key_tables = [&](const std::string& prefix) {
+    for (int i = 0; i < 6; ++i) {
+      flush_table({prefix + std::to_string(i)}, "t");
+    }
+  };
+  // L1: keys 0..999 (written twice), in one table.
+  std::vector<std::string> l1_keys;
+  for (int i = 0; i < 1000; ++i) l1_keys.push_back(DbBench::KeyFor(i));
+  flush_table(l1_keys, "a");
+  flush_table(l1_keys, "b");
+  one_key_tables("w1-");
+  Await(store.WaitCompactionIdle());
+  ASSERT_EQ(store.l1_tables(), 1);
+  ASSERT_EQ(store.l0_tables(), 0);
+
+  // An L0 table spanning `key` without holding it, whose bloom filter
+  // (rebuilt here as the table builds it) passes `key` anyway.
+  const std::string key = DbBench::KeyFor(5);
+  std::vector<std::string> decoy;
+  for (int pad = 0; decoy.empty(); ++pad) {
+    std::vector<std::string> keys;
+    for (int i = 0; i < 40; ++i) {
+      if (i != 5) keys.push_back(DbBench::KeyFor(i));
+    }
+    keys.push_back(DbBench::KeyFor(2000 + pad));
+    BloomFilter bloom(keys.size());
+    for (const std::string& k : keys) bloom.Add(k);
+    if (bloom.MayContain(key)) decoy = keys;
+  }
+  flush_table(decoy, "x");
+  one_key_tables("w2-");
+
+  // The Get checks the decoy first and stays in its search.
+  const int64_t block_reads = store.stats().block_reads;
+  sim::Future<GetResult> get = store.Get(key);
+  sim_.RunUntil(sim_.Now() + Millis(1));
+  ASSERT_EQ(store.stats().block_reads, block_reads + 1);
+
+  // From here the simulator only runs in small steps, so the Get stays
+  // in flight. The eighth L0 table starts the compaction; the next
+  // flush stalls until it ends and is then placed at once.
+  auto step = [this](auto future) {
+    while (!future.Ready()) sim_.RunUntil(sim_.Now() + sim::Micros(10));
+    return future.Get();
+  };
+  step(store.Put("y", "y"));
+  step(store.Flush());
+  ASSERT_EQ(store.l0_tables(), 8);
+  ASSERT_EQ(store.stats().compactions, 2);
+  store.set_wal_enabled(false);
+  for (int i = 0; i < 30; ++i) {
+    ASSERT_TRUE(step(store.Put("z" + std::to_string(i),
+                               std::string(4000, 'z'))));
+  }
+  ASSERT_EQ(store.l0_tables(), 8) << "the compaction is still running";
+  step(store.Flush());
+  EXPECT_EQ(store.l0_tables(), 1);
+  ASSERT_FALSE(get.Ready()) << "the Get must outlive the compaction";
+
+  sim_.Run();
+  ASSERT_TRUE(get.Ready());
+  ASSERT_TRUE(get.Get().found);
+  EXPECT_EQ(get.Get().value, "b" + DbBench::ValueFor(7, 100));
+  EXPECT_EQ(Await(store.Get(key)).value, "b" + DbBench::ValueFor(7, 100));
 }
 
 TEST_F(KvStoreTest, BloomFiltersSkipTables) {
