@@ -103,8 +103,6 @@ DataplaneThread::DataplaneThread(sim::Simulator& sim, ReflexServer& server,
   cq_batch_.reserve(static_cast<size_t>(max_batch_));
   scheduler_.set_neg_limit_callback(
       [this](Tenant& t) { server_.control_plane().OnNegLimit(t); });
-  scheduler_.set_metrics(
-      obs::SchedulerMetrics::ForThread(server.metrics(), index));
 }
 
 DataplaneThread::~DataplaneThread() {

@@ -41,7 +41,7 @@ double TokenBucketPolicy::GenerateTokens(Tenant& t, double dt) {
   const double gen = t.token_rate() * dt;
   TokensOf(t) += gen;
   ctx_.shared->tokens_generated_total += gen;
-  if (ctx_.metrics->enabled()) ctx_.metrics->tokens_generated->Add(gen);
+  ctx_.counters->tokens_generated += gen;
   return gen;
 }
 
@@ -52,7 +52,7 @@ void TokenBucketPolicy::AccrueLc(Tenant& t, sim::TimeNs /*now*/, double dt) {
 
   if (TokensOf(t) < ctx_.config->neg_limit) {
     ++t.neg_limit_hits;
-    if (ctx_.metrics->enabled()) ctx_.metrics->neg_limit_hits->Increment();
+    ++ctx_.counters->neg_limit_hits;
     if (*ctx_.on_neg_limit) (*ctx_.on_neg_limit)(t);
   }
 }
@@ -76,7 +76,7 @@ void TokenBucketPolicy::FinishLc(Tenant& t) {
     ctx_.shared->global_bucket.Donate(spill);
     TokensOf(t) -= spill;
     ctx_.shared->tokens_donated_total += spill;
-    if (ctx_.metrics->enabled()) ctx_.metrics->tokens_donated->Add(spill);
+    ctx_.counters->tokens_donated += spill;
   }
 }
 
@@ -87,7 +87,7 @@ void TokenBucketPolicy::AccrueBe(Tenant& t, sim::TimeNs /*now*/, double dt) {
     const double claimed = ctx_.shared->global_bucket.TryClaim(deficit);
     TokensOf(t) += claimed;
     ctx_.shared->tokens_claimed_total += claimed;
-    if (ctx_.metrics->enabled()) ctx_.metrics->tokens_claimed->Add(claimed);
+    ctx_.counters->tokens_claimed += claimed;
   }
 }
 
@@ -100,9 +100,7 @@ void TokenBucketPolicy::FinishBe(Tenant& t) {
     // DRR-style: idle BE tenants may not hoard tokens.
     ctx_.shared->global_bucket.Donate(TokensOf(t));
     ctx_.shared->tokens_donated_total += TokensOf(t);
-    if (ctx_.metrics->enabled()) {
-      ctx_.metrics->tokens_donated->Add(TokensOf(t));
-    }
+    ctx_.counters->tokens_donated += TokensOf(t);
     TokensOf(t) = 0.0;
   }
 }
@@ -121,10 +119,8 @@ void TokenBucketPolicy::CreditIdleBe(int64_t count, double dt) {
   ctx_.shared->tokens_generated_total += total;
   ctx_.shared->global_bucket.DonateEach(gen, count);
   ctx_.shared->tokens_donated_total += total;
-  if (ctx_.metrics->enabled()) {
-    ctx_.metrics->tokens_generated->Add(total);
-    ctx_.metrics->tokens_donated->Add(total);
-  }
+  ctx_.counters->tokens_generated += total;
+  ctx_.counters->tokens_donated += total;
 }
 
 // --- QwinPolicy (window-sized quotas for LC tenants) ---
@@ -159,7 +155,7 @@ void QwinPolicy::AccrueLc(Tenant& t, sim::TimeNs now, double /*dt*/) {
   if (leftover > 0.0) {
     ctx_.shared->global_bucket.Donate(leftover);
     ctx_.shared->tokens_donated_total += leftover;
-    if (ctx_.metrics->enabled()) ctx_.metrics->tokens_donated->Add(leftover);
+    ctx_.counters->tokens_donated += leftover;
     TokensOf(t) = 0.0;
   }
 
@@ -173,7 +169,7 @@ void QwinPolicy::AccrueLc(Tenant& t, sim::TimeNs now, double /*dt*/) {
   const double quota = std::min(QueuedCostOf(t) + share, kBurstCap * share);
   TokensOf(t) += quota;
   ctx_.shared->tokens_generated_total += quota;
-  if (ctx_.metrics->enabled()) ctx_.metrics->tokens_generated->Add(quota);
+  ctx_.counters->tokens_generated += quota;
 
   // Track the per-window grant so diagnostics (tenant grant history)
   // stay meaningful under this policy too.
@@ -252,7 +248,7 @@ void AdaptiveBePolicy::OnRemoveTenant(Tenant& t) {
 std::unique_ptr<QosPolicy> MakeQosPolicy(const QosPolicyContext& ctx) {
   REFLEX_CHECK(ctx.shared != nullptr);
   REFLEX_CHECK(ctx.config != nullptr);
-  REFLEX_CHECK(ctx.metrics != nullptr);
+  REFLEX_CHECK(ctx.counters != nullptr);
   REFLEX_CHECK(ctx.on_neg_limit != nullptr);
   switch (ctx.config->policy) {
     case QosPolicyKind::kQwin:

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/tenant.h"
-#include "obs/hooks.h"
+#include "sim/histogram.h"
 #include "sim/time.h"
 
 namespace reflex::core {
@@ -68,14 +68,30 @@ struct QosConfig {
 using NegLimitFn = std::function<void(Tenant&)>;
 
 /**
+ * Totals of one scheduler thread, published by
+ * ReflexServer::SnapshotMetrics as the sched_* metrics. The scheduler
+ * and its policy add to them.
+ */
+struct SchedulerCounters {
+  double tokens_generated = 0.0;
+  double tokens_spent = 0.0;
+  double tokens_donated = 0.0;
+  double tokens_claimed = 0.0;
+  int64_t neg_limit_hits = 0;
+  int64_t requests_submitted = 0;
+  /** Gap between consecutive scheduling rounds (ns). */
+  sim::Histogram round_gap_ns;
+};
+
+/**
  * State a policy is allowed to touch, owned by its QosScheduler. The
- * pointers target scheduler members, so late wiring (set_metrics,
- * set_neg_limit_callback) is visible to the policy without re-binding.
+ * pointers target scheduler members, so late wiring
+ * (set_neg_limit_callback) is visible to the policy without re-binding.
  */
 struct QosPolicyContext {
   SchedulerShared* shared = nullptr;
   const QosConfig* config = nullptr;
-  const obs::SchedulerMetrics* metrics = nullptr;
+  SchedulerCounters* counters = nullptr;
   const NegLimitFn* on_neg_limit = nullptr;
 };
 

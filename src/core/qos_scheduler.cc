@@ -12,7 +12,7 @@ QosScheduler::QosScheduler(SchedulerShared& shared,
                            const RequestCostModel& cost_model, Config config)
     : shared_(shared), cost_model_(cost_model), config_(config) {
   policy_ = MakeQosPolicy(
-      QosPolicyContext{&shared_, &config_, &metrics_, &on_neg_limit_});
+      QosPolicyContext{&shared_, &config_, &counters_, &on_neg_limit_});
 }
 
 void QosScheduler::AddTenant(Tenant* tenant) {
@@ -143,10 +143,8 @@ void QosScheduler::SubmitFront(sim::TimeNs now, Tenant& t,
   t.tokens_spent += io.cost;
   shared_.tokens_spent_total += io.cost;
   io.MarkStage(obs::Stage::kGranted, now);
-  if (metrics_.enabled()) {
-    metrics_.tokens_spent->Add(io.cost);
-    metrics_.requests_submitted->Increment();
-  }
+  counters_.tokens_spent += io.cost;
+  ++counters_.requests_submitted;
   if (io.msg.type != ReqType::kBarrier) {
     const bool is_read = io.msg.type == ReqType::kRead;
     shared_.read_ratio.Observe(now, is_read);
@@ -169,10 +167,7 @@ int QosScheduler::RunRound(sim::TimeNs now, const SubmitFn& submit) {
   const double dt = sim::ToSeconds(gap);
   prev_round_time_ = now;
   int submitted = 0;
-  if (metrics_.enabled()) {
-    metrics_.rounds->Increment();
-    metrics_.round_gap_ns->Record(gap);
-  }
+  counters_.round_gap_ns.Record(gap);
 
   if (!config_.enforce) {
     // Pass-through mode: no rate limiting, submit everything

@@ -11,7 +11,6 @@
 #include "core/qos_policy.h"
 #include "core/tenant.h"
 #include "core/token_bucket.h"
-#include "obs/hooks.h"
 #include "sim/time.h"
 
 namespace reflex::core {
@@ -141,10 +140,8 @@ class QosScheduler {
     on_neg_limit_ = std::move(fn);
   }
 
-  /** Attaches cached metric handles (all-null struct disables). */
-  void set_metrics(const obs::SchedulerMetrics& metrics) {
-    metrics_ = metrics;
-  }
+  /** This thread's totals (the sched_* metrics). */
+  const SchedulerCounters& counters() const { return counters_; }
 
   const RequestCostModel& cost_model() const { return cost_model_; }
 
@@ -179,11 +176,11 @@ class QosScheduler {
   SchedulerShared& shared_;
   const RequestCostModel& cost_model_;
   Config config_;
-  obs::SchedulerMetrics metrics_;
+  SchedulerCounters counters_;
   NegLimitFn on_neg_limit_;
 
   /** Built from config_.policy; holds pointers into this scheduler
-   * (shared_, config_, metrics_, on_neg_limit_), so it must be
+   * (shared_, config_, counters_, on_neg_limit_), so it must be
    * declared after them and die first. */
   std::unique_ptr<QosPolicy> policy_;
 

@@ -19,15 +19,14 @@ ReflexServer::ReflexServer(sim::Simulator& sim, net::Network& net,
       options_(options),
       cost_model_(RequestCostModel::FromCalibration(calibration,
                                                     device.profile()
-                                                        .page_bytes)) {
+                                                        .page_bytes)),
+      net_ticket_(net.TakeReporterTicket()) {
   REFLEX_CHECK(machine_ != nullptr);
   if (options_.num_threads < 1 ||
       options_.num_threads > options_.max_threads) {
     REFLEX_FATAL("num_threads=%d out of range [1, %d]",
                  options_.num_threads, options_.max_threads);
   }
-  device_.AttachMetrics(metrics_);
-  net_.AttachMetrics(metrics_);
   control_plane_ = std::make_unique<ControlPlane>(*this);
   shared_.num_threads = 0;
   for (int i = 0; i < options_.num_threads; ++i) AddThreadInternal();
@@ -181,6 +180,20 @@ obs::MetricsRegistry& ReflexServer::SnapshotMetrics() {
     metrics_.GetGauge("thread_tcp_ns", labels)->Set(s.tcp_ns);
     metrics_.GetGauge("thread_sched_ns", labels)->Set(s.sched_ns);
     metrics_.GetGauge("thread_flash_ns", labels)->Set(s.flash_ns);
+    const SchedulerCounters& c = t->scheduler().counters();
+    metrics_.GetCounter("sched_rounds", labels)->Set(s.sched_rounds);
+    metrics_.GetCounter("sched_tokens_generated", labels)
+        ->Set(c.tokens_generated);
+    metrics_.GetCounter("sched_tokens_spent", labels)->Set(c.tokens_spent);
+    metrics_.GetCounter("sched_tokens_donated", labels)
+        ->Set(c.tokens_donated);
+    metrics_.GetCounter("sched_tokens_claimed", labels)
+        ->Set(c.tokens_claimed);
+    metrics_.GetCounter("sched_neg_limit_hits", labels)
+        ->Set(c.neg_limit_hits);
+    metrics_.GetCounter("sched_requests_submitted", labels)
+        ->Set(c.requests_submitted);
+    *metrics_.GetHistogram("sched_round_gap_ns", labels) = c.round_gap_ns;
   }
   for (const Tenant* t : tenant_list_) {
     const obs::LabelSet labels = obs::Label(
@@ -197,6 +210,30 @@ obs::MetricsRegistry& ReflexServer::SnapshotMetrics() {
         ->Set(static_cast<int64_t>(t->queue_depth()));
     metrics_.GetGauge("tenant_errors", labels)->Set(t->errors);
   }
+  const flash::FlashDeviceStats& fs = device_.stats();
+  metrics_.GetGauge("flash_queue_depth")->Set(device_.QueueDepth());
+  metrics_.GetGauge("flash_flush_backlog_chunks")
+      ->Set(device_.FlushBacklogChunks());
+  metrics_.GetCounter("flash_reads_completed")->Set(fs.reads_completed);
+  metrics_.GetCounter("flash_writes_completed")->Set(fs.writes_completed);
+  metrics_.GetCounter("flash_gc_stalls")->Set(fs.gc_stalls);
+  metrics_.GetCounter("flash_queue_full_rejections")
+      ->Set(fs.queue_full_rejections);
+  metrics_.GetCounter("flash_read_errors")->Set(fs.read_errors);
+  metrics_.GetCounter("flash_write_errors")->Set(fs.write_errors);
+  *metrics_.GetHistogram("flash_read_service_ns") = device_.read_latency();
+  *metrics_.GetHistogram("flash_write_service_ns") = device_.write_latency();
+  // The fabric is shared: one server on it reports its counts, the
+  // others export the same entries at zero.
+  const bool fabric = net_.IsReporter(net_ticket_);
+  metrics_.GetCounter("net_messages")->Set(fabric ? net_.messages() : 0);
+  metrics_.GetCounter("net_wire_bytes")->Set(fabric ? net_.wire_bytes() : 0);
+  metrics_.GetCounter("net_dropped_messages")
+      ->Set(fabric ? net_.dropped_messages() : 0);
+  metrics_.GetCounter("net_connection_resets")
+      ->Set(fabric ? net_.connection_resets() : 0);
+  *metrics_.GetHistogram("net_wire_ns") =
+      fabric ? net_.wire_ns() : sim::Histogram();
   if (fault_plan_ != nullptr) {
     for (int k = 0; k < sim::kNumFaultKinds; ++k) {
       const auto kind = static_cast<sim::FaultKind>(k);

@@ -182,16 +182,21 @@ class ReflexServer {
   DataplaneStats AggregateStats() const;
 
   // --- Observability ---
-  /** Metric registry shared by the scheduler, device and network. */
+  /**
+   * This server's metric registry. SnapshotMetrics() fills it from the
+   * layers' own counters; ReflexClient adds its client_* counts.
+   */
   obs::MetricsRegistry& metrics() { return metrics_; }
 
   /** Sink for finished per-request trace spans. */
   obs::TraceCollector& tracer() { return tracer_; }
 
   /**
-   * Publishes point-in-time state that is not maintained incrementally
-   * -- per-thread cycle accounting and per-tenant counters/gauges --
-   * into the registry, then returns it. Call before exporting.
+   * Publishes the counters each layer keeps -- dataplane threads and
+   * their schedulers, tenants, the flash device, the fabric (when this
+   * server is its reporter, see Network::TakeReporterTicket) and the
+   * fault plan -- into the registry, then returns it. Call before
+   * exporting.
    */
   obs::MetricsRegistry& SnapshotMetrics();
 
@@ -249,9 +254,9 @@ class ReflexServer {
   RequestCostModel cost_model_;
   SchedulerShared shared_;
   AccessControl acl_;
+  /** This server's ticket for reporting the fabric's counts. */
+  int net_ticket_;
 
-  // Declared before threads_: dataplane threads cache metric handles
-  // out of the registry at construction time.
   obs::MetricsRegistry metrics_;
   obs::TraceCollector tracer_;
 

@@ -55,7 +55,6 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
   REFLEX_CHECK(qp != nullptr && qp->dev_ == this);
   if (qp->outstanding_ >= qp->depth_) {
     ++stats_.queue_full_rejections;
-    if (metrics_.enabled()) metrics_.queue_full_rejections->Increment();
     return false;
   }
   if (cmd.sectors == 0 ||
@@ -63,7 +62,6 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
     return false;
   }
   ++qp->outstanding_;
-  if (metrics_.enabled()) metrics_.queue_depth->Add(1);
 
   const uint32_t op =
       inflight_.Add(InFlight{cmd, std::move(cb), qp, sim_.Now()});
@@ -79,7 +77,6 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
       // Media error during programming: the data never reaches the
       // store; fail at the normal buffer-ack latency.
       ++stats_.write_errors;
-      if (metrics_.enabled()) metrics_.write_errors->Increment();
       sim_.ScheduleAfter(
           profile_.write_buffer_latency + profile_.fixed_op_overhead / 4,
           [this, op] { Complete(op, FlashStatus::kMediaError); });
@@ -150,7 +147,6 @@ void FlashDevice::StartRead(uint32_t op) {
       // controller retried internally), but the data is lost.
       status = FlashStatus::kMediaError;
       ++stats_.read_errors;
-      if (metrics_.enabled()) metrics_.read_errors->Increment();
     }
     if (fault_->Roll(sim::FaultKind::kFlashLatencySpike, die)) {
       done += fault_->latency_spike();
@@ -192,7 +188,6 @@ void FlashDevice::AdmitWrite(uint32_t op) {
     if (rng_.NextBernoulli(profile_.gc_prob_per_flush_chunk)) {
       q += profile_.gc_pause;
       ++stats_.gc_stalls;
-      if (metrics_.enabled()) metrics_.gc_stalls->Increment();
     }
     flush_done = std::max(flush_done, OccupyDie(die, FaultScaled(q)));
     ++chunks;
@@ -206,16 +201,10 @@ void FlashDevice::AdmitWrite(uint32_t op) {
     ++chunks;
   }
   flush_backlog_chunks_ += chunks;
-  if (metrics_.enabled()) {
-    metrics_.flush_backlog_chunks->Set(flush_backlog_chunks_);
-  }
 
   const int pages_held = BufferPagesFor(cmd);
   sim_.ScheduleAt(flush_done, [this, chunks, pages_held] {
     flush_backlog_chunks_ -= chunks;
-    if (metrics_.enabled()) {
-      metrics_.flush_backlog_chunks->Set(flush_backlog_chunks_);
-    }
     write_buffer_free_ += pages_held;
     while (!pending_writes_.empty()) {
       const uint32_t next = pending_writes_.front();
@@ -252,19 +241,15 @@ void FlashDevice::Complete(uint32_t slot, FlashStatus status) {
       write_latency_.Record(completion.Latency());
     }
   }
-  if (metrics_.enabled()) {
-    metrics_.queue_depth->Add(-1);
-    if (status == FlashStatus::kOk) {
-      if (op.cmd.op == FlashOp::kRead) {
-        metrics_.reads_completed->Increment();
-        metrics_.read_service_ns->Record(completion.Latency());
-      } else {
-        metrics_.writes_completed->Increment();
-        metrics_.write_service_ns->Record(completion.Latency());
-      }
-    }
-  }
   if (op.cb) op.cb(completion);
+}
+
+int64_t FlashDevice::QueueDepth() const {
+  int64_t depth = 0;
+  for (const auto& qp : queue_pairs_) {
+    if (qp != nullptr) depth += qp->outstanding_;
+  }
+  return depth;
 }
 
 bool FlashDevice::InReadOnlyMode() const {

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "flash/device_profile.h"
-#include "obs/hooks.h"
 #include "sim/fault.h"
 #include "sim/flat_index.h"
 #include "sim/histogram.h"
@@ -138,16 +137,17 @@ class FlashDevice {
   /** Number of 4KB flush chunks waiting for or occupying dies. */
   int64_t FlushBacklogChunks() const { return flush_backlog_chunks_; }
 
+  /** Commands in flight across all hardware queue pairs. */
+  int64_t QueueDepth() const;
+
   const FlashDeviceStats& stats() const { return stats_; }
 
-  /** Per-op latency histograms (ns), aggregated over device lifetime. */
+  /**
+   * Per-op service time histograms (submit -> completion, ns) of the
+   * commands that completed without error, over the device lifetime.
+   */
   const sim::Histogram& read_latency() const { return read_latency_; }
   const sim::Histogram& write_latency() const { return write_latency_; }
-
-  /** Registers device counters/gauges/histograms with `registry`. */
-  void AttachMetrics(obs::MetricsRegistry& registry) {
-    metrics_ = obs::FlashMetrics::ForDevice(registry);
-  }
 
   /**
    * Attaches a fault-injection plan (null detaches). The device
@@ -208,7 +208,6 @@ class FlashDevice {
   FlashDeviceStats stats_;
   sim::Histogram read_latency_;
   sim::Histogram write_latency_;
-  obs::FlashMetrics metrics_;
 };
 
 }  // namespace reflex::flash

@@ -79,12 +79,9 @@ bool TcpConnection::Transmit(Machine* from, Machine* to, uint32_t bytes,
     last_arrival = to->rx_free_ + to->nic_.nic_latency;
   }
 
-  obs::NetMetrics& metrics = net_.metrics_;
-  if (metrics.enabled()) {
-    metrics.messages->Increment();
-    metrics.wire_bytes->Add(total_wire_bytes);
-    metrics.wire_ns->Record(last_arrival - sim.Now());
-  }
+  ++net_.messages_;
+  net_.wire_bytes_ += total_wire_bytes;
+  net_.wire_ns_.Record(last_arrival - sim.Now());
 
   *arrival = last_arrival;
   return true;
@@ -97,9 +94,6 @@ bool TcpConnection::DropFaulted(Machine* from, Machine* to) {
                  static_cast<uint64_t>(from->id_))) {
     closed_ = true;
     ++net_.connection_resets_;
-    if (net_.metrics_.enabled()) {
-      net_.metrics_.connection_resets->Increment();
-    }
   }
   const bool link_down =
       plan != nullptr && (!from->link_.up() || !to->link_.up());
@@ -109,7 +103,6 @@ bool TcpConnection::DropFaulted(Machine* from, Machine* to) {
        plan->Roll(sim::FaultKind::kNetDrop, static_cast<uint64_t>(from->id_)));
   if (dropped) {
     ++net_.dropped_messages_;
-    if (net_.metrics_.enabled()) net_.metrics_.dropped_messages->Increment();
   }
   return dropped;
 }

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "net/stack_costs.h"
-#include "obs/hooks.h"
+#include "sim/histogram.h"
 #include "sim/simulator.h"
 #include "sim/time.h"
 
@@ -105,10 +105,14 @@ class Network {
 
   sim::Simulator& sim() { return sim_; }
 
-  /** Registers fabric-level counters (messages, wire bytes/time). */
-  void AttachMetrics(obs::MetricsRegistry& registry) {
-    metrics_ = obs::NetMetrics::ForFabric(registry);
-  }
+  /**
+   * Every ReflexServer on this fabric takes a ticket at construction;
+   * the holder of the newest one reports the fabric's counts in its
+   * registry, so summing the registries of all servers counts the
+   * fabric once.
+   */
+  int TakeReporterTicket() { return ++reporter_tickets_; }
+  bool IsReporter(int ticket) const { return ticket == reporter_tickets_; }
 
   /**
    * Attaches a fault-injection plan (null detaches). Connections roll
@@ -117,6 +121,17 @@ class Network {
    * duration (id = machine id, or kAnyId for every machine).
    */
   void SetFaultPlan(sim::FaultPlan* plan);
+
+  /** Messages delivered (every send that was not dropped). */
+  int64_t messages() const { return messages_; }
+  /** Wire bytes of those messages, frame headers included. */
+  int64_t wire_bytes() const { return wire_bytes_; }
+  /**
+   * NIC-to-NIC time of each message: serialization + propagation +
+   * switch + NIC latency + link queueing (the wire share of net_in /
+   * net_out; endpoint stack time is charged by the endpoints).
+   */
+  const sim::Histogram& wire_ns() const { return wire_ns_; }
 
   /** Messages dropped by fault injection (drops + messages sent while
    * the connection was reset or a link was down). */
@@ -131,9 +146,12 @@ class Network {
   sim::TimeNs switch_latency_;
   sim::TimeNs propagation_;
   std::vector<std::unique_ptr<Machine>> machines_;
-  obs::NetMetrics metrics_;
   sim::FaultPlan* fault_plan_ = nullptr;
   bool flap_listener_added_ = false;
+  int reporter_tickets_ = 0;
+  int64_t messages_ = 0;
+  int64_t wire_bytes_ = 0;
+  sim::Histogram wire_ns_;
   int64_t dropped_messages_ = 0;
   int64_t connection_resets_ = 0;
 };

@@ -54,10 +54,14 @@ class LabelSet {
 LabelSet Label(const std::string& key, int64_t value);
 LabelSet Label(const std::string& key, const std::string& value);
 
-/** Monotonically increasing counter. */
+/**
+ * Monotonically increasing count. Layers keep their own totals, which
+ * the owner's SnapshotMetrics() copies in with Set(); Increment() is
+ * for a count that no layer keeps.
+ */
 class Counter {
  public:
-  void Add(double n = 1.0) { value_ += n; }
+  void Set(double v) { value_ = v; }
   void Increment() { value_ += 1.0; }
   double value() const { return value_; }
 
@@ -69,7 +73,6 @@ class Counter {
 class Gauge {
  public:
   void Set(double v) { value_ = v; }
-  void Add(double n) { value_ += n; }
   double value() const { return value_; }
 
  private:
@@ -82,10 +85,9 @@ enum class MetricKind : uint8_t { kCounter = 0, kGauge = 1, kHistogram = 2 };
 /**
  * Registry of named counters, gauges and histograms with label sets
  * (per-thread, per-tenant). Get* registers on first use and returns a
- * stable pointer, so hot paths look a metric up once at setup time and
- * then touch only the cached handle. Single registry per server; not
- * thread-safe (the simulation's dataplane "threads" are coroutines on
- * one OS thread -- registration happens at construction time anyway).
+ * stable pointer. Single registry per server, filled by its
+ * SnapshotMetrics(); not thread-safe (the simulation's dataplane
+ * "threads" are coroutines on one OS thread).
  */
 class MetricsRegistry {
  public:

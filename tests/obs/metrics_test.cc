@@ -2,8 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "client/load_generator.h"
+#include "client/reflex_client.h"
+#include "core/reflex_server.h"
 #include "obs/export.h"
-#include "obs/hooks.h"
+#include "testing/harness.h"
 
 namespace reflex::obs {
 namespace {
@@ -34,18 +42,18 @@ TEST(MetricsRegistryTest, GetReturnsStablePointers) {
   EXPECT_EQ(c1, c2) << "same name+labels => same metric";
   Counter* other = reg.GetCounter("requests", Label("thread", 1));
   EXPECT_NE(c1, other) << "different labels => different metric";
-  c1->Add(2.5);
+  c1->Set(2.5);
   c1->Increment();
   EXPECT_DOUBLE_EQ(c2->value(), 3.5);
   EXPECT_DOUBLE_EQ(other->value(), 0.0);
 }
 
-TEST(MetricsRegistryTest, GaugeSetAndAdd) {
+TEST(MetricsRegistryTest, GaugeSetOverwrites) {
   MetricsRegistry reg;
   Gauge* g = reg.GetGauge("queue_depth");
   g->Set(5.0);
-  g->Add(-2.0);
-  EXPECT_DOUBLE_EQ(g->value(), 3.0);
+  g->Set(3.0);
+  EXPECT_DOUBLE_EQ(reg.GetGauge("queue_depth")->value(), 3.0);
 }
 
 TEST(MetricsRegistryTest, HistogramRegistered) {
@@ -57,7 +65,7 @@ TEST(MetricsRegistryTest, HistogramRegistered) {
 
 TEST(MetricsRegistryTest, SnapshotSortedAndComplete) {
   MetricsRegistry reg;
-  reg.GetCounter("b_counter")->Add(1.0);
+  reg.GetCounter("b_counter")->Increment();
   reg.GetGauge("a_gauge")->Set(7.0);
   reg.GetHistogram("c_hist")->Record(42);
   const auto snap = reg.Snapshot();
@@ -109,31 +117,173 @@ TEST(MetricsRegistryTest, KindMismatchDies) {
   EXPECT_DEATH(reg.GetGauge("x"), "");
 }
 
-TEST(HooksTest, DisabledStructsHaveNullHandles) {
-  SchedulerMetrics sm;
-  FlashMetrics fm;
-  NetMetrics nm;
-  EXPECT_FALSE(sm.enabled());
-  EXPECT_FALSE(fm.enabled());
-  EXPECT_FALSE(nm.enabled());
+// --- SnapshotMetrics: every layer's counters, published once ---
+
+/** Clients driving closed-loop mixed load at one server. */
+struct Load {
+  std::vector<std::unique_ptr<client::ReflexClient>> clients;
+  std::vector<std::unique_ptr<client::TenantSession>> sessions;
+  std::vector<std::unique_ptr<client::LoadGenerator>> generators;
+
+  /** Adds `tenants` BE tenants on `server`, each driven from `machine`. */
+  void Add(sim::Simulator& sim, core::ReflexServer& server,
+           net::Machine* machine, int tenants, uint64_t seed) {
+    for (int i = 0; i < tenants; ++i) {
+      core::Tenant* tenant =
+          server.RegisterTenant({}, core::TenantClass::kBestEffort);
+      ASSERT_NE(tenant, nullptr);
+      client::ReflexClient::Options copts;
+      copts.seed = seed + static_cast<uint64_t>(i);
+      clients.push_back(std::make_unique<client::ReflexClient>(
+          sim, server, machine, copts));
+      sessions.push_back(clients.back()->AttachSession(tenant->handle()));
+      client::LoadGenSpec spec;
+      spec.read_fraction = 0.7;
+      spec.request_bytes = 4096;
+      spec.queue_depth = 8;
+      spec.seed = seed + 100 + static_cast<uint64_t>(i);
+      generators.push_back(std::make_unique<client::LoadGenerator>(
+          sim, *sessions.back(), spec));
+      generators.back()->Run(sim::Millis(1), sim::Millis(10));
+    }
+  }
+};
+
+/** Registry entries by name and rendered labels. */
+std::map<std::string, MetricsRegistry::Entry> ByKey(MetricsRegistry& reg) {
+  std::map<std::string, MetricsRegistry::Entry> out;
+  for (const MetricsRegistry::Entry& e : reg.Snapshot()) {
+    out[e.name + e.labels.Render()] = e;
+  }
+  return out;
 }
 
-TEST(HooksTest, ForThreadRegistersLabeledMetrics) {
-  MetricsRegistry reg;
-  SchedulerMetrics m0 = SchedulerMetrics::ForThread(reg, 0);
-  SchedulerMetrics m1 = SchedulerMetrics::ForThread(reg, 1);
-  ASSERT_TRUE(m0.enabled());
-  ASSERT_TRUE(m1.enabled());
-  EXPECT_NE(m0.rounds, m1.rounds) << "per-thread instances are distinct";
-  m0.tokens_spent->Add(3.0);
-  EXPECT_DOUBLE_EQ(
-      reg.GetCounter("sched_tokens_spent", Label("thread", 0))->value(),
-      3.0);
+void ExpectSameHistogram(const sim::Histogram* got,
+                         const sim::Histogram& want, const std::string& key) {
+  ASSERT_NE(got, nullptr) << key;
+  EXPECT_EQ(got->Count(), want.Count()) << key;
+  EXPECT_EQ(got->Min(), want.Min()) << key;
+  EXPECT_EQ(got->Max(), want.Max()) << key;
+  EXPECT_DOUBLE_EQ(got->Mean(), want.Mean()) << key;
+  EXPECT_EQ(got->Percentile(0.99), want.Percentile(0.99)) << key;
+}
+
+TEST(SnapshotMetricsTest, FlashAndSchedEntriesEqualTheirLayers) {
+  core::ServerOptions options;
+  options.num_threads = 2;
+  testing::Harness h(options);
+  Load load;
+  load.Add(h.sim, h.server, h.client_machine, 4, 300);
+  // Snapshot mid-run, while commands and flushes are in flight.
+  h.sim.RunUntil(sim::Millis(6));
+  const auto entries = ByKey(h.server.SnapshotMetrics());
+
+  const flash::FlashDeviceStats& fs = h.device.stats();
+  ASSERT_GT(fs.reads_completed, 0);
+  ASSERT_GT(fs.writes_completed, 0);
+  ASSERT_GT(h.device.QueueDepth(), 0);
+  ASSERT_GT(h.device.FlushBacklogChunks(), 0);
+  int64_t submitted = 0;
+  for (int i = 0; i < h.server.num_threads(); ++i) {
+    submitted += h.server.thread(i).stats().flash_submitted;
+  }
+  const int64_t completions = fs.reads_completed + fs.writes_completed +
+                              fs.read_errors + fs.write_errors;
+  // Every accepted submission not yet completed sits on a queue pair.
+  EXPECT_EQ(h.device.QueueDepth(),
+            submitted - fs.queue_full_rejections - completions);
+  const std::map<std::string, double> flash_values = {
+      {"flash_queue_depth", static_cast<double>(h.device.QueueDepth())},
+      {"flash_flush_backlog_chunks",
+       static_cast<double>(h.device.FlushBacklogChunks())},
+      {"flash_reads_completed", static_cast<double>(fs.reads_completed)},
+      {"flash_writes_completed", static_cast<double>(fs.writes_completed)},
+      {"flash_gc_stalls", static_cast<double>(fs.gc_stalls)},
+      {"flash_queue_full_rejections",
+       static_cast<double>(fs.queue_full_rejections)},
+      {"flash_read_errors", static_cast<double>(fs.read_errors)},
+      {"flash_write_errors", static_cast<double>(fs.write_errors)},
+  };
+  int flash_entries = 0;
+  for (const auto& [key, e] : entries) {
+    if (e.name.rfind("flash_", 0) != 0) continue;
+    ++flash_entries;
+    if (e.name == "flash_read_service_ns") {
+      ExpectSameHistogram(e.histogram, h.device.read_latency(), key);
+    } else if (e.name == "flash_write_service_ns") {
+      ExpectSameHistogram(e.histogram, h.device.write_latency(), key);
+    } else {
+      ASSERT_TRUE(flash_values.count(e.name)) << "unchecked entry " << key;
+      const double value = e.kind == MetricKind::kCounter
+                               ? e.counter->value()
+                               : e.gauge->value();
+      EXPECT_EQ(value, flash_values.at(e.name)) << key;
+    }
+  }
+  EXPECT_EQ(flash_entries, 10);
+
+  const char* const sched_names[] = {
+      "sched_rounds",         "sched_tokens_generated",
+      "sched_tokens_spent",   "sched_tokens_donated",
+      "sched_tokens_claimed", "sched_neg_limit_hits",
+      "sched_requests_submitted", "sched_round_gap_ns"};
+  for (int i = 0; i < h.server.num_threads(); ++i) {
+    const std::string labels = Label("thread", i).Render();
+    for (const char* name : sched_names) {
+      EXPECT_TRUE(entries.count(name + labels)) << name << labels;
+    }
+    const auto rounds = entries.find("sched_rounds" + labels);
+    ASSERT_NE(rounds, entries.end());
+    const int64_t want = h.server.thread(i).stats().sched_rounds;
+    EXPECT_GT(want, 0);
+    EXPECT_EQ(rounds->second.counter->value(), static_cast<double>(want));
+    const core::SchedulerCounters& c =
+        h.server.thread(i).scheduler().counters();
+    EXPECT_EQ(entries.at("sched_tokens_spent" + labels).counter->value(),
+              c.tokens_spent);
+    ExpectSameHistogram(entries.at("sched_round_gap_ns" + labels).histogram,
+                        c.round_gap_ns, "sched_round_gap_ns" + labels);
+  }
+  // Finish the run so no load-generator frame is left parked.
+  for (auto& g : load.generators) {
+    ASSERT_TRUE(h.RunUntilDone(g->Done(), sim::Seconds(5)));
+  }
+}
+
+TEST(SnapshotMetricsTest, TwoServersOnOneFabricCountItOnce) {
+  testing::Harness h;
+  flash::FlashDevice device2(h.sim, flash::DeviceProfile::DeviceA(), 43);
+  core::ReflexServer server2(h.sim, h.net, h.net.AddMachine("reflex-server-2"),
+                             device2, flash::CannedCalibrationA());
+  net::Machine* client2 = h.net.AddMachine("client-1");
+  Load load;
+  load.Add(h.sim, h.server, h.client_machine, 2, 500);
+  load.Add(h.sim, server2, client2, 2, 600);
+  for (auto& g : load.generators) {
+    ASSERT_TRUE(h.RunUntilDone(g->Done(), sim::Seconds(5)));
+  }
+  ASSERT_GT(h.net.messages(), 0);
+
+  double messages = 0.0;
+  double wire_bytes = 0.0;
+  int64_t wire_samples = 0;
+  for (core::ReflexServer* s : {&h.server, &server2}) {
+    MetricsRegistry& reg = s->SnapshotMetrics();
+    messages += reg.GetCounter("net_messages")->value();
+    wire_bytes += reg.GetCounter("net_wire_bytes")->value();
+    wire_samples += reg.GetHistogram("net_wire_ns")->Count();
+  }
+  EXPECT_EQ(messages, static_cast<double>(h.net.messages()));
+  EXPECT_EQ(wire_bytes, static_cast<double>(h.net.wire_bytes()));
+  EXPECT_EQ(wire_samples, h.net.messages());
+  // The server constructed last reports the fabric.
+  EXPECT_EQ(server2.metrics().GetCounter("net_messages")->value(),
+            static_cast<double>(h.net.messages()));
 }
 
 TEST(ExportTest, JsonContainsAllMetrics) {
   MetricsRegistry reg;
-  reg.GetCounter("reqs", Label("thread", 0))->Add(12.0);
+  reg.GetCounter("reqs", Label("thread", 0))->Set(12.0);
   reg.GetHistogram("lat_ns")->Record(1500);
   const std::string json = RegistryToJson(reg);
   EXPECT_NE(json.find("\"reqs\""), std::string::npos);
@@ -145,7 +295,7 @@ TEST(ExportTest, JsonContainsAllMetrics) {
 
 TEST(ExportTest, CsvHasHeaderAndRows) {
   MetricsRegistry reg;
-  reg.GetCounter("reqs")->Add(2.0);
+  reg.GetCounter("reqs")->Set(2.0);
   const std::string csv = RegistryToCsv(reg);
   EXPECT_EQ(csv.find("name,labels,kind,"), 0u);
   EXPECT_NE(csv.find("reqs,"), std::string::npos);

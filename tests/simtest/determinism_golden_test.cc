@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <memory>
 #include <sstream>
@@ -34,8 +35,29 @@ void AppendHistogram(std::ostringstream& out, const char* name,
       << " p99=" << h.Percentile(0.99) << "\n";
 }
 
-/** One miniature fig5 run; returns the full serialized observable state. */
-std::string RunQosScenarioOnce() {
+/** 64-bit FNV-1a over a string. */
+uint64_t Fnv1a64(const std::string& bytes) {
+  uint64_t h = 0xcbf29ce484222325ULL;
+  for (const unsigned char c : bytes) h = (h ^ c) * 0x100000001b3ULL;
+  return h;
+}
+
+/** A server registry's JSON and CSV exports. */
+struct RegistryExport {
+  std::string json;
+  std::string csv;
+};
+
+RegistryExport ExportRegistry(core::ReflexServer& server) {
+  return {obs::RegistryToJson(server.SnapshotMetrics()),
+          obs::RegistryToCsv(server.SnapshotMetrics())};
+}
+
+/**
+ * One miniature fig5 run; returns the full serialized observable state
+ * and, if `registry` is set, stores the server registry's exports there.
+ */
+std::string RunQosScenarioOnce(RegistryExport* registry = nullptr) {
   core::ServerOptions options;
   options.num_threads = 1;
   options.qos.enforce = true;
@@ -104,8 +126,9 @@ std::string RunQosScenarioOnce() {
     AppendHistogram(out, "read_latency", generators[i]->read_latency());
     AppendHistogram(out, "write_latency", generators[i]->write_latency());
   }
-  out << obs::RegistryToJson(h.server.SnapshotMetrics());
-  out << obs::RegistryToCsv(h.server.SnapshotMetrics());
+  const RegistryExport exported = ExportRegistry(h.server);
+  out << exported.json << exported.csv;
+  if (registry != nullptr) *registry = exported;
   return out.str();
 }
 
@@ -124,7 +147,8 @@ TEST(DeterminismGoldenTest, Fig5QosScenarioIsBitIdenticalAcrossRuns) {
  * regression where lexicographic label ordering moved tenant=10..12
  * between tenant=1 and tenant=2 as soon as an 11th tenant registered.
  */
-std::string RunManyTenantExportOnce(std::vector<size_t>* tenant_rows) {
+std::string RunManyTenantExportOnce(std::vector<size_t>* tenant_rows,
+                                    RegistryExport* registry = nullptr) {
   core::ServerOptions options;
   options.num_threads = 1;
   Harness h(options);
@@ -154,7 +178,9 @@ std::string RunManyTenantExportOnce(std::vector<size_t>* tenant_rows) {
     EXPECT_TRUE(h.RunUntilDone(g->Done(), sim::Seconds(60)));
   }
 
-  const std::string csv = obs::RegistryToCsv(h.server.SnapshotMetrics());
+  const RegistryExport exported = ExportRegistry(h.server);
+  const std::string& csv = exported.csv;
+  if (registry != nullptr) *registry = exported;
   if (tenant_rows != nullptr) {
     tenant_rows->clear();
     std::istringstream lines(csv);
@@ -181,6 +207,24 @@ TEST(DeterminismGoldenTest, ManyTenantExportIsIdenticalAndNumericOrdered) {
     EXPECT_EQ(rows[i], i + 1)
         << "per-tenant rows not in numeric handle order at row " << i;
   }
+}
+
+/**
+ * The two scenarios above compare two runs of one build, so they cannot
+ * see an export that changed in both. These hashes pin the exports
+ * themselves: any change to a name, kind, label or value of the server
+ * registry shows up here and must be explained.
+ */
+TEST(DeterminismGoldenTest, RegistryExportsArePinned) {
+  RegistryExport fig5;
+  RunQosScenarioOnce(&fig5);
+  EXPECT_EQ(Fnv1a64(fig5.json), 0x4367618e2671a396ULL);
+  EXPECT_EQ(Fnv1a64(fig5.csv), 0x6a1ad99ae3549d0bULL);
+
+  RegistryExport many;
+  RunManyTenantExportOnce(nullptr, &many);
+  EXPECT_EQ(Fnv1a64(many.json), 0xcc40aa18c65853bbULL);
+  EXPECT_EQ(Fnv1a64(many.csv), 0xdcb280cc813b7524ULL);
 }
 
 }  // namespace

@@ -2,10 +2,9 @@
 # Checks that a change leaves every bench and example byte-identical.
 #
 # Builds <base-ref> and the working tree as Release builds, runs every
-# binary in build/bench/ and build/examples/ of both (except
-# micro_scheduler, whose output is host timing), and compares stdout,
-# stderr, the exit code and every file each run writes. Each run gets
-# its own working directory and its own REFLEX_OBS_DIR.
+# binary in build/bench/ and build/examples/ of both, and compares
+# stdout, stderr, the exit code and every file each run writes. Each
+# run gets its own working directory and its own REFLEX_OBS_DIR.
 #
 # It also builds perfbench from both trees (RelWithDebInfo, as
 # perfbench/run.py does) and runs every workload of BENCHMARK.json once
@@ -68,7 +67,7 @@ print(" ".join(w["name"] for w in json.load(open(sys.argv[1]))["workloads"]))' \
 binaries() {  # <build dir>: relative paths of the binaries to run
   for dir in bench examples; do
     find "$1/$dir" -maxdepth 1 -type f -perm -u+x -printf "$dir/%f\n"
-  done | grep -vx 'bench/micro_scheduler' | sort
+  done | sort
 }
 names=$(sort -u <(binaries "$work/build-base") <(binaries "$work/build-head"))
 
