@@ -12,13 +12,20 @@
 namespace reflex::apps::kv {
 
 namespace {
-constexpr uint64_t kIoChunk = 256 * 1024;
 
 /** L0 table count at which writers stall until compaction ends
  * (RocksDB's level0_stop_writes_trigger). */
 constexpr int kL0StallTrigger = 8;
 
 constexpr int kBloomBitsPerKey = 10;
+
+/** Large reads or writes in flight per table stream, as in RocksDB's
+ * background flush and compaction threads. */
+constexpr size_t kIoDepth = 8;
+
+/** A compaction output is cut once its records' key + value + 4 bytes
+ * reach this. */
+constexpr uint64_t kTargetTableBytes = 8ULL << 20;
 
 // Modeled CPU costs.
 constexpr sim::TimeNs kCpuPerGet = sim::Micros(8.0);
@@ -27,77 +34,85 @@ constexpr sim::TimeNs kCpuPerCompactionEntry = 250;
 
 uint64_t AlignUp4K(uint64_t v) { return (v + 4095) / 4096 * 4096; }
 
-/** A sorted run of table images, walked one record at a time. */
-class Run {
+/**
+ * One sorted run of compaction input, read in kIoChunk pieces while it
+ * is merged: its tables in order, each from its first piece to its
+ * last. Besides the piece being walked, up to kIoDepth reads are
+ * outstanding, and a piece is freed as soon as the walk moves past it.
+ * Compaction reads bypass the block cache, as RocksDB's do.
+ */
+class InputRun {
  public:
-  explicit Run(std::span<const std::vector<uint8_t>> images)
-      : images_(images) {
+  InputRun(client::StorageBackend& backend,
+           std::span<const KvStore::TableRef> tables)
+      : backend_(backend), tables_(tables) {
+    Issue();
+    done_ = pieces_.empty();
+  }
+
+  /** The read to await before head() is valid; null once it is (or
+   * once the run is done). */
+  sim::Future<client::IoResult>* pending_read() {
+    return walking_ || done_ ? nullptr : &pieces_.front().read;
+  }
+  /** Starts walking the front piece, whose read has completed. */
+  void Landed() {
+    const Piece& front = pieces_.front();
+    walker_ = RecordWalker(front.bytes.get(), front.size);
+    walking_ = true;
+    Issue();
     Advance();
   }
 
   bool done() const { return done_; }
+  /** The current record, a view of the piece being walked. */
   const BlockRecord& head() const { return head_; }
 
-  /** Moves to the next record, from the end of one image into the next. */
+  /** Moves to the next record. Past the last record of a piece it
+   * frees the piece; the next one must land before head() is valid. */
   void Advance() {
-    while (!walker_.Next(&head_)) {
-      if (next_image_ == images_.size()) {
-        done_ = true;
-        return;
-      }
-      const std::vector<uint8_t>& image = images_[next_image_++];
-      walker_ = RecordWalker(image.data(), image.size());
-    }
+    if (walker_.Next(&head_)) return;
+    pieces_.pop_front();
+    walking_ = false;
+    done_ = pieces_.empty();
   }
 
  private:
-  std::span<const std::vector<uint8_t>> images_;
-  size_t next_image_ = 0;
+  struct Piece {
+    std::unique_ptr<uint8_t[]> bytes;
+    uint32_t size;
+    sim::Future<client::IoResult> read;
+  };
+
+  /** Reads the next pieces in table order until kIoDepth are pending. */
+  void Issue() {
+    while (pieces_.size() - walking_ < kIoDepth &&
+           next_table_ < tables_.size()) {
+      const SSTableMeta& table = *tables_[next_table_];
+      const auto n = static_cast<uint32_t>(
+          std::min<uint64_t>(kIoChunk, table.data_bytes - next_offset_));
+      std::unique_ptr<uint8_t[]> bytes(new uint8_t[n]);
+      sim::Future<client::IoResult> read = backend_.ReadBytes(
+          table.extent_offset + next_offset_, n, bytes.get());
+      pieces_.push_back(Piece{std::move(bytes), n, std::move(read)});
+      next_offset_ += n;
+      if (next_offset_ == table.data_bytes) {
+        ++next_table_;
+        next_offset_ = 0;
+      }
+    }
+  }
+
+  client::StorageBackend& backend_;
+  std::span<const KvStore::TableRef> tables_;
+  size_t next_table_ = 0;  // the next piece to read: table, offset in it
+  uint64_t next_offset_ = 0;
+  std::deque<Piece> pieces_;  // in table order; the front is walked
+  bool walking_ = false;
+  bool done_ = false;
   RecordWalker walker_{nullptr, 0};
   BlockRecord head_;
-  bool done_ = false;
 };
-
-/**
- * K-way merges compaction inputs: the first `l1_tables` images are L1,
- * one run in key order, and each image after them is one L0 table,
- * oldest first. For each key the newest run's record wins; a winning
- * tombstone has shadowed every older version and is dropped for good,
- * since this full merge rewrites the bottom level. Returns views of the
- * surviving records and sets *inputs to the number of records read.
- */
-std::vector<BlockRecord> MergeRuns(
-    const std::vector<std::vector<uint8_t>>& images, size_t l1_tables,
-    int64_t* inputs) {
-  const std::span<const std::vector<uint8_t>> all(images);
-  std::vector<Run> runs;
-  runs.reserve(1 + images.size() - l1_tables);
-  runs.emplace_back(all.first(l1_tables));
-  for (size_t i = l1_tables; i < images.size(); ++i) {
-    runs.emplace_back(all.subspan(i, 1));
-  }
-  std::vector<BlockRecord> merged;
-  for (;;) {
-    // The smallest key; among runs that hold it, the newest (last).
-    const Run* newest = nullptr;
-    for (const Run& run : runs) {
-      if (!run.done() &&
-          (newest == nullptr || run.head().key <= newest->head().key)) {
-        newest = &run;
-      }
-    }
-    if (newest == nullptr) break;
-    const BlockRecord winner = newest->head();
-    if (!winner.tombstone) merged.push_back(winner);
-    for (Run& run : runs) {
-      if (!run.done() && run.head().key == winner.key) {
-        run.Advance();
-        ++*inputs;
-      }
-    }
-  }
-  return merged;
-}
 
 }  // namespace
 
@@ -199,11 +214,7 @@ sim::Future<bool> KvStore::Delete(std::string key) {
 sim::Task KvStore::PutTask(std::string key, std::string value,
                            bool tombstone, sim::Promise<bool> promise) {
   co_await write_lock_.Acquire();
-  if (tombstone) {
-    ++stats_.deletes;
-  } else {
-    ++stats_.puts;
-  }
+  if (tombstone) ++stats_.deletes;
   co_await sim::Delay(sim_, kCpuPerPut);
 
   // WAL append: stage the record into the current 4KB WAL block and
@@ -285,18 +296,15 @@ sim::Task KvStore::FlushTask(sim::VoidPromise promise) {
   memtable_.clear();
   memtable_size_bytes_ = 0;
   sim::Future<TableRef> written = [this] {
-    std::vector<BlockRecord> records;
-    records.reserve(flushing_.size());
+    SSTableBuilder builder(kBloomBitsPerKey);
     for (const auto& [key, v] : flushing_) {
-      records.push_back(BlockRecord{key, v.value, v.tombstone});
+      builder.Add(BlockRecord{key, v.value, v.tombstone});
     }
-    return WriteTable(records);
+    return WriteTable(&builder);
   }();
-  TableRef table = co_await written;
-  l0_.push_back(table);
+  l0_.push_back(co_await written);
   flushing_.clear();
   ++stats_.memtable_flushes;
-  stats_.bytes_flushed += static_cast<int64_t>(table->data_bytes);
 
   // Kick a background compaction (it does not block the writer).
   if (static_cast<int>(l0_.size()) >= options_.l0_compaction_trigger &&
@@ -319,70 +327,47 @@ sim::VoidFuture KvStore::WaitCompactionIdle() {
   return future;
 }
 
-sim::Future<KvStore::TableRef> KvStore::WriteTable(
-    std::span<const BlockRecord> records) {
+sim::Future<KvStore::TableRef> KvStore::WriteTable(SSTableBuilder* builder) {
   auto meta = std::make_shared<SSTableMeta>();
-  std::vector<uint8_t> image =
-      BuildSSTableImage(records, kBloomBitsPerKey, meta.get());
+  ImagePieces pieces = builder->Finish(meta.get());
   meta->id = next_table_id_++;
-  meta->extent_bytes = AlignUp4K(image.size());
+  meta->extent_bytes = AlignUp4K(meta->data_bytes);
   meta->extent_offset = AllocateExtent(meta->extent_bytes);
   // The extent may recycle a compacted table's blocks: drop stale
   // cache entries before new data becomes visible.
   block_cache_.Invalidate(meta->extent_offset, meta->extent_bytes);
   sim::Promise<TableRef> promise(sim_);
   auto future = promise.GetFuture();
-  WriteTableTask(std::move(image), std::move(meta), std::move(promise));
+  WriteTableTask(std::move(pieces), std::move(meta), std::move(promise));
   return future;
 }
 
-sim::Task KvStore::WriteTableTask(std::vector<uint8_t> image, TableRef meta,
+sim::Task KvStore::WriteTableTask(ImagePieces pieces, TableRef meta,
                                   sim::Promise<TableRef> promise) {
-  // Pipeline the flush: keep several large writes in flight, as
-  // RocksDB's background flush threads do.
+  // Pipeline the write: keep several large writes in flight, as
+  // RocksDB's background flush threads do. Writes complete in order.
   std::deque<sim::Future<client::IoResult>> inflight;
-  for (uint64_t off = 0; off < image.size(); off += kIoChunk) {
+  size_t written = 0;  // pieces whose write completed
+  for (size_t i = 0; i < pieces.size(); ++i) {
+    const uint64_t off = i * kIoChunk;
     const auto n = static_cast<uint32_t>(
-        std::min<uint64_t>(kIoChunk, image.size() - off));
+        std::min<uint64_t>(kIoChunk, meta->data_bytes - off));
     inflight.push_back(backend_.WriteBytes(meta->extent_offset + off, n,
-                                           image.data() + off));
-    if (inflight.size() >= 8) {
+                                           pieces[i].get()));
+    if (inflight.size() >= kIoDepth) {
       client::IoResult r = co_await inflight.front();
       inflight.pop_front();
       if (!r.ok()) REFLEX_PANIC("sstable write failed");
+      pieces[written++].reset();
     }
   }
   while (!inflight.empty()) {
     client::IoResult r = co_await inflight.front();
     inflight.pop_front();
     if (!r.ok()) REFLEX_PANIC("sstable write failed");
+    pieces[written++].reset();
   }
   promise.Set(std::move(meta));
-}
-
-sim::Task KvStore::ReadTable(TableRef table,
-                             sim::Promise<std::vector<uint8_t>> promise) {
-  // Compaction reads bypass the block cache (as RocksDB does) and use
-  // large sequential I/Os.
-  std::vector<uint8_t> image(table->data_bytes);
-  std::deque<sim::Future<client::IoResult>> inflight;
-  for (uint64_t off = 0; off < image.size(); off += kIoChunk) {
-    const auto n = static_cast<uint32_t>(
-        std::min<uint64_t>(kIoChunk, image.size() - off));
-    inflight.push_back(backend_.ReadBytes(table->extent_offset + off, n,
-                                          image.data() + off));
-    if (inflight.size() >= 8) {
-      client::IoResult r = co_await inflight.front();
-      inflight.pop_front();
-      if (!r.ok()) REFLEX_PANIC("sstable read failed");
-    }
-  }
-  while (!inflight.empty()) {
-    client::IoResult r = co_await inflight.front();
-    inflight.pop_front();
-    if (!r.ok()) REFLEX_PANIC("sstable read failed");
-  }
-  promise.Set(std::move(image));
 }
 
 sim::Task KvStore::CompactTask(sim::VoidPromise promise) {
@@ -398,36 +383,69 @@ sim::Task KvStore::CompactTask(sim::VoidPromise promise) {
   }
   for (const TableRef& t : l0_) inputs.push_back(t);  // oldest..newest
 
-  // This frame owns every input image until the output is written; the
-  // merged records are views of them.
-  std::vector<std::vector<uint8_t>> images;
-  images.reserve(inputs.size());
-  for (const TableRef& t : inputs) {
-    sim::Promise<std::vector<uint8_t>> read(sim_);
-    auto read_future = read.GetFuture();
-    ReadTable(t, std::move(read));
-    images.push_back(co_await read_future);
-    stats_.bytes_compacted += static_cast<int64_t>(t->data_bytes);
+  // All of L1 is one run in key order; each L0 table is one run,
+  // oldest first. Every run starts reading at once.
+  const std::span<const TableRef> all(inputs);
+  std::deque<InputRun> runs;
+  runs.emplace_back(backend_, all.first(l1_.size()));
+  for (size_t i = l1_.size(); i < inputs.size(); ++i) {
+    runs.emplace_back(backend_, all.subspan(i, 1));
   }
-  int64_t total_entries = 0;
-  const std::vector<BlockRecord> merged =
-      MergeRuns(images, l1_.size(), &total_entries);
-  co_await sim::Delay(sim_, kCpuPerCompactionEntry * total_entries);
 
-  // Split the merged run into ~8MB L1 tables.
-  constexpr uint64_t kTargetTableBytes = 8ULL << 20;
+  // K-way merge: for each key the newest run's record wins; a winning
+  // tombstone has shadowed every older version and is dropped for
+  // good, since this full merge rewrites the bottom level. Winners go
+  // straight into the builder, and an output is written once its
+  // records reach kTargetTableBytes, before the merge goes on.
+  SSTableBuilder builder(kBloomBitsPerKey);
   std::vector<TableRef> new_l1;
-  size_t table_start = 0;
   uint64_t table_bytes = 0;
-  for (size_t i = 0; i < merged.size(); ++i) {
-    table_bytes += merged[i].key.size() + merged[i].value.size() + 4;
-    if (table_bytes >= kTargetTableBytes || i + 1 == merged.size()) {
-      sim::Future<TableRef> written = WriteTable(
-          std::span(merged).subspan(table_start, i + 1 - table_start));
-      new_l1.push_back(co_await written);
-      table_start = i + 1;
-      table_bytes = 0;
+  int64_t consumed = 0;  // input records since the last output
+  for (;;) {
+    for (InputRun& run : runs) {
+      while (sim::Future<client::IoResult>* read = run.pending_read()) {
+        if (!(co_await *read).ok()) REFLEX_PANIC("sstable read failed");
+        run.Landed();
+      }
     }
+    // The smallest key; among runs that hold it, the newest (last).
+    InputRun* newest = nullptr;
+    for (InputRun& run : runs) {
+      if (!run.done() &&
+          (newest == nullptr || run.head().key <= newest->head().key)) {
+        newest = &run;
+      }
+    }
+    if (newest == nullptr) break;
+    // The winner is a view of the newest run's piece, which advancing
+    // that run may free: it is copied first, and that run moves last.
+    const BlockRecord& winner = newest->head();
+    if (!winner.tombstone) {
+      builder.Add(winner);
+      table_bytes += winner.key.size() + winner.value.size() + 4;
+    }
+    for (InputRun& run : runs) {
+      if (&run != newest && !run.done() && run.head().key == winner.key) {
+        run.Advance();
+        ++consumed;
+      }
+    }
+    newest->Advance();
+    ++consumed;
+    if (table_bytes >= kTargetTableBytes) {
+      co_await sim::Delay(sim_, kCpuPerCompactionEntry * consumed);
+      consumed = 0;
+      table_bytes = 0;
+      sim::Future<TableRef> written = WriteTable(&builder);
+      new_l1.push_back(co_await written);
+    }
+  }
+  if (consumed > 0) {
+    co_await sim::Delay(sim_, kCpuPerCompactionEntry * consumed);
+  }
+  if (!builder.empty()) {
+    sim::Future<TableRef> written = WriteTable(&builder);
+    new_l1.push_back(co_await written);
   }
 
   // Retire inputs. A Get that snapshotted one may still read its

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <map>
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -88,7 +87,6 @@ class KvStore {
   };
 
   struct Stats {
-    int64_t puts = 0;
     int64_t deletes = 0;
     int64_t gets = 0;
     int64_t hits = 0;
@@ -96,10 +94,10 @@ class KvStore {
     int64_t block_reads = 0;       // data blocks fetched (incl. cache)
     int64_t memtable_flushes = 0;
     int64_t compactions = 0;
-    int64_t bytes_flushed = 0;
-    int64_t bytes_compacted = 0;
     int64_t wal_appends = 0;
   };
+
+  using TableRef = std::shared_ptr<SSTableMeta>;
 
   KvStore(sim::Simulator& sim, client::StorageBackend& backend,
           Options options);
@@ -130,11 +128,13 @@ class KvStore {
   const Stats& stats() const { return stats_; }
   int l0_tables() const { return static_cast<int>(l0_.size()); }
   int l1_tables() const { return static_cast<int>(l1_.size()); }
+  /** L0 tables, oldest first. */
+  const std::vector<TableRef>& l0() const { return l0_; }
+  /** L1 tables, in key order. */
+  const std::vector<TableRef>& l1() const { return l1_; }
   uint64_t memtable_entries() const { return memtable_.size(); }
 
  private:
-  using TableRef = std::shared_ptr<SSTableMeta>;
-
   sim::Task PutTask(std::string key, std::string value, bool tombstone,
                     sim::Promise<bool> promise);
   sim::Task GetTask(std::string key, sim::Promise<GetResult> promise);
@@ -151,21 +151,23 @@ class KvStore {
                         sim::VoidPromise promise);
 
   /**
-   * Builds the image of a new SSTable from sorted records, places it,
-   * and starts writing it; resolves with its metadata once written.
-   * The records are read before this returns.
+   * Places the table `builder` holds: allocates its extent at its
+   * exact size, drops stale cache entries over it and starts writing
+   * it; resolves with its metadata once written. Leaves the builder
+   * empty.
    */
-  sim::Future<TableRef> WriteTable(std::span<const BlockRecord> records);
-  /** WriteTable's writes; owns the image and metadata it writes. */
-  sim::Task WriteTableTask(std::vector<uint8_t> image, TableRef meta,
+  sim::Future<TableRef> WriteTable(SSTableBuilder* builder);
+  /** WriteTable's writes; owns the pieces and the metadata it writes,
+   * and frees each piece once its write completes. */
+  sim::Task WriteTableTask(ImagePieces pieces, TableRef meta,
                            sim::Promise<TableRef> promise);
 
-  /** Merges L0 + L1 into a fresh L1 (simple full-merge compaction). */
+  /**
+   * Merges L0 + L1 into a fresh L1 (simple full-merge compaction),
+   * reading the inputs in kIoChunk pieces while it merges and writing
+   * each output table as soon as it is cut.
+   */
   sim::Task CompactTask(sim::VoidPromise promise);
-
-  /** Reads a table's raw image (sequential block reads). */
-  sim::Task ReadTable(TableRef table,
-                      sim::Promise<std::vector<uint8_t>> promise);
 
   /** Frees the extent of every retired table that no Get still
    * holds, then allocates `bytes`. */

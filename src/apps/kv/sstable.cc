@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <utility>
 
 #include "sim/logging.h"
 
@@ -35,13 +36,16 @@ size_t RecordBytes(const BlockRecord& r) {
   return 4 + r.key.size() + (r.tombstone ? 0 : r.value.size());
 }
 
-struct ProbeHashes {
-  uint64_t h1;
-  uint64_t h2;
-};
+}  // namespace
+
+BloomFilter::BloomFilter(size_t expected_keys, int bits_per_key,
+                         int hashes)
+    : num_bits_(std::max<uint64_t>(64, expected_keys * bits_per_key)),
+      words_((num_bits_ + 63) / 64, 0),
+      hashes_(hashes) {}
 
 /** Two seeded FNV-1a hashes of the key, computed in one pass; h2 is odd. */
-ProbeHashes HashKey(std::string_view key) {
+BloomFilter::Hashes BloomFilter::Hash(std::string_view key) {
   constexpr uint64_t kFnvPrime = 0x100000001b3ULL;
   uint64_t h1 = 0xcbf29ce484222325ULL;
   uint64_t h2 = h1 ^ 0x9e3779b97f4a7c15ULL;
@@ -53,17 +57,9 @@ ProbeHashes HashKey(std::string_view key) {
   return {h1, h2 | 1};
 }
 
-}  // namespace
-
-BloomFilter::BloomFilter(size_t expected_keys, int bits_per_key,
-                         int hashes)
-    : num_bits_(std::max<uint64_t>(64, expected_keys * bits_per_key)),
-      words_((num_bits_ + 63) / 64, 0),
-      hashes_(hashes) {}
-
 // Double hashing: probe i tests bit (h1 + i*h2) mod num_bits_.
-void BloomFilter::Add(std::string_view key) {
-  const auto [h1, h2] = HashKey(key);
+void BloomFilter::Add(Hashes hashes) {
+  const auto [h1, h2] = hashes;
   for (int i = 0; i < hashes_; ++i) {
     const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % num_bits_;
     words_[bit / 64] |= uint64_t{1} << (bit % 64);
@@ -71,7 +67,7 @@ void BloomFilter::Add(std::string_view key) {
 }
 
 bool BloomFilter::MayContain(std::string_view key) const {
-  const auto [h1, h2] = HashKey(key);
+  const auto [h1, h2] = Hash(key);
   for (int i = 0; i < hashes_; ++i) {
     const uint64_t bit = (h1 + static_cast<uint64_t>(i) * h2) % num_bits_;
     if ((words_[bit / 64] >> (bit % 64) & 1) == 0) return false;
@@ -91,62 +87,50 @@ int SSTableMeta::FindBlock(std::string_view key) const {
   return static_cast<int>(it - block_first_keys.begin()) - 1;
 }
 
-std::vector<uint8_t> BuildSSTableImage(std::span<const BlockRecord> records,
-                                       int bloom_bits_per_key,
-                                       SSTableMeta* meta) {
-  REFLEX_CHECK(!records.empty());
+void SSTableBuilder::Add(const BlockRecord& r) {
+  REFLEX_CHECK(r.key.size() < 65535 && r.value.size() < 65534);
+  const size_t rec = RecordBytes(r);
+  REFLEX_CHECK(rec <= kBlockBytes);
+  if (block_used_ + rec > kBlockBytes) {
+    // Blocks tile the pieces: a piece holds kIoChunk / kBlockBytes.
+    const size_t offset = block_first_keys_.size() * kBlockBytes % kIoChunk;
+    if (offset == 0) pieces_.emplace_back(new uint8_t[kIoChunk]);
+    out_ = pieces_.back().get() + offset;
+    // The zero bytes left after the block's last record act as its
+    // terminator (klen == 0).
+    std::memset(out_, 0, kBlockBytes);
+    block_used_ = 0;
+    block_first_keys_.emplace_back(r.key);
+  }
+  const auto klen = static_cast<uint16_t>(r.key.size());
+  const uint16_t vlen =
+      r.tombstone ? kTombstoneVlen : static_cast<uint16_t>(r.value.size());
+  std::memcpy(out_, &klen, 2);
+  std::memcpy(out_ + 2, &vlen, 2);
+  std::memcpy(out_ + 4, r.key.data(), klen);
+  if (!r.tombstone && vlen > 0) {
+    std::memcpy(out_ + 4 + klen, r.value.data(), vlen);
+  }
+  last_key_ = std::string_view(reinterpret_cast<const char*>(out_ + 4), klen);
+  out_ += rec;
+  block_used_ += rec;
+  hashes_.push_back(BloomFilter::Hash(r.key));
+}
+
+ImagePieces SSTableBuilder::Finish(SSTableMeta* meta) {
+  REFLEX_CHECK(!empty());
   REFLEX_CHECK(meta != nullptr);
-  // Count the blocks first, so the image is allocated once.
-  size_t blocks = 0;
-  size_t block_used = kBlockBytes;  // the first record opens a block
-  for (const BlockRecord& r : records) {
-    REFLEX_CHECK(r.key.size() < 65535 && r.value.size() < 65534);
-    const size_t rec = RecordBytes(r);
-    REFLEX_CHECK(rec <= kBlockBytes);
-    if (block_used + rec > kBlockBytes) {
-      ++blocks;
-      block_used = 0;
-    }
-    block_used += rec;
-  }
-
-  meta->bloom = std::make_unique<BloomFilter>(records.size(),
-                                              bloom_bits_per_key);
-  meta->num_entries = records.size();
-  meta->first_key = records.front().key;
-  meta->last_key = records.back().key;
-  meta->block_first_keys.clear();
-  meta->block_first_keys.reserve(blocks);
-
-  // Zero-filled: the zero bytes left after a block's last record act
-  // as its terminator (klen == 0).
-  std::vector<uint8_t> image(blocks * kBlockBytes);
-  uint8_t* out = image.data();
-  block_used = kBlockBytes;
-  for (const BlockRecord& r : records) {
-    const size_t rec = RecordBytes(r);
-    if (block_used + rec > kBlockBytes) {
-      REFLEX_CHECK(meta->block_first_keys.size() < blocks);
-      out = image.data() + meta->block_first_keys.size() * kBlockBytes;
-      block_used = 0;
-      meta->block_first_keys.emplace_back(r.key);
-    }
-    const auto klen = static_cast<uint16_t>(r.key.size());
-    const uint16_t vlen = r.tombstone
-                              ? kTombstoneVlen
-                              : static_cast<uint16_t>(r.value.size());
-    std::memcpy(out, &klen, 2);
-    std::memcpy(out + 2, &vlen, 2);
-    std::memcpy(out + 4, r.key.data(), klen);
-    if (!r.tombstone && vlen > 0) {
-      std::memcpy(out + 4 + klen, r.value.data(), vlen);
-    }
-    out += rec;
-    block_used += rec;
-    meta->bloom->Add(r.key);
-  }
-  meta->data_bytes = image.size();
-  return image;
+  meta->bloom =
+      std::make_unique<BloomFilter>(hashes_.size(), bloom_bits_per_key_);
+  for (const BloomFilter::Hashes& h : hashes_) meta->bloom->Add(h);
+  meta->num_entries = hashes_.size();
+  meta->first_key = block_first_keys_.front();
+  meta->last_key = last_key_;
+  meta->data_bytes = uint64_t{block_first_keys_.size()} * kBlockBytes;
+  meta->block_first_keys = std::exchange(block_first_keys_, {});
+  hashes_.clear();
+  block_used_ = kBlockBytes;
+  return std::exchange(pieces_, {});
 }
 
 bool RecordWalker::Next(BlockRecord* out) {

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -22,7 +21,15 @@ class BloomFilter {
  public:
   BloomFilter(size_t expected_keys, int bits_per_key = 10, int hashes = 6);
 
-  void Add(std::string_view key);
+  /** The two hashes every probe of a key is derived from. */
+  struct Hashes {
+    uint64_t h1;
+    uint64_t h2;
+  };
+  static Hashes Hash(std::string_view key);
+
+  void Add(std::string_view key) { Add(Hash(key)); }
+  void Add(Hashes hashes);
   bool MayContain(std::string_view key) const;
 
  private:
@@ -60,7 +67,7 @@ struct SSTableMeta {
 /**
  * One record: a key/value pair or a deletion tombstone. `key` and
  * `value` are views of storage the caller keeps alive: a raw block, or
- * whatever the records handed to BuildSSTableImage are written from.
+ * whatever the records handed to SSTableBuilder::Add are written from.
  */
 struct BlockRecord {
   std::string_view key;
@@ -70,18 +77,51 @@ struct BlockRecord {
 
 inline constexpr uint32_t kBlockBytes = 4096;
 
+/** Tables are built, written and read in pieces of this size. */
+inline constexpr uint32_t kIoChunk = 256 * 1024;
+static_assert(kIoChunk % kBlockBytes == 0, "blocks must tile the pieces");
+
+/** An SSTable image as kIoChunk pieces: piece i holds image bytes
+ * [i * kIoChunk, (i + 1) * kIoChunk), the last one up to data_bytes. */
+using ImagePieces = std::vector<std::unique_ptr<uint8_t[]>>;
+
 /**
- * Serializes sorted records into 4KB data blocks. Record format:
- * [u16 klen][u16 vlen][key][value]; a zero klen terminates a block and
- * vlen = 0xFFFF marks a deletion tombstone (no value bytes). A record
- * opens a new block when it does not fit in what is left of the
- * current one. The image is sized in one pass over the records and
- * each record is written straight from its views. Returns the block
- * image (multiple of 4KB) and fills `meta` (bloom, index, key range).
+ * Serializes sorted records into 4KB data blocks, one record at a
+ * time. Record format: [u16 klen][u16 vlen][key][value]; a zero klen
+ * terminates a block and vlen = 0xFFFF marks a deletion tombstone (no
+ * value bytes). A record opens a new block when it does not fit in
+ * what is left of the current one. Each record is written straight
+ * from its views into the image, which is kept as kIoChunk pieces, so
+ * no table is ever one contiguous allocation. The bloom filter is
+ * sized from the exact key count at Finish, from the probe hashes kept
+ * per key.
  */
-std::vector<uint8_t> BuildSSTableImage(std::span<const BlockRecord> records,
-                                       int bloom_bits_per_key,
-                                       SSTableMeta* meta);
+class SSTableBuilder {
+ public:
+  explicit SSTableBuilder(int bloom_bits_per_key)
+      : bloom_bits_per_key_(bloom_bits_per_key) {}
+
+  /** Appends a record; keys must arrive in ascending order. */
+  void Add(const BlockRecord& record);
+
+  bool empty() const { return hashes_.empty(); }
+
+  /**
+   * Fills `meta`'s bloom, index, key range, entry count and data_bytes
+   * (not its extent or id) and returns the image. Requires !empty();
+   * leaves the builder empty, ready for the next table.
+   */
+  ImagePieces Finish(SSTableMeta* meta);
+
+ private:
+  int bloom_bits_per_key_;
+  ImagePieces pieces_;
+  std::vector<std::string> block_first_keys_;
+  std::vector<BloomFilter::Hashes> hashes_;
+  uint8_t* out_ = nullptr;           // where the next record goes
+  size_t block_used_ = kBlockBytes;  // the first record opens a block
+  std::string_view last_key_;        // a view of the image
+};
 
 /**
  * Walks the records of a raw image (whole 4KB blocks) in order, block

@@ -181,6 +181,20 @@ std::vector<BlockRecord> Walk(const uint8_t* image, size_t bytes) {
   return records;
 }
 
+/** Builds a table from `records` and returns its pieces as one image. */
+std::vector<uint8_t> BuildImage(const std::vector<BlockRecord>& records,
+                                SSTableMeta* meta) {
+  SSTableBuilder builder(10);
+  for (const BlockRecord& r : records) builder.Add(r);
+  const ImagePieces pieces = builder.Finish(meta);
+  std::vector<uint8_t> image(meta->data_bytes);
+  for (size_t off = 0; off < image.size(); off += kIoChunk) {
+    std::memcpy(image.data() + off, pieces[off / kIoChunk].get(),
+                std::min<size_t>(kIoChunk, image.size() - off));
+  }
+  return image;
+}
+
 TEST(SSTableFormatTest, ImageRoundTrip) {
   RecordSet set;
   for (int i = 0; i < 500; ++i) {
@@ -190,7 +204,7 @@ TEST(SSTableFormatTest, ImageRoundTrip) {
   }
   const std::vector<BlockRecord> entries = set.records();
   SSTableMeta meta;
-  std::vector<uint8_t> image = BuildSSTableImage(entries, 10, &meta);
+  std::vector<uint8_t> image = BuildImage(entries, &meta);
   ASSERT_EQ(image.size() % kBlockBytes, 0u);
   EXPECT_EQ(meta.num_entries, 500u);
   EXPECT_EQ(meta.first_key, "k00000");
@@ -256,8 +270,7 @@ TEST(SSTableFormatTest, BlockSearchMatchesParse) {
 
   for (const auto* source : {&entries, &full}) {
     SSTableMeta meta;
-    const std::vector<uint8_t> image =
-        BuildSSTableImage(source->records(), 10, &meta);
+    const std::vector<uint8_t> image = BuildImage(source->records(), &meta);
     for (uint32_t b = 0; b < meta.NumBlocks(); ++b) {
       const uint8_t* block = image.data() + size_t{b} * kBlockBytes;
       const std::vector<BlockRecord> parsed = Walk(block, kBlockBytes);
@@ -287,8 +300,8 @@ TEST(SSTableFormatTest, BlockSearchMatchesParse) {
   }
 }
 
-// The growing builder that BuildSSTableImage replaced, kept verbatim
-// as the reference: it appends one zero-filled block at a time.
+// The first builder, kept verbatim as the reference: it grows one
+// contiguous image, appending one zero-filled block at a time.
 std::vector<uint8_t> ReferenceBuildSSTableImage(
     const std::vector<BlockRecord>& entries, int bloom_bits_per_key,
     SSTableMeta* meta) {
@@ -333,19 +346,23 @@ std::vector<uint8_t> ReferenceBuildSSTableImage(
   return image;
 }
 
-// The one-pass-sized builder writes the reference builder's image,
-// index, key range and bloom bits for random record sets: tombstones,
-// blocks filled to exactly 4096 bytes, 4096-byte records, one-record
-// tables and tables of many blocks.
+// The incremental builder's pieces, put together, are the reference
+// builder's image, and it writes the same index, key range, entry
+// count and bloom bits, for random record sets: tombstones, blocks
+// filled to exactly 4096 bytes, 4096-byte records, one-record tables
+// and tables of several 256 KB pieces. One builder builds every table,
+// as a compaction's builder does.
 TEST(SSTableFormatTest, SizedBuilderMatchesReferenceImage) {
   sim::Rng rng(2024, "sstable_builder");
+  SSTableBuilder builder(10);
   int exact_fills = 0;
   int full_records = 0;
   int single_record_tables = 0;
-  size_t max_blocks = 0;
+  size_t max_pieces = 0;
   for (int round = 0; round < 200; ++round) {
-    const size_t count =
+    size_t count =
         round % 10 == 0 ? 1 : 2 + rng.NextBounded(round % 3 == 0 ? 600 : 40);
+    if (round % 25 == 1) count = 2500;
     RecordSet set;
     size_t block_used = kBlockBytes;
     for (size_t i = 0; i < count; ++i) {
@@ -388,36 +405,44 @@ TEST(SSTableFormatTest, SizedBuilderMatchesReferenceImage) {
     single_record_tables += count == 1;
 
     const std::vector<BlockRecord> records = set.records();
-    SSTableMeta sized;
+    for (const BlockRecord& r : records) builder.Add(r);
+    SSTableMeta built;
+    const ImagePieces pieces = builder.Finish(&built);
+    ASSERT_TRUE(builder.empty());
     SSTableMeta reference;
-    const std::vector<uint8_t> image =
-        BuildSSTableImage(records, 10, &sized);
     const std::vector<uint8_t> expected =
         ReferenceBuildSSTableImage(records, 10, &reference);
-    ASSERT_EQ(image, expected) << "round " << round;
-    EXPECT_EQ(sized.data_bytes, reference.data_bytes);
-    EXPECT_EQ(sized.num_entries, reference.num_entries);
-    EXPECT_EQ(sized.block_first_keys, reference.block_first_keys);
-    EXPECT_EQ(sized.first_key, reference.first_key);
-    EXPECT_EQ(sized.last_key, reference.last_key);
+    ASSERT_EQ(built.data_bytes, expected.size()) << "round " << round;
+    ASSERT_EQ(pieces.size(), (expected.size() + kIoChunk - 1) / kIoChunk);
+    for (size_t p = 0; p < pieces.size(); ++p) {
+      const size_t off = p * kIoChunk;
+      const size_t n = std::min<size_t>(kIoChunk, expected.size() - off);
+      ASSERT_EQ(std::memcmp(pieces[p].get(), expected.data() + off, n), 0)
+          << "round " << round << " piece " << p;
+    }
+    EXPECT_EQ(built.num_entries, reference.num_entries);
+    EXPECT_EQ(built.block_first_keys, reference.block_first_keys);
+    EXPECT_EQ(built.first_key, reference.first_key);
+    EXPECT_EQ(built.last_key, reference.last_key);
     for (const BlockRecord& r : records) {
-      ASSERT_TRUE(sized.bloom->MayContain(r.key)) << r.key;
+      ASSERT_TRUE(built.bloom->MayContain(r.key)) << r.key;
       ASSERT_TRUE(reference.bloom->MayContain(r.key)) << r.key;
     }
     for (int probe = 0; probe < 1000; ++probe) {
       const std::string absent = "absent-" + std::to_string(probe);
-      ASSERT_EQ(sized.bloom->MayContain(absent),
+      ASSERT_EQ(built.bloom->MayContain(absent),
                 reference.bloom->MayContain(absent))
           << absent;
     }
-    max_blocks = std::max<size_t>(max_blocks, sized.NumBlocks());
+    max_pieces = std::max(max_pieces, pieces.size());
   }
   // Every shape the sets are drawn for occurred: blocks that several
-  // records fill exactly, 4096-byte records, one-record tables.
+  // records fill exactly, 4096-byte records, one-record tables, tables
+  // of three pieces or more.
   EXPECT_GE(exact_fills, 20);
   EXPECT_GE(full_records, 20);
   EXPECT_EQ(single_record_tables, 20);
-  EXPECT_GE(max_blocks, 100u);
+  EXPECT_GE(max_pieces, 3u);
 }
 
 // Garbage blocks: the search returns not-found and stays inside the
@@ -797,6 +822,287 @@ TEST_F(KvStoreTest, CompactionMatchesModelUnderChurn) {
   }
 }
 
+// The merge compaction ran before it streamed its inputs, kept as the
+// reference: every input's whole image in memory, the first
+// `l1_tables` images one run (L1) and each later image one run (an L0
+// table, oldest first). For each key the newest run's record wins, and
+// a winning tombstone is dropped. Returns views of the images.
+std::vector<BlockRecord> MergeRuns(
+    const std::vector<std::vector<uint8_t>>& images, size_t l1_tables) {
+  struct Run {
+    std::vector<const std::vector<uint8_t>*> images;
+    size_t next_image = 0;
+    RecordWalker walker{nullptr, 0};
+    BlockRecord head;
+    bool done = false;
+
+    void Advance() {
+      while (!walker.Next(&head)) {
+        if (next_image == images.size()) {
+          done = true;
+          return;
+        }
+        const std::vector<uint8_t>* image = images[next_image++];
+        walker = RecordWalker(image->data(), image->size());
+      }
+    }
+  };
+  std::vector<Run> runs(1 + images.size() - l1_tables);
+  for (size_t i = 0; i < images.size(); ++i) {
+    runs[i < l1_tables ? 0 : 1 + i - l1_tables].images.push_back(&images[i]);
+  }
+  for (Run& run : runs) run.Advance();
+  std::vector<BlockRecord> merged;
+  for (;;) {
+    const Run* newest = nullptr;
+    for (const Run& run : runs) {
+      if (!run.done &&
+          (newest == nullptr || run.head.key <= newest->head.key)) {
+        newest = &run;
+      }
+    }
+    if (newest == nullptr) break;
+    const BlockRecord winner = newest->head;
+    if (!winner.tombstone) merged.push_back(winner);
+    for (Run& run : runs) {
+      if (!run.done && run.head.key == winner.key) run.Advance();
+    }
+  }
+  return merged;
+}
+
+/**
+ * A StorageBackend that passes every I/O to `inner` and logs it: its
+ * offset and size, and when it was issued and completed, as positions
+ * in one sequence of issues and completions. It keeps a copy of every
+ * byte written, and at the first read after Arm() it records the
+ * tables of `store` (each L1 table in run 0, L0 table i in run 1 + i):
+ * the inputs of the compaction that read starts.
+ */
+class RecordingBackend : public client::StorageBackend {
+ public:
+  struct Io {
+    bool write;
+    uint64_t offset;
+    uint32_t bytes;
+    int64_t issued;
+    int64_t completed = -1;
+  };
+  struct Input {
+    uint64_t offset;
+    uint64_t bytes;
+    size_t run;
+  };
+
+  RecordingBackend(sim::Simulator& sim, client::StorageBackend& inner)
+      : sim_(sim), inner_(inner) {}
+
+  void Arm(const KvStore* store) {
+    store_ = store;
+    inputs_.clear();
+  }
+
+  sim::Future<client::IoResult> ReadBytes(uint64_t offset, uint32_t bytes,
+                                          uint8_t* data) override {
+    if (store_ != nullptr) {
+      for (const auto& t : store_->l1()) {
+        inputs_.push_back(Input{t->extent_offset, t->data_bytes, 0});
+      }
+      for (size_t i = 0; i < store_->l0().size(); ++i) {
+        const auto& t = store_->l0()[i];
+        inputs_.push_back(Input{t->extent_offset, t->data_bytes, 1 + i});
+      }
+      store_ = nullptr;
+    }
+    return Log(false, offset, bytes, inner_.ReadBytes(offset, bytes, data));
+  }
+
+  sim::Future<client::IoResult> WriteBytes(uint64_t offset, uint32_t bytes,
+                                           const uint8_t* data) override {
+    if (written_.size() < offset + bytes) written_.resize(offset + bytes);
+    std::memcpy(written_.data() + offset, data, bytes);
+    return Log(true, offset, bytes, inner_.WriteBytes(offset, bytes, data));
+  }
+
+  uint64_t CapacityBytes() const override { return inner_.CapacityBytes(); }
+  const char* name() const override { return "recording"; }
+
+  const std::vector<Io>& log() const { return log_; }
+  const std::vector<Input>& inputs() const { return inputs_; }
+  /** The last bytes written to [offset, offset + bytes). */
+  std::vector<uint8_t> Written(uint64_t offset, uint64_t bytes) const {
+    return std::vector<uint8_t>(written_.begin() + offset,
+                                written_.begin() + offset + bytes);
+  }
+
+ private:
+  sim::Future<client::IoResult> Log(bool write, uint64_t offset,
+                                    uint32_t bytes,
+                                    sim::Future<client::IoResult> inner) {
+    log_.push_back(Io{write, offset, bytes, seq_++});
+    sim::Promise<client::IoResult> outer(sim_);
+    auto future = outer.GetFuture();
+    Complete(this, log_.size() - 1, std::move(inner), std::move(outer));
+    return future;
+  }
+
+  static sim::Task Complete(RecordingBackend* self, size_t index,
+                            sim::Future<client::IoResult> inner,
+                            sim::Promise<client::IoResult> outer) {
+    client::IoResult r = co_await inner;
+    self->log_[index].completed = self->seq_++;
+    outer.Set(r);
+  }
+
+  sim::Simulator& sim_;
+  client::StorageBackend& inner_;
+  std::vector<Io> log_;
+  int64_t seq_ = 0;
+  std::vector<uint8_t> written_;
+  const KvStore* store_ = nullptr;
+  std::vector<Input> inputs_;
+};
+
+// Compaction streams its inputs: each run keeps at most 8 reads
+// outstanding and the first output (cut at 8 MB) is written while the
+// inputs are still being read. The outputs are still the old rule's:
+// after every compaction of a churn run over a ~14 MB store, each L1
+// table read back from the device is byte for byte (with the same
+// index, key range and count) the table the whole-image merge and the
+// 8 MB split wrote from the same inputs.
+TEST_F(KvStoreTest, CompactionStreamsItsInputs) {
+  RecordingBackend recording(sim_, backend_);
+  KvStore::Options o = SmallOptions();
+  o.memtable_bytes = 1 << 20;
+  o.l0_compaction_trigger = 3;
+  KvStore store(sim_, recording, o);
+  constexpr int kKeys = 3500;
+  sim::Rng rng(7, "kv_stream");
+  std::map<int, std::string> model;
+  int64_t compactions = 0;
+  int multi_table_outputs = 0;
+  int outputs_before_last_read = 0;
+  size_t max_run_reads = 0;
+  size_t log_start = 0;
+  recording.Arm(&store);
+  for (int op = 0; op < 7000; ++op) {
+    const int key =
+        op < kKeys ? op : static_cast<int>(rng.NextBounded(kKeys));
+    if (op >= kKeys && rng.NextBounded(5) == 0) {
+      ASSERT_TRUE(Await(store.Delete(DbBench::KeyFor(key))));
+      model.erase(key);
+    } else {
+      std::string value =
+          std::to_string(op) + "-" +
+          std::string(3800 + rng.NextBounded(200), 'a' + op % 26);
+      ASSERT_TRUE(Await(store.Put(DbBench::KeyFor(key), value)));
+      model[key] = std::move(value);
+    }
+    if (store.stats().compactions == compactions) continue;
+    // One compaction ran to its end inside this op.
+    ASSERT_EQ(store.stats().compactions, compactions + 1);
+    compactions = store.stats().compactions;
+    const std::vector<RecordingBackend::Input> inputs = recording.inputs();
+    ASSERT_FALSE(inputs.empty());
+
+    // The old rule over the same inputs.
+    std::vector<std::vector<uint8_t>> images;
+    size_t l1_inputs = 0;
+    for (const auto& in : inputs) {
+      images.push_back(recording.Written(in.offset, in.bytes));
+      l1_inputs += in.run == 0;
+    }
+    const std::vector<BlockRecord> merged = MergeRuns(images, l1_inputs);
+    std::vector<std::vector<BlockRecord>> tables(1);
+    uint64_t table_bytes = 0;
+    for (size_t i = 0; i < merged.size(); ++i) {
+      tables.back().push_back(merged[i]);
+      table_bytes += merged[i].key.size() + merged[i].value.size() + 4;
+      if (table_bytes >= (8ULL << 20) && i + 1 < merged.size()) {
+        tables.emplace_back();
+        table_bytes = 0;
+      }
+    }
+    ASSERT_EQ(store.l1().size(), tables.size());
+    multi_table_outputs += tables.size() > 1;
+    for (size_t t = 0; t < tables.size(); ++t) {
+      SSTableMeta expected_meta;
+      const std::vector<uint8_t> expected =
+          ReferenceBuildSSTableImage(tables[t], 10, &expected_meta);
+      const SSTableMeta& meta = *store.l1()[t];
+      ASSERT_EQ(meta.data_bytes, expected.size()) << "table " << t;
+      EXPECT_EQ(meta.num_entries, expected_meta.num_entries);
+      EXPECT_EQ(meta.first_key, expected_meta.first_key);
+      EXPECT_EQ(meta.last_key, expected_meta.last_key);
+      EXPECT_EQ(meta.block_first_keys, expected_meta.block_first_keys);
+      std::vector<uint8_t> image(meta.data_bytes);
+      for (uint64_t off = 0; off < image.size(); off += kIoChunk) {
+        const auto n = static_cast<uint32_t>(
+            std::min<uint64_t>(kIoChunk, image.size() - off));
+        ASSERT_TRUE(Await(backend_.ReadBytes(meta.extent_offset + off, n,
+                                             image.data() + off))
+                        .ok());
+      }
+      ASSERT_TRUE(image == expected)
+          << "compaction " << compactions << " table " << t;
+    }
+
+    // The I/O since the compaction started: every read is an input
+    // piece (no Get runs meanwhile), attributed to its run.
+    const auto& log = recording.log();
+    std::vector<std::pair<int64_t, int>> events;  // (position, run or ~run)
+    int64_t last_read = -1;
+    int64_t first_output_write = -1;
+    for (size_t i = log_start; i < log.size(); ++i) {
+      const RecordingBackend::Io& io = log[i];
+      ASSERT_GE(io.completed, 0);
+      if (io.write) {
+        for (const auto& table : store.l1()) {
+          if (io.offset >= table->extent_offset &&
+              io.offset < table->extent_offset + table->data_bytes &&
+              first_output_write < 0) {
+            first_output_write = io.issued;
+          }
+        }
+        continue;
+      }
+      const RecordingBackend::Input* input = nullptr;
+      for (const auto& in : inputs) {
+        if (io.offset >= in.offset &&
+            io.offset + io.bytes <= in.offset + in.bytes) {
+          input = &in;
+        }
+      }
+      ASSERT_NE(input, nullptr) << "read at " << io.offset;
+      last_read = std::max(last_read, io.issued);
+      events.emplace_back(io.issued, static_cast<int>(input->run));
+      events.emplace_back(io.completed, ~static_cast<int>(input->run));
+    }
+    std::sort(events.begin(), events.end());
+    std::map<int, size_t> outstanding;
+    for (const auto& [position, run] : events) {
+      if (run >= 0) {
+        max_run_reads = std::max(max_run_reads, ++outstanding[run]);
+      } else {
+        --outstanding[~run];
+      }
+    }
+    ASSERT_GE(first_output_write, 0);
+    outputs_before_last_read += first_output_write < last_read;
+    log_start = log.size();
+    recording.Arm(&store);
+  }
+  EXPECT_GE(compactions, 5);
+  EXPECT_GE(multi_table_outputs, 3);
+  EXPECT_GE(outputs_before_last_read, 2);
+  EXPECT_EQ(max_run_reads, 8u);
+  for (const auto& [key, value] : model) {
+    const GetResult r = Await(store.Get(DbBench::KeyFor(key)));
+    ASSERT_TRUE(r.found) << key;
+    ASSERT_EQ(r.value, value) << key;
+  }
+}
+
 // Checks the allocator against the live extents it handed out: holes
 // and live extents (rounded up to 4 KB) tile [begin, cursor) with no
 // gap or overlap, holes are sorted and non-empty, no two holes touch,
@@ -1034,7 +1340,7 @@ TEST(SSTableFormatTest, TombstoneRoundTrip) {
   set.Add("alive", "value", false);
   set.Add("dead", "", true);
   SSTableMeta meta;
-  std::vector<uint8_t> image = BuildSSTableImage(set.records(), 10, &meta);
+  std::vector<uint8_t> image = BuildImage(set.records(), &meta);
   auto parsed = Walk(image.data(), kBlockBytes);
   ASSERT_EQ(parsed.size(), 2u);
   EXPECT_FALSE(parsed[0].tombstone);
