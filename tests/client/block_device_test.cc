@@ -158,5 +158,59 @@ TEST_F(BlockDeviceTest, CapacityMatchesDevice) {
             harness_.device.profile().capacity_sectors * 512ULL);
 }
 
+/** FNV-1a-64 over the bytes of `value`, folded into `*hash`. */
+void Fnv1a(uint64_t* hash, uint64_t value) {
+  for (int i = 0; i < 8; ++i) {
+    *hash ^= (value >> (8 * i)) & 0xff;
+    *hash *= 0x100000001b3ULL;
+  }
+}
+
+TEST_F(BlockDeviceTest, ScriptedMixKeepsItsEventOrder) {
+  // A scripted mix of 1-chunk and split reads and writes over three
+  // contexts, many in flight at once. Every (issue, complete, status)
+  // and the number of events the simulator ran are pinned to the
+  // values the driver produced before its join was rewritten, so any
+  // change to the events a request schedules, or to their order,
+  // shows up here. The bytes every read delivered are pinned too:
+  // reads race writes to the same pages.
+  BlockDevice::Options options;
+  options.num_contexts = 3;
+  options.max_request_sectors = 16;  // 8KB chunks
+  BlockDevice bdev = MakeDevice(options);
+  constexpr int kOps = 36;
+  constexpr uint32_t kSizes[] = {4096, 12288, 32768, 8192};
+  std::vector<std::vector<uint8_t>> buffers(kOps);
+  std::vector<sim::Future<IoResult>> results(kOps);
+  for (int i = 0; i < kOps; ++i) {
+    const uint32_t bytes = kSizes[i % 4];
+    const bool is_write = i % 3 == 0;
+    // Reads land on written and never-written ranges alike.
+    const uint64_t offset = static_cast<uint64_t>((i * 5) % 24) * 8192;
+    buffers[i].assign(bytes, static_cast<uint8_t>(i + 1));
+    harness_.sim.ScheduleAt(
+        Micros(3) * i, [&bdev, &buffers, &results, i, bytes, is_write,
+                        offset] {
+          results[i] = is_write
+                           ? bdev.Write(offset, bytes, buffers[i].data())
+                           : bdev.Read(offset, bytes, buffers[i].data());
+        });
+  }
+  harness_.sim.RunUntil(Millis(5));
+  uint64_t hash = 0xcbf29ce484222325ULL;
+  for (int i = 0; i < kOps; ++i) {
+    ASSERT_TRUE(results[i].Ready()) << "op " << i;
+    const IoResult& r = results[i].Get();
+    Fnv1a(&hash, static_cast<uint64_t>(r.issue_time));
+    Fnv1a(&hash, static_cast<uint64_t>(r.complete_time));
+    Fnv1a(&hash, static_cast<uint64_t>(r.status));
+    if (i % 3 != 0) {
+      for (uint8_t byte : buffers[i]) Fnv1a(&hash, byte);
+    }
+  }
+  EXPECT_EQ(hash, 0x86a692cece3388d5ULL);
+  EXPECT_EQ(harness_.sim.EventsProcessed(), 1332);
+}
+
 }  // namespace
 }  // namespace reflex::client
