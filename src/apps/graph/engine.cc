@@ -328,12 +328,12 @@ sim::Task GraphEngine::BfsWorker(const std::vector<uint32_t>* frontier,
 // benchmark (largest slowdown in the paper's Figure 7b).
 // ---------------------------------------------------------------------
 
-sim::Task GraphEngine::PrefetchAdjacency(bool reverse, uint32_t v) {
+void GraphEngine::PrefetchAdjacency(bool reverse, uint32_t v) {
   const std::vector<uint64_t>& index = reverse ? rev_index_ : fwd_index_;
-  if (index[v] == index[v + 1]) co_return;
+  if (index[v] == index[v + 1]) return;
   const uint64_t base =
       reverse ? meta_.rev_edges_offset : meta_.fwd_edges_offset;
-  co_await cache_->GetPage(base + index[v] * 4);
+  cache_->Prefetch(base + index[v] * 4);
 }
 
 sim::Future<GraphEngine::AlgoStats> GraphEngine::RunScc() {

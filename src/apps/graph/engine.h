@@ -95,7 +95,7 @@ class GraphEngine {
                       sim::Barrier* barrier, int64_t* edges);
   sim::Task SccTask(sim::Promise<AlgoStats> promise);
   /** Fire-and-forget adjacency prefetch (DFS lookahead). */
-  sim::Task PrefetchAdjacency(bool reverse, uint32_t v);
+  void PrefetchAdjacency(bool reverse, uint32_t v);
 
   sim::Simulator& sim_;
   client::StorageBackend& backend_;

@@ -10,8 +10,11 @@
 // Both caches run in separate but identical worlds (simulator, fake
 // backend, fault plan) and are driven by the same seeded op stream:
 // random hits and misses, sequential runs that trigger readahead,
-// writes plus Invalidate over cached, in-flight and readahead pages,
-// and fetch failures drawn from a sim::FaultPlan. After every step the
+// prefetches, writes plus Invalidate over cached, in-flight and
+// readahead pages, and fetch failures drawn from a sim::FaultPlan. A
+// prefetch is PageCache::Prefetch on the new cache and a GetPage whose
+// future is dropped on the reference, so Prefetch must leave the same
+// stats, backend reads and eviction order as a GetPage nobody awaits. After every step the
 // Stats, the backend reads issued and the resolution log (which reader
 // resolved, in what order, with which bytes or nullptr) must agree.
 
@@ -25,6 +28,7 @@
 #include <ostream>
 #include <set>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -348,6 +352,14 @@ struct World {
     Watch(sim, cache.GetPage(byte_offset), reader, &log);
   }
 
+  void Prefetch(uint64_t byte_offset) {
+    if constexpr (std::is_same_v<Cache, PageCache>) {
+      cache.Prefetch(byte_offset);
+    } else {
+      (void)cache.GetPage(byte_offset);
+    }
+  }
+
   void WriteAndInvalidate(uint64_t byte_offset, uint64_t bytes) {
     const uint64_t first = byte_offset / PageCache::kPageBytes;
     const uint64_t last =
@@ -394,9 +406,14 @@ TEST_P(PageCacheEquivalenceTest, MatchesMapListReference) {
         // Random read anywhere in a page of the working set.
         const uint64_t off =
             ops.NextBounded(s.working_set * PageCache::kPageBytes);
-        ref->Get(off, readers);
-        cur->Get(off, readers);
-        ++readers;
+        if (ops.NextBounded(4) == 0) {
+          ref->Prefetch(off);
+          cur->Prefetch(off);
+        } else {
+          ref->Get(off, readers);
+          cur->Get(off, readers);
+          ++readers;
+        }
       } else if (roll < 65) {
         // Sequential run: misses on page p then p+1 trigger readahead,
         // and hits on readahead pages extend the stream.
