@@ -1,7 +1,6 @@
 #include "client/block_device.h"
 
 #include <algorithm>
-#include <memory>
 #include <utility>
 
 #include "sim/logging.h"
@@ -73,7 +72,6 @@ sim::Future<IoResult> BlockDevice::SubmitSplit(bool is_read,
 
   // Split into chunks of at most max_request_sectors, one blk-mq
   // context per chunk (round robin).
-  auto status = std::make_shared<core::ReqStatus>(core::ReqStatus::kOk);
   int num_chunks = 0;
   {
     uint32_t remaining = total_sectors;
@@ -82,7 +80,10 @@ sim::Future<IoResult> BlockDevice::SubmitSplit(bool is_read,
       ++num_chunks;
     }
   }
-  auto barrier = std::make_shared<sim::Barrier>(sim_, num_chunks);
+  sim::Promise<IoResult> promise(sim_);
+  auto future = promise.GetFuture();
+  const uint32_t join = joins_.Add(
+      Join{num_chunks, core::ReqStatus::kOk, sim_.Now(), std::move(promise)});
 
   uint64_t lba = first_lba;
   uint32_t remaining = total_sectors;
@@ -91,18 +92,13 @@ sim::Future<IoResult> BlockDevice::SubmitSplit(bool is_read,
     const uint32_t chunk = std::min(remaining, options_.max_request_sectors);
     const int ctx = next_ctx_;
     next_ctx_ = (next_ctx_ + 1) % options_.num_contexts;
-    DoChunk(ctx, is_read, lba, chunk, chunk_data, barrier.get(),
-            status.get());
+    DoChunk(ctx, is_read, lba, chunk, chunk_data, join);
     lba += chunk;
     remaining -= chunk;
     if (chunk_data != nullptr) {
       chunk_data += static_cast<size_t>(chunk) * core::kSectorBytes;
     }
   }
-
-  sim::Promise<IoResult> promise(sim_);
-  auto future = promise.GetFuture();
-  JoinChunks(barrier, status, sim_.Now(), std::move(promise));
 
   if (is_read) {
     ++reads_completed_;
@@ -116,8 +112,7 @@ sim::Future<IoResult> BlockDevice::SubmitSplit(bool is_read,
 
 sim::Task BlockDevice::DoChunk(int ctx_index, bool is_read, uint64_t lba,
                                uint32_t sectors, uint8_t* data,
-                               sim::Barrier* barrier,
-                               core::ReqStatus* status_out) {
+                               uint32_t join) {
   Context& ctx = contexts_[ctx_index];
 
   // Submission path: bio + blk-mq + kernel TCP tx, serialized on the
@@ -138,7 +133,7 @@ sim::Task BlockDevice::DoChunk(int ctx_index, bool is_read, uint64_t lba,
     r = co_await session_->Write(lba, sectors, data, ctx_index);
   }
   // A failed chunk fails the whole request with its status.
-  if (!r.ok()) *status_out = r.status;
+  if (!r.ok()) joins_[join].status = r.status;
 
   // Completion path: interrupt delivery, then the context's completion
   // kthread processes responses serially.
@@ -151,20 +146,18 @@ sim::Task BlockDevice::DoChunk(int ctx_index, bool is_read, uint64_t lba,
   ctx.core_free = rx_start + rx_cost;
   co_await sim::Delay(sim_, ctx.core_free - sim_.Now());
 
-  barrier->Arrive();
-}
-
-sim::Task BlockDevice::JoinChunks(std::shared_ptr<sim::Barrier> barrier,
-                                  std::shared_ptr<core::ReqStatus> status,
-                                  sim::TimeNs issue_time,
-                                  sim::Promise<IoResult> promise) {
-  co_await barrier->Done();
+  if (--joins_[join].remaining > 0) co_return;
+  // The last chunk completes the request: one hop through the event
+  // queue (where a join barrier would resume its waiter), then the
+  // application wakeup.
+  co_await sim::Delay(sim_, 0);
   co_await sim::Delay(sim_, kAppWakeup);
+  Join done = joins_.Take(join);
   IoResult result;
-  result.status = *status;
-  result.issue_time = issue_time;
+  result.status = done.status;
+  result.issue_time = done.issue_time;
   result.complete_time = sim_.Now();
-  promise.Set(result);
+  done.promise.Set(result);
 }
 
 }  // namespace reflex::client

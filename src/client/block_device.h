@@ -9,6 +9,7 @@
 #include "client/reflex_client.h"
 #include "client/storage_backend.h"
 #include "sim/random.h"
+#include "sim/slot_pool.h"
 #include "sim/task.h"
 
 namespace reflex::client {
@@ -89,15 +90,19 @@ class BlockDevice : public StorageBackend {
     sim::TimeNs core_free = 0;
   };
 
+  /** One request's chunks join here; the last to finish completes it. */
+  struct Join {
+    int remaining;
+    /** kOk, or the status of a failed chunk. */
+    core::ReqStatus status;
+    sim::TimeNs issue_time;
+    sim::Promise<IoResult> promise;
+  };
+
   sim::Future<IoResult> SubmitSplit(bool is_read, uint64_t byte_offset,
                                     uint32_t bytes, uint8_t* data);
   sim::Task DoChunk(int ctx_index, bool is_read, uint64_t lba,
-                    uint32_t sectors, uint8_t* data, sim::Barrier* barrier,
-                    core::ReqStatus* status_out);
-  sim::Task JoinChunks(std::shared_ptr<sim::Barrier> barrier,
-                       std::shared_ptr<core::ReqStatus> status,
-                       sim::TimeNs issue_time,
-                       sim::Promise<IoResult> promise);
+                    uint32_t sectors, uint8_t* data, uint32_t join);
 
   sim::Simulator& sim_;
   core::ReflexServer& server_;
@@ -107,6 +112,8 @@ class BlockDevice : public StorageBackend {
   std::unique_ptr<TenantSession> session_;
   std::vector<Context> contexts_;
   int next_ctx_ = 0;
+  /** Requests with chunks outstanding, in recycled slots. */
+  sim::SlotPool<Join> joins_;
 
   int64_t reads_completed_ = 0;
   int64_t writes_completed_ = 0;
