@@ -3,7 +3,6 @@
 
 #include <coroutine>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +12,7 @@
 #include "core/tenant.h"
 #include "flash/flash_device.h"
 #include "net/network.h"
+#include "sim/inline_function.h"
 #include "sim/ring.h"
 #include "sim/slot_pool.h"
 #include "sim/task.h"
@@ -22,6 +22,9 @@ namespace reflex::core {
 
 class ReflexServer;
 class DataplaneThread;
+
+/** Receives a connection's responses at the client NIC. */
+using ResponseFn = sim::InlineFunction<void(const ResponseMsg&)>;
 
 /**
  * Server-side endpoint of one client TCP connection. Requests arriving
@@ -39,7 +42,7 @@ class ServerConnection {
    * fully arrived at the *client* NIC. The client library layers its
    * own stack costs on top before surfacing the completion.
    */
-  std::function<void(const ResponseMsg&)> on_response;
+  ResponseFn on_response;
 
   /**
    * Ingress path used by client libraries, in two steps. Park() puts

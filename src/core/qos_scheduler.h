@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <vector>
 
@@ -11,6 +10,7 @@
 #include "core/qos_policy.h"
 #include "core/tenant.h"
 #include "core/token_bucket.h"
+#include "sim/inline_function.h"
 #include "sim/time.h"
 
 namespace reflex::core {
@@ -99,7 +99,7 @@ class QosScheduler {
   using Config = QosConfig;
 
   /** Submits one admissible request to the Flash device. */
-  using SubmitFn = std::function<void(Tenant&, PendingIo&&)>;
+  using SubmitFn = sim::InlineFunction<void(Tenant&, PendingIo&&)>;
 
   QosScheduler(SchedulerShared& shared, const RequestCostModel& cost_model,
                Config config);

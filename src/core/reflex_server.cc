@@ -100,7 +100,7 @@ Tenant* ReflexServer::FindTenant(uint32_t handle) {
 
 AcceptResult ReflexServer::Accept(
     net::Machine* client, uint32_t tenant_handle,
-    std::function<void(const ResponseMsg&)> on_response) {
+    ResponseFn on_response) {
   REFLEX_CHECK(client != nullptr);
   AcceptResult result;
   DataplaneThread* thread = nullptr;

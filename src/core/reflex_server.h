@@ -2,7 +2,6 @@
 #define REFLEX_CORE_REFLEX_SERVER_H_
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <memory>
 #include <vector>
@@ -148,7 +147,7 @@ class ReflexServer {
    * unbound connections.
    */
   AcceptResult Accept(net::Machine* client, uint32_t tenant_handle,
-                      std::function<void(const ResponseMsg&)> on_response);
+                      ResponseFn on_response);
 
   int NumConnections() const { return static_cast<int>(connections_.size()); }
 
