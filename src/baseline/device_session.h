@@ -54,6 +54,30 @@ class DeviceSession : public client::IoSession {
     REFLEX_CHECK(num_lanes_ >= 1);
   }
 
+  /**
+   * The device command for one I/O: a write carries the caller's
+   * bytes, a read into `data` pins the pages it covers (a null `data`
+   * is timing-only either way).
+   */
+  static flash::FlashCommand Command(bool is_read, uint64_t lba,
+                                     uint32_t sectors, uint8_t* data) {
+    flash::FlashCommand cmd;
+    cmd.op = is_read ? flash::FlashOp::kRead : flash::FlashOp::kWrite;
+    cmd.lba = lba;
+    cmd.sectors = sectors;
+    cmd.data = is_read ? nullptr : data;
+    cmd.pin = is_read && data != nullptr;
+    return cmd;
+  }
+
+  /**
+   * Copies a successful read's pinned bytes into the caller's buffer
+   * at device completion; a failed read leaves it untouched.
+   */
+  static void CopyOut(const flash::FlashCompletion& c, uint8_t* data) {
+    if (c.status == flash::FlashStatus::kOk && c.pins) c.pins.CopyTo(data);
+  }
+
   /** Models one I/O on `lane`; resolves `promise` on completion. */
   virtual sim::Task DoIo(int lane, bool is_read, uint64_t lba,
                          uint32_t sectors, uint8_t* data,

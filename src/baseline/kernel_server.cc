@@ -97,15 +97,12 @@ sim::Task KernelStorageServer::DoIo(int conn_index, bool is_read,
   co_await sim::Delay(sim_, server_core_free_[core] - sim_.Now());
 
   // --- Flash access ---
-  flash::FlashCommand cmd;
-  cmd.op = is_read ? flash::FlashOp::kRead : flash::FlashOp::kWrite;
-  cmd.lba = lba;
-  cmd.sectors = sectors;
-  cmd.data = data;
   sim::Promise<core::ReqStatus> device_done(sim_);
   auto device_future = device_done.GetFuture();
   const bool ok = device_.Submit(
-      qp_, cmd, [device_done](const flash::FlashCompletion& c) mutable {
+      qp_, Command(is_read, lba, sectors, data),
+      [device_done, data](const flash::FlashCompletion& c) mutable {
+        CopyOut(c, data);
         device_done.Set(c.status == flash::FlashStatus::kOk
                             ? core::ReqStatus::kOk
                             : core::ReqStatus::kDeviceError);

@@ -46,15 +46,12 @@ sim::Task LocalNvmeDriver::DoIo(int ctx_index, bool is_read, uint64_t lba,
   ctx.submit_free = submit_start + kSubmitCost;
   co_await sim::Delay(sim_, ctx.submit_free - sim_.Now());
 
-  flash::FlashCommand cmd;
-  cmd.op = is_read ? flash::FlashOp::kRead : flash::FlashOp::kWrite;
-  cmd.lba = lba;
-  cmd.sectors = sectors;
-  cmd.data = data;
   sim::Promise<core::ReqStatus> device_done(sim_);
   auto device_future = device_done.GetFuture();
   const bool ok = device_.Submit(
-      ctx.qp, cmd, [device_done](const flash::FlashCompletion& c) mutable {
+      ctx.qp, Command(is_read, lba, sectors, data),
+      [device_done, data](const flash::FlashCompletion& c) mutable {
+        CopyOut(c, data);
         device_done.Set(c.status == flash::FlashStatus::kOk
                             ? core::ReqStatus::kOk
                             : core::ReqStatus::kDeviceError);

@@ -36,16 +36,12 @@ sim::Task LocalSpdkService::DoIo(int thread, bool is_read, uint64_t lba,
   core_free_[thread] = submit_start + submit_cpu;
   co_await sim::Delay(sim_, core_free_[thread] - sim_.Now());
 
-  flash::FlashCommand cmd;
-  cmd.op = is_read ? flash::FlashOp::kRead : flash::FlashOp::kWrite;
-  cmd.lba = lba;
-  cmd.sectors = sectors;
-  cmd.data = data;
   sim::Promise<client::IoResult> device_done(sim_);
   auto device_future = device_done.GetFuture();
   const bool ok = device_.Submit(
-      qps_[thread], cmd,
-      [this, device_done](const flash::FlashCompletion& c) mutable {
+      qps_[thread], Command(is_read, lba, sectors, data),
+      [this, device_done, data](const flash::FlashCompletion& c) mutable {
+        CopyOut(c, data);
         client::IoResult r;
         r.status = c.status == flash::FlashStatus::kOk
                        ? core::ReqStatus::kOk

@@ -349,7 +349,7 @@ sim::Task DataplaneThread::RunLoop() {
     }
 
     // --- Completions: build and transmit responses ---
-    for (const CqItem& item : cq_batch_) {
+    for (CqItem& item : cq_batch_) {
       FlashIo done = flash_ios_.Take(item.slot);
       Tenant* tenant = done.tenant;
       PendingIo& io = done.io;
@@ -373,10 +373,10 @@ sim::Task DataplaneThread::RunLoop() {
       resp.handle = tenant->handle();
       resp.cookie = io.msg.cookie;
       resp.sectors = io.msg.sectors;
-      // The device filled the request's buffer at submit; a successful
-      // read hands it back to the client inside the response.
+      // A successful read hands the pages it pinned at submit back to
+      // the client inside the response; nothing is copied here.
       if (is_read && resp.status == ReqStatus::kOk) {
-        resp.data = std::move(io.msg.data);
+        resp.pins = std::move(item.completion.pins);
       }
       io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
       SendResponse(io.conn, std::move(resp));
@@ -418,6 +418,7 @@ void DataplaneThread::SubmitToFlash(Tenant& tenant, PendingIo&& io) {
   cmd.lba = io.msg.lba;
   cmd.sectors = io.msg.sectors;
   cmd.data = io.msg.data.get();
+  cmd.pin = io.msg.wants_data;
   cmd.cookie = io.msg.cookie;
   ++tenant.inflight;
   tenant.inflight_bytes +=

@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "core/slo.h"
+#include "flash/page_pins.h"
 #include "obs/trace.h"
 
 namespace reflex::core {
@@ -91,10 +92,10 @@ inline constexpr uint32_t kResponseHeaderBytes = 24;
 inline constexpr uint32_t kRegisterMsgBytes = 64;
 
 /**
- * Payload bytes carried by a message and owned by it: a write request
- * holds the bytes the client sent, a read request the buffer the
- * device fills, and the read response hands that buffer back. Null
- * for timing-only load and for messages without a payload.
+ * Payload bytes a write request carries and owns: the bytes the client
+ * sent. Null for timing-only load and for every other message. A read
+ * carries no buffer either way; its response carries the device's
+ * pinned pages (ResponseMsg::pins).
  */
 using Payload = std::shared_ptr<uint8_t[]>;
 
@@ -108,7 +109,14 @@ struct RequestMsg {
   uint64_t lba = 0;
   uint32_t sectors = 0;
   uint64_t cookie = 0;
+  /** kWrite: the bytes to write (see Payload). */
   Payload data;
+  /**
+   * kRead: the client wants the bytes, so the device pins the pages
+   * the read covers and the response carries them. False for
+   * timing-only load.
+   */
+  bool wants_data = false;
 
   /**
    * Shard-map epoch the client held when it routed this request. Range
@@ -157,9 +165,12 @@ struct ResponseMsg {
   uint32_t handle = 0;
   uint64_t cookie = 0;
   uint32_t sectors = 0;
-  /** kResponse payload (see Payload); null for a failed or
-   * timing-only read. */
-  Payload data;
+  /**
+   * kResponse payload: the pages the read pinned at the device
+   * (flash::PagePins), copied out once by the client. Empty for a
+   * failed or timing-only read.
+   */
+  flash::PagePins pins;
 
   /**
    * Queue-depth hint piggybacked by the serving dataplane thread on

@@ -12,11 +12,19 @@ FlashDevice::FlashDevice(sim::Simulator& sim, DeviceProfile profile,
     : sim_(sim),
       profile_(std::move(profile)),
       rng_(seed, "flash_device"),
-      write_buffer_free_(profile_.write_buffer_slots) {
+      write_buffer_free_(profile_.write_buffer_slots),
+      zero_page_(new StoredPage()) {  // value-initialized: zeroes
   REFLEX_CHECK(profile_.num_dies > 0);
   REFLEX_CHECK(profile_.write_cost >= 1.0);
+  REFLEX_CHECK(profile_.page_bytes == kStoredPageBytes);
   REFLEX_CHECK(profile_.page_bytes % profile_.sector_bytes == 0);
   die_free_.assign(profile_.num_dies, 0);
+}
+
+FlashDevice::~FlashDevice() {
+  // Pins still held elsewhere (a response in flight) keep their pages.
+  for (StoredPage* page : pages_) Unref(page);
+  Unref(zero_page_);
 }
 
 QueuePair* FlashDevice::AllocQueuePair() {
@@ -61,13 +69,14 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
       cmd.lba + cmd.sectors > profile_.capacity_sectors) {
     return false;
   }
+  REFLEX_CHECK(cmd.op == FlashOp::kWrite ? !cmd.pin : cmd.data == nullptr);
   ++qp->outstanding_;
 
   const uint32_t op =
-      inflight_.Add(InFlight{cmd, std::move(cb), qp, sim_.Now()});
+      inflight_.Add(InFlight{cmd, std::move(cb), qp, sim_.Now(), {}});
 
   if (cmd.op == FlashOp::kRead) {
-    if (cmd.data != nullptr) CopyFromStore(cmd);
+    if (cmd.pin) inflight_[op].pins = PinPages(cmd);
     StartRead(op);
   } else {
     if (fault_ != nullptr &&
@@ -227,6 +236,7 @@ void FlashDevice::Complete(uint32_t slot, FlashStatus status) {
   completion.cookie = op.cmd.cookie;
   completion.submit_time = op.submit_time;
   completion.complete_time = sim_.Now();
+  completion.pins = std::move(op.pins);
   // Failed commands are accounted in read_errors/write_errors at the
   // injection site; success counters and latency distributions track
   // only served I/O.
@@ -266,52 +276,61 @@ double FlashDevice::DieUtilization() const {
   return static_cast<double>(busy) / static_cast<double>(die_free_.size());
 }
 
-uint8_t* FlashDevice::PageAt(uint64_t page_index, bool create) {
+StoredPage* FlashDevice::WritablePage(uint64_t page_index) {
   const uint32_t slot = page_slots_.Find(page_index);
-  if (slot != sim::FlatIndex::kNone) return pages_[slot]->data();
-  if (!create) return nullptr;
-  page_slots_.Insert(page_index, static_cast<uint32_t>(pages_.size()));
-  pages_.push_back(std::make_unique<Page>());  // value-initialized: zeroes
-  return pages_.back()->data();
+  if (slot == sim::FlatIndex::kNone) {
+    page_slots_.Insert(page_index, static_cast<uint32_t>(pages_.size()));
+    pages_.push_back(new StoredPage());  // value-initialized: zeroes
+    return pages_.back();
+  }
+  StoredPage* page = pages_[slot];
+  if (page->refs > 1) {
+    // Copy-on-write: reads that pinned this page keep its old bytes.
+    auto* copy = new StoredPage;
+    std::memcpy(copy->bytes, page->bytes, kStoredPageBytes);
+    Unref(page);
+    pages_[slot] = copy;
+    return copy;
+  }
+  return page;
 }
 
 void FlashDevice::CopyToStore(const FlashCommand& cmd) {
   const uint32_t sector = profile_.sector_bytes;
-  const uint32_t page_bytes = profile_.page_bytes;
   uint64_t byte_off = cmd.lba * sector;
   uint64_t remaining = static_cast<uint64_t>(cmd.sectors) * sector;
   const uint8_t* src = cmd.data;
   while (remaining > 0) {
-    const uint64_t page = byte_off / page_bytes;
-    const uint64_t in_page = byte_off % page_bytes;
-    const uint64_t n = std::min<uint64_t>(remaining, page_bytes - in_page);
-    std::memcpy(PageAt(page, /*create=*/true) + in_page, src, n);
+    const uint64_t page = byte_off / kStoredPageBytes;
+    const uint64_t in_page = byte_off % kStoredPageBytes;
+    const uint64_t n =
+        std::min<uint64_t>(remaining, kStoredPageBytes - in_page);
+    std::memcpy(WritablePage(page)->bytes + in_page, src, n);
     src += n;
     byte_off += n;
     remaining -= n;
   }
 }
 
-void FlashDevice::CopyFromStore(const FlashCommand& cmd) {
-  const uint32_t sector = profile_.sector_bytes;
-  const uint32_t page_bytes = profile_.page_bytes;
-  uint64_t byte_off = cmd.lba * sector;
-  uint64_t remaining = static_cast<uint64_t>(cmd.sectors) * sector;
-  uint8_t* dst = cmd.data;
-  while (remaining > 0) {
-    const uint64_t page = byte_off / page_bytes;
-    const uint64_t in_page = byte_off % page_bytes;
-    const uint64_t n = std::min<uint64_t>(remaining, page_bytes - in_page);
-    const uint8_t* src = PageAt(page, /*create=*/false);
-    if (src == nullptr) {
-      std::memset(dst, 0, n);  // unwritten Flash reads as zeroes
-    } else {
-      std::memcpy(dst, src + in_page, n);
-    }
-    dst += n;
-    byte_off += n;
-    remaining -= n;
+PagePins FlashDevice::PinPages(const FlashCommand& cmd) {
+  const uint64_t first_byte = cmd.lba * profile_.sector_bytes;
+  const uint64_t bytes =
+      static_cast<uint64_t>(cmd.sectors) * profile_.sector_bytes;
+  const uint64_t first_page = first_byte / kStoredPageBytes;
+  const uint64_t end_page =
+      (first_byte + bytes + kStoredPageBytes - 1) / kStoredPageBytes;
+  PagePins pins(static_cast<uint32_t>(end_page - first_page),
+                static_cast<uint32_t>(first_byte % kStoredPageBytes),
+                static_cast<uint32_t>(bytes));
+  StoredPage** pinned = pins.pages();
+  for (uint64_t page = first_page; page < end_page; ++page) {
+    const uint32_t slot = page_slots_.Find(page);
+    StoredPage* stored =
+        slot == sim::FlatIndex::kNone ? zero_page_ : pages_[slot];
+    ++stored->refs;
+    *pinned++ = stored;
   }
+  return pins;
 }
 
 }  // namespace reflex::flash

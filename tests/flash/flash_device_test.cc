@@ -198,8 +198,12 @@ TEST_F(FlashDeviceTest, DataRoundTrip) {
   r.op = FlashOp::kRead;
   r.lba = 800;
   r.sectors = 8;
-  r.data = in.data();
-  ASSERT_TRUE(dev.Submit(qp, r, nullptr));
+  r.pin = true;
+  ASSERT_TRUE(dev.Submit(qp, r, [&in](const FlashCompletion& c) {
+    ASSERT_TRUE(c.pins);
+    EXPECT_EQ(c.pins.bytes(), 4096u);
+    c.pins.CopyTo(in.data());
+  }));
   sim_.Run();
   EXPECT_EQ(std::memcmp(in.data(), out.data(), 4096), 0);
 }
@@ -222,8 +226,11 @@ TEST_F(FlashDeviceTest, UnalignedDataRoundTrip) {
   std::vector<uint8_t> in(3 * 512, 0);
   FlashCommand r = w;
   r.op = FlashOp::kRead;
-  r.data = in.data();
-  ASSERT_TRUE(dev.Submit(qp, r, nullptr));
+  r.data = nullptr;
+  r.pin = true;
+  ASSERT_TRUE(dev.Submit(qp, r, [&in](const FlashCompletion& c) {
+    c.pins.CopyTo(in.data());
+  }));
   sim_.Run();
   EXPECT_EQ(in, out);
 }
@@ -237,10 +244,62 @@ TEST_F(FlashDeviceTest, UnwrittenFlashReadsZero) {
   r.op = FlashOp::kRead;
   r.lba = 123456;
   r.sectors = 8;
-  r.data = in.data();
-  ASSERT_TRUE(dev.Submit(qp, r, nullptr));
+  r.pin = true;
+  ASSERT_TRUE(dev.Submit(qp, r, [&in](const FlashCompletion& c) {
+    c.pins.CopyTo(in.data());
+  }));
   sim_.Run();
   for (uint8_t b : in) EXPECT_EQ(b, 0);
+}
+
+TEST_F(FlashDeviceTest, WriteToPinnedPageLeavesTheReadsBytes) {
+  DeviceProfile p = QuietProfile();
+  FlashDevice dev(sim_, p, 1);
+  QueuePair* qp = dev.AllocQueuePair();
+  std::vector<uint8_t> old_bytes(8192, 0x11);
+  FlashCommand w;
+  w.op = FlashOp::kWrite;
+  w.lba = 64;  // pages 8 and 9
+  w.sectors = 16;
+  w.data = old_bytes.data();
+  ASSERT_TRUE(dev.Submit(qp, w, nullptr));
+  sim_.Run();
+
+  // A read spanning both pages and an unwritten third pins them at
+  // submit; a write lands on part of page 9 before the read completes.
+  std::vector<uint8_t> first(3 * 4096, 0xEE);
+  FlashCommand r;
+  r.op = FlashOp::kRead;
+  r.lba = 68;  // half of page 8, page 9, half of page 10
+  r.sectors = 16;
+  r.pin = true;
+  ASSERT_TRUE(dev.Submit(qp, r, [&first](const FlashCompletion& c) {
+    c.pins.CopyTo(first.data());
+  }));
+  std::vector<uint8_t> new_bytes(1024, 0x22);
+  FlashCommand w2;
+  w2.op = FlashOp::kWrite;
+  w2.lba = 74;  // 1 KB inside page 9
+  w2.sectors = 2;
+  w2.data = new_bytes.data();
+  ASSERT_TRUE(dev.Submit(qp, w2, nullptr));
+  sim_.Run();
+  for (size_t i = 0; i < 8192; ++i) {
+    const uint8_t want = i < 6144 ? 0x11 : 0;
+    ASSERT_EQ(first[i], want) << "byte " << i << " of the pinned read";
+  }
+
+  // A read submitted after the write sees it, over the copied page.
+  std::vector<uint8_t> second(8192, 0xEE);
+  ASSERT_TRUE(dev.Submit(qp, r, [&second](const FlashCompletion& c) {
+    c.pins.CopyTo(second.data());
+  }));
+  sim_.Run();
+  for (size_t i = 0; i < 8192; ++i) {
+    const bool rewritten = i >= 3072 && i < 4096;
+    const uint8_t want = rewritten ? 0x22 : (i < 6144 ? 0x11 : 0);
+    ASSERT_EQ(second[i], want) << "byte " << i << " after the write";
+  }
 }
 
 TEST_F(FlashDeviceTest, WriteBufferBackpressure) {

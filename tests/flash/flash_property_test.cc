@@ -144,8 +144,10 @@ TEST_P(DataIntegrityTest, RoundTrip) {
   ASSERT_TRUE(device.Submit(qp, w, nullptr));
   sim.Run();
   std::vector<uint8_t> in(out.size(), 0);
-  FlashCommand r{FlashOp::kRead, lba, sectors, in.data(), 0};
-  ASSERT_TRUE(device.Submit(qp, r, nullptr));
+  FlashCommand r{FlashOp::kRead, lba, sectors, nullptr, 0, /*pin=*/true};
+  ASSERT_TRUE(device.Submit(qp, r, [&in](const FlashCompletion& c) {
+    c.pins.CopyTo(in.data());
+  }));
   sim.Run();
   EXPECT_EQ(in, out);
 }
