@@ -1,9 +1,11 @@
 // Allocation budget of the ReFlex request path. This binary replaces
-// the global operator new with a counting one. After warm-up, a server
-// serving timing-only reads and writes must not allocate at all, and a
-// TenantSession op may allocate only its Future's shared state. Every
-// request-path object lives in a recycled slot, and every callback on
-// the path fits the simulator's inline event storage (DESIGN.md
+// the global operator new with a counting one. After warm-up nothing
+// on the path allocates: not a server serving timing-only reads and
+// writes, not a TenantSession op carrying data, not a BlockDevice
+// request of one chunk or several, not a PageCache hit, miss, prefetch
+// or readahead. Every request-path object lives in a recycled slot or
+// a pooled block (coroutine frames, future states, page pins), and
+// every callback on the path is stored inline (DESIGN.md
 // "Request-path allocation rule").
 
 #include <gtest/gtest.h>
@@ -12,7 +14,10 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <vector>
 
+#include "client/block_device.h"
+#include "client/page_cache.h"
 #include "client/reflex_client.h"
 #include "core/reflex_server.h"
 #include "sim/fault.h"
@@ -45,6 +50,17 @@ constexpr int kQueueDepth = 16;
 uint64_t LbaFor(int64_t n) {
   // Spread over 64K pages so reads and writes hit every die.
   return static_cast<uint64_t>((n * 7919) % 65536) * kSectors;
+}
+
+/**
+ * Page of op `n` for loads that carry data: 512 pages, so warm-up has
+ * written every page a later write lands on (a write to a new page
+ * grows the device's store). Two ops share a page only 512 ops apart,
+ * never while both are in flight: a write to a page that an in-flight
+ * read has pinned copies the page (copy-on-write), which allocates.
+ */
+uint64_t DataPageFor(int64_t n) {
+  return static_cast<uint64_t>((n * 7919) % 512);
 }
 
 /**
@@ -86,12 +102,16 @@ struct SessionLoad {
   int workers_done = 0;
 };
 
+/** Reads into and writes from its own buffer, so payloads travel. */
 sim::Task SessionWorker(client::TenantSession* session, SessionLoad* load) {
+  std::vector<uint8_t> buffer(kSectors * 512, 0x5a);
   while (load->issued < load->budget) {
     const int64_t n = load->issued++;
     sim::Future<client::IoResult> io =
-        n % 2 == 0 ? session->Read(LbaFor(n), kSectors)
-                   : session->Write(LbaFor(n), kSectors);
+        n % 2 == 0
+            ? session->Read(DataPageFor(n) * kSectors, kSectors, buffer.data())
+            : session->Write(DataPageFor(n) * kSectors, kSectors,
+                             buffer.data());
     const client::IoResult result = co_await io;
     ++load->completed;
     if (!result.ok()) ++load->errors;
@@ -127,7 +147,7 @@ TEST(AllocBudgetTest, ServerConnectionRequestsAllocateNothingAfterWarmup) {
   EXPECT_EQ(h.server.parked_requests(), 0u);
 }
 
-TEST(AllocBudgetTest, TenantSessionOpsAllocateOnlyTheirFutureState) {
+TEST(AllocBudgetTest, TenantSessionOpsAllocateNothingAfterWarmup) {
   Harness h;
   core::Tenant* tenant = h.BeTenant();
   client::ReflexClient client(h.sim, h.server, h.client_machine,
@@ -147,10 +167,113 @@ TEST(AllocBudgetTest, TenantSessionOpsAllocateOnlyTheirFutureState) {
   const int64_t ops = load.completed - completed_before;
 
   EXPECT_GE(ops, 15000);
-  EXPECT_LE(allocations, ops) << "more than one allocation per op";
+  EXPECT_EQ(allocations, 0) << "over " << ops << " ops";
 
   ASSERT_TRUE(
       h.RunUntilReady([&] { return load.workers_done == kQueueDepth; }));
+  EXPECT_EQ(load.errors, 0);
+}
+
+/**
+ * Closed-loop BlockDevice load: reads and writes of one 8 KB chunk and
+ * of three (24 KB), each worker with its own buffer. Each op owns an
+ * 8-page slot of DataPageFor's 512, so requests never share a page.
+ */
+sim::Task BlockWorker(client::BlockDevice* bdev, SessionLoad* load) {
+  std::vector<uint8_t> buffer(24576, 0x3c);
+  while (load->issued < load->budget) {
+    const int64_t n = load->issued++;
+    const uint32_t bytes = n % 4 < 2 ? 8192 : 24576;
+    const uint64_t offset = DataPageFor(n) * 8 * client::PageCache::kPageBytes;
+    sim::Future<client::IoResult> io =
+        n % 2 == 0 ? bdev->Read(offset, bytes, buffer.data())
+                   : bdev->Write(offset, bytes, buffer.data());
+    const client::IoResult result = co_await io;
+    ++load->completed;
+    if (!result.ok()) ++load->errors;
+  }
+  ++load->workers_done;
+}
+
+TEST(AllocBudgetTest, BlockDeviceRequestsAllocateNothingAfterWarmup) {
+  Harness h;
+  core::Tenant* tenant = h.BeTenant();
+  client::BlockDevice::Options options;
+  options.num_contexts = 3;
+  options.max_request_sectors = 16;
+  client::BlockDevice bdev(h.sim, h.server, h.client_machine,
+                           tenant->handle(), options);
+  SessionLoad load;
+  load.budget = 24000;
+  for (int i = 0; i < kQueueDepth; ++i) BlockWorker(&bdev, &load);
+
+  ASSERT_TRUE(h.RunUntilReady([&] { return load.completed >= 8000; }));
+  const int64_t allocations_before = g_allocations;
+  const int64_t completed_before = load.completed;
+  ASSERT_TRUE(h.RunUntilReady([&] { return load.completed >= 20000; }));
+  const int64_t allocations = g_allocations - allocations_before;
+  const int64_t requests = load.completed - completed_before;
+
+  EXPECT_GE(requests, 10000);
+  EXPECT_EQ(allocations, 0) << "over " << requests << " requests";
+
+  ASSERT_TRUE(
+      h.RunUntilReady([&] { return load.workers_done == kQueueDepth; }));
+  EXPECT_EQ(load.errors, 0);
+}
+
+/**
+ * Closed-loop page-cache load over 1024 pages, 16 times the cache:
+ * random pages (misses, evictions and hits), every fourth op part of a
+ * sequential run (readahead and its stream hits), and a prefetch of
+ * the next random page before each read.
+ */
+sim::Task CacheWorker(client::PageCache* cache, SessionLoad* load) {
+  while (load->issued < load->budget) {
+    const int64_t n = load->issued++;
+    const uint64_t random_page = static_cast<uint64_t>(n * 7919) % 1024;
+    const uint64_t page =
+        n % 4 == 0 ? static_cast<uint64_t>(n / 4) % 1024 : random_page;
+    cache->Prefetch(static_cast<uint64_t>((n + 1) * 7919) % 1024 *
+                    client::PageCache::kPageBytes);
+    const uint8_t* data =
+        co_await cache->GetPage(page * client::PageCache::kPageBytes);
+    ++load->completed;
+    if (data == nullptr) ++load->errors;
+  }
+  ++load->workers_done;
+}
+
+TEST(AllocBudgetTest, PageCacheAccessesAllocateNothingAfterWarmup) {
+  Harness h;
+  core::Tenant* tenant = h.BeTenant();
+  client::BlockDevice bdev(h.sim, h.server, h.client_machine,
+                           tenant->handle(), client::BlockDevice::Options());
+  client::PageCache cache(h.sim, bdev, /*capacity_pages=*/64,
+                          /*max_outstanding=*/16, /*readahead_pages=*/4);
+  SessionLoad load;
+  load.budget = 40000;
+  constexpr int kWorkers = 8;
+  for (int i = 0; i < kWorkers; ++i) CacheWorker(&cache, &load);
+
+  ASSERT_TRUE(h.RunUntilReady([&] { return load.completed >= 10000; }));
+  const int64_t allocations_before = g_allocations;
+  const int64_t completed_before = load.completed;
+  const client::PageCache::Stats before = cache.stats();
+  ASSERT_TRUE(h.RunUntilReady([&] { return load.completed >= 35000; }));
+  const int64_t allocations = g_allocations - allocations_before;
+  const int64_t accesses = load.completed - completed_before;
+  const client::PageCache::Stats& after = cache.stats();
+
+  EXPECT_GE(accesses, 20000);
+  EXPECT_EQ(allocations, 0) << "over " << accesses << " accesses";
+  // The window saw every kind of access.
+  EXPECT_GT(after.hits, before.hits);
+  EXPECT_GT(after.misses, before.misses);
+  EXPECT_GT(after.evictions, before.evictions);
+  EXPECT_GT(after.readaheads, before.readaheads);
+
+  ASSERT_TRUE(h.RunUntilReady([&] { return load.workers_done == kWorkers; }));
   EXPECT_EQ(load.errors, 0);
 }
 
