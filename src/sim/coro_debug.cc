@@ -3,19 +3,31 @@
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "sim/block_pool.h"
 #include "sim/logging.h"
 
 namespace reflex::sim {
 namespace {
 
 struct FrameInfo {
-  std::string tag;   // "Function (file:line)"
+  // The creation site, from std::source_location (static strings).
+  const char* function = nullptr;
+  const char* file = nullptr;
+  uint32_t line = 0;
   uint64_t seq = 0;  // creation order, for stable reporting
+
+  /** "Function (file:line)". */
+  std::string Tag() const {
+    return std::string(function != nullptr ? function : "?") + " (" +
+           (file != nullptr ? file : "?") + ":" + std::to_string(line) +
+           ")";
+  }
 };
 
 struct Registry {
@@ -25,9 +37,13 @@ struct Registry {
   // debug-only bookkeeping, consulted for membership and dumped only
   // inside a panic message (sorted by creation seq, not by address),
   // so hash/address order can never reach simulation event order.
+  // Nodes come from the block pool, so registering a frame allocates
+  // nothing once warm and the allocation budget holds in this build too.
   // detlint: allow(pointer-key) debug-only registry; reporting sorts
   // by creation seq so address order never affects behavior.
-  std::map<const void*, FrameInfo> live;
+  std::map<const void*, FrameInfo, std::less<>,
+           PoolAllocator<std::pair<const void* const, FrameInfo>>>
+      live;
 };
 
 Registry& GetRegistry() {
@@ -60,7 +76,7 @@ std::vector<std::string> CoroDebugLiveTags() {
   std::vector<std::pair<uint64_t, std::string>> by_seq;
   by_seq.reserve(r.live.size());
   for (const auto& [frame, info] : r.live) {
-    by_seq.emplace_back(info.seq, info.tag);
+    by_seq.emplace_back(info.seq, info.Tag());
   }
   std::sort(by_seq.begin(), by_seq.end());
   std::vector<std::string> tags;
@@ -91,12 +107,7 @@ namespace internal {
 void CoroDebugRegister(const void* frame, const char* function,
                        const char* file, uint32_t line) {
   Registry& r = GetRegistry();
-  FrameInfo info;
-  info.seq = r.created++;
-  info.tag = std::string(function != nullptr ? function : "?") + " (" +
-             (file != nullptr ? file : "?") + ":" + std::to_string(line) +
-             ")";
-  r.live[frame] = std::move(info);
+  r.live[frame] = FrameInfo{function, file, line, r.created++};
 }
 
 void CoroDebugUnregister(const void* frame) {
