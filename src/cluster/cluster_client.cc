@@ -45,15 +45,23 @@ ClusterSession::ClusterSession(
       owns_tenant_(owns_tenant) {}
 
 ClusterSession::~ClusterSession() {
-  // Frames parked mid-await (session destroyed with I/O in flight, or
-  // the simulation ended first) never self-destruct: suspend_never
-  // final suspend means a frame frees itself only by running to the
-  // end of its body. Destroying one here runs its local destructors
-  // but not its body, so io_frames_ is not mutated mid-iteration.
-  for (auto& [id, handle] : io_frames_) {
-    if (handle) handle.destroy();
+  // A request still in flight has its frame parked on a sub-I/O future
+  // or on its wrong-shard backoff. The shard clients outlive this
+  // session and will still resolve those futures, so each future (and
+  // the backoff timer) first forgets the frame; then the frame is
+  // destroyed, which runs its local destructors but not its body. The
+  // caller's future stays unresolved.
+  for (uint32_t i = 0; i < io_slots_.capacity(); ++i) {
+    IoSlot& s = io_slots_[i];
+    if (!s.frame) continue;
+    client_.cluster().sim().Cancel(s.backoff);
+    for (ExtentRead& r : s.reads) {
+      if (r.future) r.future->Abandon();
+    }
+    for (SubWrite& w : s.writes) w.future.Abandon();
+    s.frame.destroy();
+    s.frame = nullptr;
   }
-  io_frames_.clear();
   if (owns_tenant_) {
     // Drop the per-shard sessions first: they do not own the
     // registrations, so the cluster-wide unregister below is the only
@@ -100,68 +108,63 @@ sim::Future<client::IoResult> ClusterSession::Submit(bool is_read,
   sim::Simulator& sim = client_.cluster().sim();
   sim::Promise<client::IoResult> promise(sim);
   auto future = promise.GetFuture();
-  Dispatch(is_read, lba, sectors, data, lane, /*attempt=*/0, sim.Now(),
-           std::move(promise));
+  const uint32_t slot = io_slots_.Acquire();
+  if (is_read) {
+    FanOutRead(slot, data, lane, lba, sectors, sim.Now(), std::move(promise));
+  } else {
+    FanOutWrite(slot, data, lane, lba, sectors, sim.Now(),
+                std::move(promise));
+  }
   return future;
 }
 
-void ClusterSession::Dispatch(bool is_read, uint64_t lba, uint32_t sectors,
-                              uint8_t* data, int lane, int attempt,
-                              sim::TimeNs issue_time,
-                              sim::Promise<client::IoResult> promise) {
+void ClusterSession::Route(uint32_t slot, uint64_t lba, uint32_t sectors,
+                           int attempt) {
+  IoSlot& s = io_slots_[slot];
   // Route through the client's local map copy: a migration that
   // commits on the master is invisible here until RefreshMap(), which
   // is exactly the staleness kWrongShard exists to catch.
-  std::vector<ShardExtent> extents = client_.local_map().Split(lba, sectors);
-  if (attempt == 0 && extents.size() > 1) ++requests_split_;
-  if (is_read) {
-    FanOutRead(std::move(extents), data, lane, lba, sectors, attempt,
-               issue_time, std::move(promise));
-  } else {
-    FanOutWrite(std::move(extents), data, lane, lba, sectors, attempt,
-                issue_time, std::move(promise));
-  }
+  client_.local_map().Split(lba, sectors, &s.split);
+  if (attempt == 0 && s.split.size() > 1) ++requests_split_;
+  s.reads.clear();
+  s.candidates.clear();
+  s.tried.clear();
+  s.writes.clear();
 }
 
-sim::Task ClusterSession::RetryWrongShard(
-    bool is_read, uint64_t lba, uint32_t sectors, uint8_t* data, int lane,
-    int attempt, sim::TimeNs issue_time,
-    sim::Promise<client::IoResult> promise) {
-  const uint64_t frame_id = next_frame_id_++;
-  co_await sim::SelfHandle(&io_frames_[frame_id]);
+sim::CancellableDelay ClusterSession::WrongShardBackoff(uint32_t slot,
+                                                        int attempt) {
   ++wrong_shard_retries_;
   client_.RefreshMap();
   // Doubling backoff: early retries catch a cutover that already
   // committed (refresh suffices); later ones outwait a drain window
   // that is still bouncing writes.
-  co_await sim::Delay(client_.cluster().sim(),
-                      kWrongShardBackoffBase << attempt);
-  Dispatch(is_read, lba, sectors, data, lane, attempt + 1, issue_time,
-           std::move(promise));
-  io_frames_.erase(frame_id);
+  return sim::CancellableDelay(client_.cluster().sim(),
+                               kWrongShardBackoffBase << attempt,
+                               &io_slots_[slot].backoff);
 }
 
-std::vector<ReplicaTarget> ClusterSession::LiveTargets(
-    const ShardExtent& e) const {
-  std::vector<ReplicaTarget> all = e.AllTargets();
-  std::vector<ReplicaTarget> live;
-  live.reserve(all.size());
-  for (const ReplicaTarget& t : all) {
-    if (!client_.IsDirty(t.shard_index)) live.push_back(t);
+uint32_t ClusterSession::AppendLiveTargets(
+    std::span<const ReplicaTarget> targets,
+    std::vector<ReplicaTarget>* out) const {
+  uint32_t live = 0;
+  for (const ReplicaTarget& t : targets) {
+    if (client_.IsDirty(t.shard_index)) continue;
+    out->push_back(t);
+    ++live;
   }
-  // May be empty when every placement is dirty: reads must then fail
+  // May be 0 when every placement is dirty: reads must then fail
   // closed -- a dirty copy has missed a committed write, so serving it
   // would return stale data as if it were current.
   return live;
 }
 
-size_t ClusterSession::SteerChoice(
-    const std::vector<ReplicaTarget>& candidates) {
+size_t ClusterSession::SteerChoice(std::span<const ReplicaTarget> candidates) {
   const size_t n = candidates.size();
   if (n == 1) return 0;
   // Shallower estimated queue wins; ties break by shard id so the
   // choice is deterministic for identical hints.
-  auto better = [this, &candidates](size_t a, size_t b) {
+  auto better = [this, candidates](size_t a, size_t b) {
     const double da = client_.EffectiveQueueDepth(candidates[a].shard_index);
     const double db = client_.EffectiveQueueDepth(candidates[b].shard_index);
     if (da != db) return da < db;
@@ -191,220 +194,209 @@ size_t ClusterSession::SteerChoice(
   return 0;
 }
 
-sim::Task ClusterSession::FanOutRead(std::vector<ShardExtent> extents,
-                                     uint8_t* data, int lane, uint64_t lba,
-                                     uint32_t sectors, int attempt,
-                                     sim::TimeNs issue_time,
-                                     sim::Promise<client::IoResult> promise) {
-  const uint64_t frame_id = next_frame_id_++;
-  co_await sim::SelfHandle(&io_frames_[frame_id]);
+void ClusterSession::IssueReads(uint32_t slot, uint8_t* data, int lane) {
   // One in-flight attempt per extent: issue every extent's steered
   // first choice before awaiting any, so replicas work in parallel
   // and the request completes when the slowest extent does.
-  struct ExtentState {
-    std::vector<ReplicaTarget> candidates;
-    std::vector<bool> tried;
-    size_t inflight = 0;  // index into candidates
-    uint8_t* chunk = nullptr;
-    uint32_t sectors = 0;
-    /** Every replica dirty: the extent fails without any I/O. */
-    bool unreadable = false;
-    sim::Future<client::IoResult> future;
-  };
-  std::vector<ExtentState> states;
-  states.reserve(extents.size());
-  for (const ShardExtent& e : extents) {
-    ExtentState st;
-    st.candidates = LiveTargets(e);
-    if (st.candidates.empty()) {
-      st.unreadable = true;
-      states.push_back(std::move(st));
-      continue;
-    }
-    st.tried.assign(st.candidates.size(), false);
+  IoSlot& s = io_slots_[slot];
+  for (const ShardExtent& e : s.split) {
+    ExtentRead& st = s.reads.emplace_back();
+    st.first = static_cast<uint32_t>(s.candidates.size());
+    st.count = AppendLiveTargets(s.split.Targets(e), &s.candidates);
+    if (st.count == 0) continue;
+    s.tried.resize(s.candidates.size(), false);
     st.chunk = data == nullptr
                    ? nullptr
                    : data + static_cast<size_t>(e.buffer_offset_sectors) *
                                 core::kSectorBytes;
     st.sectors = e.sectors;
-    st.inflight = SteerChoice(st.candidates);
-    st.tried[st.inflight] = true;
-    const ReplicaTarget& t = st.candidates[st.inflight];
+    const std::span<const ReplicaTarget> live(s.candidates.data() + st.first,
+                                              st.count);
+    st.inflight = static_cast<uint32_t>(SteerChoice(live));
+    s.tried[st.first + st.inflight] = true;
+    const ReplicaTarget& t = live[st.inflight];
     st.future = shard_sessions_[t.shard_index]->Read(t.shard_lba, e.sectors,
                                                      st.chunk, lane);
-    states.push_back(std::move(st));
   }
-
-  client::IoResult result;
-  result.issue_time = issue_time;
-  bool saw_wrong_shard = false;
-  for (ExtentState& st : states) {
-    if (st.unreadable) {
-      if (result.ok()) result.status = core::ReqStatus::kDeviceError;
-      continue;
-    }
-    client::IoResult r = co_await st.future;
-    int serving = st.candidates[st.inflight].shard_index;
-    // Failover: steer away from the failed replica and retry each
-    // untried one (shallowest estimated queue first, ties by shard
-    // id) until a copy serves the read or the set is exhausted.
-    while (!r.ok()) {
-      if (r.status == core::ReqStatus::kWrongShard &&
-          attempt < kMaxWrongShardRetries) {
-        // Stale routing, not a replica fault: every replica in this
-        // (old) placement is equally stale, so failover is pointless.
-        // The whole request reissues off a refreshed map below. Once
-        // the budget is spent it degrades to the ordinary failure
-        // path instead.
-        saw_wrong_shard = true;
-        break;
-      }
-      if (r.status == core::ReqStatus::kTimedOut) {
-        client_.PenalizeShard(serving);
-      }
-      size_t next = st.candidates.size();
-      for (size_t i = 0; i < st.candidates.size(); ++i) {
-        if (st.tried[i]) continue;
-        if (next == st.candidates.size()) {
-          next = i;
-          continue;
-        }
-        const double di =
-            client_.EffectiveQueueDepth(st.candidates[i].shard_index);
-        const double dn =
-            client_.EffectiveQueueDepth(st.candidates[next].shard_index);
-        if (di < dn || (di == dn && st.candidates[i].shard_id <
-                                        st.candidates[next].shard_id)) {
-          next = i;
-        }
-      }
-      if (next == st.candidates.size()) break;  // all replicas tried
-      ++read_failovers_;
-      st.tried[next] = true;
-      st.inflight = next;
-      const ReplicaTarget& t = st.candidates[next];
-      serving = t.shard_index;
-      r = co_await shard_sessions_[t.shard_index]->Read(
-          t.shard_lba, st.sectors, st.chunk, lane);
-    }
-    if (r.ok()) {
-      // Attribution follows the shard that actually served this
-      // sub-read -- after steering or failover that is not
-      // necessarily the primary.
-      shard_latency_[serving].Record(r.Latency());
-      ++shard_reads_served_[serving];
-    } else if (result.ok()) {
-      // First failing extent's status wins (extents are awaited in
-      // logical-LBA order, so the reported status is deterministic).
-      result.status = r.status;
-    }
-  }
-  if (saw_wrong_shard && attempt < kMaxWrongShardRetries) {
-    RetryWrongShard(/*is_read=*/true, lba, sectors, data, lane, attempt,
-                    issue_time, std::move(promise));
-    io_frames_.erase(frame_id);
-    co_return;
-  }
-  result.complete_time = client_.cluster().sim().Now();
-  promise.Set(result);
-  io_frames_.erase(frame_id);
 }
 
-sim::Task ClusterSession::FanOutWrite(std::vector<ShardExtent> extents,
-                                      uint8_t* data, int lane, uint64_t lba,
-                                      uint32_t sectors, int attempt,
-                                      sim::TimeNs issue_time,
-                                      sim::Promise<client::IoResult> promise) {
-  const uint64_t frame_id = next_frame_id_++;
-  co_await sim::SelfHandle(&io_frames_[frame_id]);
-  const uint64_t version = client_.NextWriteVersion();
+void ClusterSession::IssueWrites(uint32_t slot, uint8_t* data, int lane) {
   // Every replica of every extent -- dirty ones included, so a lagging
   // copy's divergence stays bounded -- is written in parallel; an
-  // extent commits when at least one copy lands. Replicas that failed
-  // while a sibling succeeded are marked dirty (they now miss
-  // `version`) and serve no reads until reinstated.
-  struct SubWrite {
-    int shard_index = 0;
-    sim::Future<client::IoResult> future;
-  };
-  std::vector<std::vector<SubWrite>> per_extent;
-  per_extent.reserve(extents.size());
-  for (const ShardExtent& e : extents) {
+  // extent commits when at least one copy lands.
+  IoSlot& s = io_slots_[slot];
+  for (const ShardExtent& e : s.split) {
     uint8_t* chunk =
         data == nullptr
             ? nullptr
             : data + static_cast<size_t>(e.buffer_offset_sectors) *
                          core::kSectorBytes;
-    std::vector<ReplicaTarget> targets = e.AllTargets();
-    std::vector<SubWrite> subs;
-    subs.reserve(targets.size());
-    for (const ReplicaTarget& t : targets) {
-      SubWrite sw;
-      sw.shard_index = t.shard_index;
-      sw.future = shard_sessions_[t.shard_index]->Write(t.shard_lba,
-                                                        e.sectors, chunk,
-                                                        lane);
-      subs.push_back(std::move(sw));
+    for (const ReplicaTarget& t : s.split.Targets(e)) {
+      s.writes.push_back(SubWrite{
+          t.shard_index, shard_sessions_[t.shard_index]->Write(
+                             t.shard_lba, e.sectors, chunk, lane)});
     }
-    per_extent.push_back(std::move(subs));
   }
+}
 
+sim::Task ClusterSession::FanOutRead(uint32_t slot, uint8_t* data, int lane,
+                                     uint64_t lba, uint32_t sectors,
+                                     sim::TimeNs issue_time,
+                                     sim::Promise<client::IoResult> promise) {
+  co_await sim::SelfHandle(&io_slots_[slot].frame);
   client::IoResult result;
-  result.issue_time = issue_time;
-  bool saw_wrong_shard = false;
-  for (std::vector<SubWrite>& subs : per_extent) {
-    int ok_live = 0;
-    core::ReqStatus first_fail = core::ReqStatus::kOk;
-    std::vector<int> failed_shards;
-    for (SubWrite& sw : subs) {
-      const client::IoResult r = co_await sw.future;
+  for (int attempt = 0;; ++attempt) {
+    Route(slot, lba, sectors, attempt);
+    IssueReads(slot, data, lane);
+    result = client::IoResult();
+    result.issue_time = issue_time;
+    bool saw_wrong_shard = false;
+    const size_t extents = io_slots_[slot].reads.size();
+    for (size_t i = 0; i < extents; ++i) {
+      if (io_slots_[slot].reads[i].count == 0) {
+        if (result.ok()) result.status = core::ReqStatus::kDeviceError;
+        continue;
+      }
+      client::IoResult r = co_await *io_slots_[slot].reads[i].future;
+      int serving = 0;
+      // Failover: steer away from the failed replica and retry each
+      // untried one (shallowest estimated queue first, ties by shard
+      // id) until a copy serves the read or the set is exhausted.
+      for (;;) {
+        IoSlot& s = io_slots_[slot];
+        ExtentRead& st = s.reads[i];
+        const ReplicaTarget* live = s.candidates.data() + st.first;
+        serving = live[st.inflight].shard_index;
+        if (r.ok()) break;
+        if (r.status == core::ReqStatus::kWrongShard &&
+            attempt < kMaxWrongShardRetries) {
+          // Stale routing, not a replica fault: every replica in this
+          // (old) placement is equally stale, so failover is pointless.
+          // The whole request reissues off a refreshed map below. Once
+          // the budget is spent it degrades to the ordinary failure
+          // path instead.
+          saw_wrong_shard = true;
+          break;
+        }
+        if (r.status == core::ReqStatus::kTimedOut) {
+          client_.PenalizeShard(serving);
+        }
+        uint32_t next = st.count;
+        for (uint32_t c = 0; c < st.count; ++c) {
+          if (s.tried[st.first + c]) continue;
+          if (next == st.count) {
+            next = c;
+            continue;
+          }
+          const double dc = client_.EffectiveQueueDepth(live[c].shard_index);
+          const double dn =
+              client_.EffectiveQueueDepth(live[next].shard_index);
+          if (dc < dn ||
+              (dc == dn && live[c].shard_id < live[next].shard_id)) {
+            next = c;
+          }
+        }
+        if (next == st.count) break;  // all replicas tried
+        ++read_failovers_;
+        s.tried[st.first + next] = true;
+        st.inflight = next;
+        st.future = shard_sessions_[live[next].shard_index]->Read(
+            live[next].shard_lba, st.sectors, st.chunk, lane);
+        r = co_await *st.future;
+      }
       if (r.ok()) {
-        // Per-shard service latency of the copy this shard wrote.
-        shard_latency_[sw.shard_index].Record(r.Latency());
-        // Only a copy on a *readable* (non-dirty) replica can commit
-        // the extent: a dirty replica serves no reads, so data held
-        // only there would make every later read stale.
-        if (!client_.IsDirty(sw.shard_index)) ++ok_live;
-      } else if (r.status == core::ReqStatus::kWrongShard &&
-                 attempt < kMaxWrongShardRetries) {
-        // The shard no longer owns this placement (or is draining it).
-        // That is stale routing, not a missed write: the shard must
-        // NOT be marked dirty -- it still serves every range it does
-        // own. The whole request reissues off a refreshed map. Once
-        // the retry budget is spent the bounce degrades to the
-        // ordinary failure path (fail-closed dirty marking).
-        saw_wrong_shard = true;
-        if (first_fail == core::ReqStatus::kOk) first_fail = r.status;
-      } else {
-        if (first_fail == core::ReqStatus::kOk) first_fail = r.status;
-        failed_shards.push_back(sw.shard_index);
+        // Attribution follows the shard that actually served this
+        // sub-read -- after steering or failover that is not
+        // necessarily the primary.
+        shard_latency_[serving].Record(r.Latency());
+        ++shard_reads_served_[serving];
+      } else if (result.ok()) {
+        // First failing extent's status wins (extents are awaited in
+        // logical-LBA order, so the reported status is deterministic).
+        result.status = r.status;
       }
     }
-    if (ok_live == 0) {
-      // No readable copy landed: the extent fails and nobody is
-      // marked dirty (clean replicas missed nothing *committed*; any
-      // copy that did land is a zombie the client never advertises).
-      if (result.ok()) {
-        result.status = first_fail != core::ReqStatus::kOk
-                            ? first_fail
-                            : core::ReqStatus::kDeviceError;
-      }
-    } else {
-      for (int shard : failed_shards) client_.MarkDirty(shard, version);
-    }
-  }
-  if (saw_wrong_shard && attempt < kMaxWrongShardRetries) {
-    // Reissuing the whole request is idempotent (same payload, every
-    // replica rewritten) and the refreshed map routes the bounced
-    // extent to its post-migration owner.
-    RetryWrongShard(/*is_read=*/false, lba, sectors, data, lane, attempt,
-                    issue_time, std::move(promise));
-    io_frames_.erase(frame_id);
-    co_return;
+    if (!saw_wrong_shard || attempt >= kMaxWrongShardRetries) break;
+    co_await WrongShardBackoff(slot, attempt);
   }
   result.complete_time = client_.cluster().sim().Now();
   promise.Set(result);
-  io_frames_.erase(frame_id);
+  io_slots_[slot].frame = nullptr;
+  io_slots_.Release(slot);
+}
+
+sim::Task ClusterSession::FanOutWrite(uint32_t slot, uint8_t* data, int lane,
+                                      uint64_t lba, uint32_t sectors,
+                                      sim::TimeNs issue_time,
+                                      sim::Promise<client::IoResult> promise) {
+  co_await sim::SelfHandle(&io_slots_[slot].frame);
+  client::IoResult result;
+  for (int attempt = 0;; ++attempt) {
+    Route(slot, lba, sectors, attempt);
+    // Replicas that failed while a sibling succeeded are marked dirty
+    // (they now miss `version`) and serve no reads until reinstated.
+    const uint64_t version = client_.NextWriteVersion();
+    IssueWrites(slot, data, lane);
+    result = client::IoResult();
+    result.issue_time = issue_time;
+    bool saw_wrong_shard = false;
+    const size_t extents = io_slots_[slot].split.size();
+    const size_t replicas = io_slots_[slot].split.replication();
+    for (size_t e = 0; e < extents; ++e) {
+      int ok_live = 0;
+      core::ReqStatus first_fail = core::ReqStatus::kOk;
+      io_slots_[slot].failed_shards.clear();
+      for (size_t k = e * replicas; k < (e + 1) * replicas; ++k) {
+        const client::IoResult r = co_await io_slots_[slot].writes[k].future;
+        IoSlot& s = io_slots_[slot];
+        const int shard = s.writes[k].shard_index;
+        if (r.ok()) {
+          // Per-shard service latency of the copy this shard wrote.
+          shard_latency_[shard].Record(r.Latency());
+          // Only a copy on a *readable* (non-dirty) replica can commit
+          // the extent: a dirty replica serves no reads, so data held
+          // only there would make every later read stale.
+          if (!client_.IsDirty(shard)) ++ok_live;
+        } else if (r.status == core::ReqStatus::kWrongShard &&
+                   attempt < kMaxWrongShardRetries) {
+          // The shard no longer owns this placement (or is draining
+          // it). That is stale routing, not a missed write: the shard
+          // must NOT be marked dirty -- it still serves every range it
+          // does own. The whole request reissues off a refreshed map.
+          // Once the retry budget is spent the bounce degrades to the
+          // ordinary failure path (fail-closed dirty marking).
+          saw_wrong_shard = true;
+          if (first_fail == core::ReqStatus::kOk) first_fail = r.status;
+        } else {
+          if (first_fail == core::ReqStatus::kOk) first_fail = r.status;
+          s.failed_shards.push_back(shard);
+        }
+      }
+      if (ok_live == 0) {
+        // No readable copy landed: the extent fails and nobody is
+        // marked dirty (clean replicas missed nothing *committed*; any
+        // copy that did land is a zombie the client never advertises).
+        if (result.ok()) {
+          result.status = first_fail != core::ReqStatus::kOk
+                              ? first_fail
+                              : core::ReqStatus::kDeviceError;
+        }
+      } else {
+        for (int shard : io_slots_[slot].failed_shards) {
+          client_.MarkDirty(shard, version);
+        }
+      }
+    }
+    // Reissuing the whole request is idempotent (same payload, every
+    // replica rewritten) and the refreshed map routes the bounced
+    // extent to its post-migration owner.
+    if (!saw_wrong_shard || attempt >= kMaxWrongShardRetries) break;
+    co_await WrongShardBackoff(slot, attempt);
+  }
+  result.complete_time = client_.cluster().sim().Now();
+  promise.Set(result);
+  io_slots_[slot].frame = nullptr;
+  io_slots_.Release(slot);
 }
 
 ClusterClient::ClusterClient(FlashCluster& cluster, net::Machine* machine)

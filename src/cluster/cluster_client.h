@@ -2,9 +2,11 @@
 #define REFLEX_CLUSTER_CLUSTER_CLIENT_H_
 
 #include <coroutine>
-#include <map>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "client/io_result.h"
@@ -15,6 +17,7 @@
 #include "cluster/flash_cluster.h"
 #include "sim/histogram.h"
 #include "sim/random.h"
+#include "sim/slot_pool.h"
 #include "sim/task.h"
 
 namespace reflex::cluster {
@@ -137,50 +140,94 @@ class ClusterSession : public client::IoSession {
                  std::vector<std::unique_ptr<client::TenantSession>> sessions,
                  bool owns_tenant);
 
+  /** One extent of a read: its live placements are the slot's
+   * `candidates[first, first + count)`. */
+  struct ExtentRead {
+    uint32_t first = 0;
+    /** 0 when every replica is dirty: the extent fails without I/O. */
+    uint32_t count = 0;
+    /** Candidate (index into the run) serving the pending sub-read. */
+    uint32_t inflight = 0;
+    uint32_t sectors = 0;
+    uint8_t* chunk = nullptr;
+    std::optional<sim::Future<client::IoResult>> future;
+  };
+
+  /** One replica write of a write request's extent. */
+  struct SubWrite {
+    int shard_index = 0;
+    sim::Future<client::IoResult> future;
+  };
+
+  /**
+   * Everything one in-flight logical request keeps, in a recycled slot
+   * of `io_slots_`: recycled vectors keep their capacity, so a warm
+   * session allocates nothing per request. The request's frame refers
+   * to its slot by index and re-reads it after every suspension (the
+   * pool may grow meanwhile); the futures it awaits sit inside the
+   * slot's vectors, whose buffers do not move when the pool grows.
+   */
+  struct IoSlot {
+    /** The request's frame; null while the slot is free. */
+    std::coroutine_handle<> frame;
+    /** The pending kWrongShard backoff wakeup, if any. */
+    sim::TimerHandle backoff;
+    ShardSplit split;
+    /** Read: per-extent state over the flat run of live candidates. */
+    std::vector<ExtentRead> reads;
+    std::vector<ReplicaTarget> candidates;
+    std::vector<bool> tried;
+    /** Write: one sub-write per placement, extent after extent. */
+    std::vector<SubWrite> writes;
+    std::vector<int> failed_shards;
+  };
+  static_assert(std::is_nothrow_move_constructible_v<IoSlot>,
+                "pool growth must move slots, keeping their vectors' "
+                "buffers (and the futures parked frames await) in place");
+
   sim::Future<client::IoResult> Submit(bool is_read, uint64_t lba,
                                        uint32_t sectors, uint8_t* data,
                                        int lane);
-  /** Splits via the client's local map and fans the attempt out. */
-  void Dispatch(bool is_read, uint64_t lba, uint32_t sectors,
-                uint8_t* data, int lane, int attempt, sim::TimeNs issue_time,
-                sim::Promise<client::IoResult> promise);
   /**
-   * A sub-request came back kWrongShard: the routing map copy predates
-   * a migration cutover. Refreshes the map, backs off (doubling per
-   * attempt) and reissues the whole logical request; once the budget
-   * is spent the kWrongShard surfaces to the caller.
+   * One logical read or write, from its first routing to its result,
+   * in the slot `slot`. Each attempt splits through the client's local
+   * map and fans out over the extents. A
+   * sub-request that comes back kWrongShard means the routing map copy
+   * predates a migration cutover: the request refreshes the map, backs
+   * off (doubling per attempt) and reissues in full; once the budget is
+   * spent the kWrongShard surfaces to the caller.
    */
-  sim::Task RetryWrongShard(bool is_read, uint64_t lba, uint32_t sectors,
-                            uint8_t* data, int lane, int attempt,
-                            sim::TimeNs issue_time,
-                            sim::Promise<client::IoResult> promise);
-  sim::Task FanOutRead(std::vector<ShardExtent> extents, uint8_t* data,
-                       int lane, uint64_t lba, uint32_t sectors, int attempt,
-                       sim::TimeNs issue_time,
+  sim::Task FanOutRead(uint32_t slot, uint8_t* data, int lane, uint64_t lba,
+                       uint32_t sectors, sim::TimeNs issue_time,
                        sim::Promise<client::IoResult> promise);
-  sim::Task FanOutWrite(std::vector<ShardExtent> extents, uint8_t* data,
-                        int lane, uint64_t lba, uint32_t sectors, int attempt,
-                        sim::TimeNs issue_time,
+  sim::Task FanOutWrite(uint32_t slot, uint8_t* data, int lane, uint64_t lba,
+                        uint32_t sectors, sim::TimeNs issue_time,
                         sim::Promise<client::IoResult> promise);
+  /** Routes one attempt: splits into the slot through the local map. */
+  void Route(uint32_t slot, uint64_t lba, uint32_t sectors, int attempt);
+  /** Issues one routed attempt's sub-requests; never suspends. */
+  void IssueReads(uint32_t slot, uint8_t* data, int lane);
+  void IssueWrites(uint32_t slot, uint8_t* data, int lane);
+  /** Refreshes the map and parks the request's frame on its backoff. */
+  sim::CancellableDelay WrongShardBackoff(uint32_t slot, int attempt);
 
-  /** Live (non-dirty) placements of `e`, primary first; empty when
-   * every replica is marked dirty (reads then fail closed). */
-  std::vector<ReplicaTarget> LiveTargets(const ShardExtent& e) const;
+  /** Appends the live (non-dirty) placements of `targets`, primary
+   * first, to `out`; returns how many. 0 when every replica is dirty
+   * (reads then fail closed). */
+  uint32_t AppendLiveTargets(std::span<const ReplicaTarget> targets,
+                             std::vector<ReplicaTarget>* out) const;
 
-  /** Picks the steered first choice among `candidates` (index into
-   * the vector). Draws from steer_rng_ only for power-of-two with
-   * more than two candidates, so R=1 consumes no randomness. */
-  size_t SteerChoice(const std::vector<ReplicaTarget>& candidates);
+  /** Picks the steered first choice among `candidates` (an index into
+   * them). Draws from steer_rng_ only for power-of-two with more than
+   * two candidates, so R=1 consumes no randomness. */
+  size_t SteerChoice(std::span<const ReplicaTarget> candidates);
 
   ClusterClient& client_;
   ClusterTenant tenant_;
-  /** Live FanOutRead/FanOutWrite/RetryWrongShard frames by id. Each
-   * erases itself before finishing; whatever remains at teardown is
-   * parked on a sub-I/O (or backoff Delay) that will never resolve and
-   * is destroyed by ~ClusterSession. std::map for node stability --
-   * the frames park SelfHandle pointers into the mapped values. */
-  std::map<uint64_t, std::coroutine_handle<>> io_frames_;
-  uint64_t next_frame_id_ = 0;
+  /** In-flight requests. A frame still parked at teardown is
+   * destroyed by ~ClusterSession, after every sub-I/O future and
+   * backoff timer of its slot has forgotten it. */
+  sim::SlotPool<IoSlot> io_slots_;
   std::vector<std::unique_ptr<client::TenantSession>> shard_sessions_;
   std::vector<sim::Histogram> shard_latency_;
   std::vector<int64_t> shard_reads_served_;

@@ -97,27 +97,25 @@ int ShardMap::ShardIndexForStripe(uint64_t stripe) const {
   return best;
 }
 
-std::vector<ReplicaTarget> ShardMap::TargetsForStripe(
-    uint64_t stripe, uint32_t within) const {
-  std::vector<ReplicaTarget> out = BaseTargetsForStripe(stripe, within);
-  if (overrides_.empty()) return out;
-  for (int k = 0; k < static_cast<int>(out.size()); ++k) {
-    const auto it = overrides_.find({stripe, k});
+void ShardMap::AppendTargets(uint64_t stripe, uint32_t within,
+                             std::vector<ReplicaTarget>* out) const {
+  const size_t first = out->size();
+  AppendBaseTargets(stripe, within, out);
+  if (overrides_.empty()) return;
+  for (size_t k = 0; first + k < out->size(); ++k) {
+    const auto it = overrides_.find({stripe, static_cast<int>(k)});
     if (it == overrides_.end()) continue;
-    out[static_cast<size_t>(k)] =
+    (*out)[first + k] =
         ReplicaTarget{it->second.shard_index, it->second.shard_id,
                       it->second.shard_lba + within};
   }
-  return out;
 }
 
-std::vector<ReplicaTarget> ShardMap::BaseTargetsForStripe(
-    uint64_t stripe, uint32_t within) const {
+void ShardMap::AppendBaseTargets(uint64_t stripe, uint32_t within,
+                                 std::vector<ReplicaTarget>* out) const {
   REFLEX_CHECK(!shards_.empty());
   const uint64_t n = shards_.size();
   const int r = replication();
-  std::vector<ReplicaTarget> out;
-  out.reserve(static_cast<size_t>(r));
   if (options_.placement == Placement::kStriped) {
     // Replica ordinal k of stripe s lives on shard (s + k) mod N, in
     // that shard's slot (s / N) at intra-slot position k. Slot index
@@ -130,12 +128,12 @@ std::vector<ReplicaTarget> ShardMap::BaseTargetsForStripe(
     for (int k = 0; k < r; ++k) {
       const size_t index =
           static_cast<size_t>((primary + static_cast<uint64_t>(k)) % n);
-      out.push_back(ReplicaTarget{
+      out->push_back(ReplicaTarget{
           static_cast<int>(index), shards_[index].id,
           slot_base + static_cast<uint64_t>(k) * options_.stripe_sectors +
               within});
     }
-    return out;
+    return;
   }
   // Hashed: the rendezvous top-R shards by (weight desc, id asc) --
   // the same total order whose maximum is the primary, so adding or
@@ -153,26 +151,38 @@ std::vector<ReplicaTarget> ShardMap::BaseTargetsForStripe(
   });
   for (int k = 0; k < r; ++k) {
     const size_t index = order[static_cast<size_t>(k)];
-    out.push_back(ReplicaTarget{static_cast<int>(index), shards_[index].id,
-                                stripe * options_.stripe_sectors + within});
+    out->push_back(ReplicaTarget{static_cast<int>(index), shards_[index].id,
+                                 stripe * options_.stripe_sectors + within});
   }
+}
+
+std::vector<ReplicaTarget> ShardMap::BaseTargets(uint64_t stripe) const {
+  std::vector<ReplicaTarget> out;
+  AppendBaseTargets(stripe, /*within=*/0, &out);
   return out;
 }
 
 std::vector<ReplicaTarget> ShardMap::ReplicasForStripe(
     uint64_t stripe) const {
-  return TargetsForStripe(stripe, /*within=*/0);
+  std::vector<ReplicaTarget> out;
+  AppendTargets(stripe, /*within=*/0, &out);
+  return out;
 }
 
-std::vector<ShardExtent> ShardMap::Split(uint64_t lba,
-                                         uint32_t sectors) const {
+void ShardMap::Split(uint64_t lba, uint32_t sectors, ShardSplit* out) const {
+  out->extents_.clear();
+  out->targets_.clear();
+  out->replication_ = static_cast<size_t>(replication());
   // A zero-sector request touches no shard: it splits into no extents
   // (and so completes trivially) rather than tripping an assertion.
-  if (sectors == 0) return {};
-  REFLEX_CHECK(lba + sectors <= capacity_sectors());
+  if (sectors == 0) return;
+  REFLEX_CHECK(sectors <= capacity_sectors() &&
+               lba <= capacity_sectors() - sectors);
   const uint64_t stripe_sectors = options_.stripe_sectors;
+  const size_t r = out->replication_;
 
-  std::vector<ShardExtent> out;
+  std::vector<ShardExtent>& extents = out->extents_;
+  std::vector<ReplicaTarget>& targets = out->targets_;
   uint64_t cur = lba;
   uint32_t remaining = sectors;
   uint32_t buffer_offset = 0;
@@ -181,39 +191,30 @@ std::vector<ShardExtent> ShardMap::Split(uint64_t lba,
     const uint32_t within = static_cast<uint32_t>(cur % stripe_sectors);
     const uint32_t run = std::min(
         remaining, static_cast<uint32_t>(stripe_sectors - within));
-    std::vector<ReplicaTarget> targets = TargetsForStripe(stripe, within);
-    const ReplicaTarget& primary = targets[0];
+    const size_t first = targets.size();
+    AppendTargets(stripe, within, &targets);
     // Merge with the previous extent only when every placement --
     // primary and each replica ordinal -- continues contiguously on
     // the same shard, so one merged extent still describes one
     // contiguous run per target.
-    bool mergeable =
-        !out.empty() && out.back().shard_index == primary.shard_index &&
-        out.back().shard_lba + out.back().sectors == primary.shard_lba &&
-        out.back().replicas.size() == targets.size() - 1;
-    for (size_t k = 1; mergeable && k < targets.size(); ++k) {
-      const ReplicaTarget& prev = out.back().replicas[k - 1];
-      mergeable = prev.shard_index == targets[k].shard_index &&
-                  prev.shard_lba + out.back().sectors ==
-                      targets[k].shard_lba;
+    bool mergeable = !extents.empty();
+    for (size_t k = 0; mergeable && k < r; ++k) {
+      const ReplicaTarget& prev = targets[extents.back().first_target + k];
+      const ReplicaTarget& next = targets[first + k];
+      mergeable = prev.shard_index == next.shard_index &&
+                  prev.shard_lba + extents.back().sectors == next.shard_lba;
     }
     if (mergeable) {
-      out.back().sectors += run;
+      targets.resize(first);
+      extents.back().sectors += run;
     } else {
-      ShardExtent e;
-      e.shard_index = primary.shard_index;
-      e.shard_id = primary.shard_id;
-      e.shard_lba = primary.shard_lba;
-      e.sectors = run;
-      e.buffer_offset_sectors = buffer_offset;
-      e.replicas.assign(targets.begin() + 1, targets.end());
-      out.push_back(std::move(e));
+      extents.push_back(ShardExtent{run, buffer_offset,
+                                    static_cast<uint32_t>(first)});
     }
     cur += run;
     remaining -= run;
     buffer_offset += run;
   }
-  return out;
 }
 
 uint64_t ShardMap::MigrationRegionBase(const Shard& shard) const {
@@ -267,8 +268,7 @@ std::vector<MigrationAssignment> ShardMap::PlanStripeMoves(
   }
   std::vector<MigrationAssignment> plan;
   for (auto& [stripe, moves] : by_stripe) {
-    const std::vector<ReplicaTarget> current =
-        TargetsForStripe(stripe, /*within=*/0);
+    const std::vector<ReplicaTarget> current = ReplicasForStripe(stripe);
     std::vector<int> post(current.size());
     for (size_t k = 0; k < current.size(); ++k) {
       post[k] = current[k].shard_index;
@@ -286,8 +286,7 @@ std::vector<MigrationAssignment> ShardMap::PlanStripeMoves(
       }
     }
     if (!distinct) continue;  // would co-locate two copies of a stripe
-    const std::vector<ReplicaTarget> base =
-        BaseTargetsForStripe(stripe, /*within=*/0);
+    const std::vector<ReplicaTarget> base = BaseTargets(stripe);
     std::vector<MigrationAssignment> stripe_plan;
     bool ok = true;
     for (const StripeMove& m : moves) {
@@ -336,8 +335,7 @@ std::vector<MigrationAssignment> ShardMap::PlanRangeMigration(
   const uint64_t end =
       std::min(first_stripe + stripe_count, num_stripes());
   for (uint64_t stripe = first_stripe; stripe < end; ++stripe) {
-    const std::vector<ReplicaTarget> current =
-        TargetsForStripe(stripe, /*within=*/0);
+    const std::vector<ReplicaTarget> current = ReplicasForStripe(stripe);
     for (int k = 0; k < static_cast<int>(current.size()); ++k) {
       if (current[static_cast<size_t>(k)].shard_index == source_index) {
         desired.push_back(StripeMove{stripe, k, target_index});
@@ -380,8 +378,7 @@ std::vector<ShardMap::PlacementMove> ShardMap::MovesSince(
     const auto it = map.overrides_.find(key);
     if (it != map.overrides_.end()) return it->second.shard_index;
     const auto ordinal = static_cast<size_t>(key.second);
-    return map.BaseTargetsForStripe(key.first, /*within=*/0)[ordinal]
-        .shard_index;
+    return map.BaseTargets(key.first)[ordinal].shard_index;
   };
   auto visit = [&](const auto& key) {
     const int from = shard_of(older, key);

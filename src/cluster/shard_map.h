@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -83,34 +84,56 @@ struct MigrationAssignment {
 };
 
 /**
- * One shard-local piece of a logical I/O: which shard serves it, the
- * LBA in that shard's address space, and where its payload sits in the
- * caller's buffer (so scatter-gather reassembly is byte-exact).
+ * One shard-local piece of a logical I/O: its length, where its payload
+ * sits in the caller's buffer (so scatter-gather reassembly is
+ * byte-exact), and which run of its ShardSplit's placements serves it.
  */
 struct ShardExtent {
-  int shard_index = 0;
-  uint32_t shard_id = 0;
-  uint64_t shard_lba = 0;
   uint32_t sectors = 0;
   /** Offset of this extent's payload in the logical I/O's buffer. */
   uint32_t buffer_offset_sectors = 0;
+  /** Index of the extent's primary in its ShardSplit's flat run of
+   * placements (see ShardSplit::Targets). */
+  uint32_t first_target = 0;
+};
 
-  /**
-   * Replica placements of this extent beyond the primary (ordinals
-   * 1..R-1; empty when replication == 1). Each replica holds the same
-   * `sectors` run starting at its own shard_lba. Writes go to the
-   * primary and every replica; reads may be steered to any of them.
-   */
-  std::vector<ReplicaTarget> replicas;
-
-  /** All R placements, primary first (for uniform iteration). */
-  std::vector<ReplicaTarget> AllTargets() const {
-    std::vector<ReplicaTarget> out;
-    out.reserve(1 + replicas.size());
-    out.push_back(ReplicaTarget{shard_index, shard_id, shard_lba});
-    out.insert(out.end(), replicas.begin(), replicas.end());
-    return out;
+/**
+ * ShardMap::Split's output, in storage the caller owns: per-shard
+ * extents in logical-LBA order over one flat run of placements, R per
+ * extent, primary first. Each placement holds the extent's `sectors`
+ * run from its own shard_lba; writes go to all R, reads may be steered
+ * to any. Split() refills it, and a reused ShardSplit keeps its
+ * capacity, so splitting a striped request allocates nothing once
+ * warm.
+ */
+class ShardSplit {
+ public:
+  size_t size() const { return extents_.size(); }
+  bool empty() const { return extents_.empty(); }
+  const ShardExtent& operator[](size_t i) const { return extents_[i]; }
+  std::vector<ShardExtent>::const_iterator begin() const {
+    return extents_.begin();
   }
+  std::vector<ShardExtent>::const_iterator end() const {
+    return extents_.end();
+  }
+
+  /** Placements per extent (the map's effective replication). */
+  size_t replication() const { return replication_; }
+
+  /** All R placements of `e`, primary first. */
+  std::span<const ReplicaTarget> Targets(const ShardExtent& e) const {
+    return {targets_.data() + e.first_target, replication_};
+  }
+  const ReplicaTarget& Primary(const ShardExtent& e) const {
+    return targets_[e.first_target];
+  }
+
+ private:
+  friend class ShardMap;
+  std::vector<ShardExtent> extents_;
+  std::vector<ReplicaTarget> targets_;
+  size_t replication_ = 1;
 };
 
 /**
@@ -161,12 +184,14 @@ class ShardMap {
   std::vector<ReplicaTarget> ReplicasForStripe(uint64_t stripe) const;
 
   /**
-   * Splits [lba, lba+sectors) into per-shard extents, in logical-LBA
-   * order, merging adjacent runs that land contiguously on the same
-   * shard. A single-stripe I/O yields exactly one extent; a
-   * zero-sector request yields no extents.
+   * Splits [lba, lba+sectors) into per-shard extents in `out`, in
+   * logical-LBA order, merging adjacent runs whose every placement
+   * continues contiguously on the same shard. A single-stripe I/O
+   * yields exactly one extent; a zero-sector request yields none.
+   * Striped placement allocates nothing once `out` has grown to the
+   * request's size.
    */
-  std::vector<ShardExtent> Split(uint64_t lba, uint32_t sectors) const;
+  void Split(uint64_t lba, uint32_t sectors, ShardSplit* out) const;
 
   // --- Live migration (DESIGN.md section 17) ---
 
@@ -253,15 +278,18 @@ class ShardMap {
 
   uint64_t ComputeCapacitySectors() const;
 
-  /** All R placements of `stripe`, primary first, with `within`
-   * sectors of intra-stripe offset applied to every shard LBA.
-   * Committed overrides are applied per ordinal. */
-  std::vector<ReplicaTarget> TargetsForStripe(uint64_t stripe,
-                                              uint32_t within) const;
+  /** Appends all R placements of `stripe` to `out`, primary first,
+   * with `within` sectors of intra-stripe offset applied to every
+   * shard LBA. Committed overrides are applied per ordinal. */
+  void AppendTargets(uint64_t stripe, uint32_t within,
+                     std::vector<ReplicaTarget>* out) const;
 
-  /** Placements ignoring overrides (the immobile base map). */
-  std::vector<ReplicaTarget> BaseTargetsForStripe(uint64_t stripe,
-                                                  uint32_t within) const;
+  /** AppendTargets ignoring overrides (the immobile base map). */
+  void AppendBaseTargets(uint64_t stripe, uint32_t within,
+                         std::vector<ReplicaTarget>* out) const;
+
+  /** The base placements of `stripe` (within 0) as a new vector. */
+  std::vector<ReplicaTarget> BaseTargets(uint64_t stripe) const;
 
   /** First shard-local LBA of `shard`'s reserved migration region. */
   uint64_t MigrationRegionBase(const Shard& shard) const;

@@ -21,8 +21,11 @@ struct BlockNamespace {
   uint64_t start_lba = 0;
   uint64_t sectors = 0;
 
+  /** True when [lba, lba + count) lies inside the namespace. Written
+   * without forming lba + count, which wraps for an LBA near 2^64. */
   bool Contains(uint64_t lba, uint32_t count) const {
-    return lba >= start_lba && lba + count <= start_lba + sectors;
+    return lba >= start_lba && count <= sectors &&
+           lba - start_lba <= sectors - count;
   }
 };
 

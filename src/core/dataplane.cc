@@ -273,9 +273,10 @@ sim::Task DataplaneThread::RunLoop() {
       if (msg.type != ReqType::kBarrier) {
         acl = server_.acl().CheckIo(msg.handle, msg.type, msg.lba,
                                     msg.sectors);
+        const uint64_t capacity = device_.profile().capacity_sectors;
         if (acl == ReqStatus::kOk &&
-            (msg.sectors == 0 ||
-             msg.lba + msg.sectors > device_.profile().capacity_sectors)) {
+            (msg.sectors == 0 || msg.sectors > capacity ||
+             msg.lba > capacity - msg.sectors)) {
           acl = ReqStatus::kInvalidRange;
         }
       }

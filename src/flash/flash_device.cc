@@ -65,8 +65,9 @@ bool FlashDevice::Submit(QueuePair* qp, const FlashCommand& cmd,
     ++stats_.queue_full_rejections;
     return false;
   }
-  if (cmd.sectors == 0 ||
-      cmd.lba + cmd.sectors > profile_.capacity_sectors) {
+  // Overflow-safe: lba + sectors wraps for an LBA near 2^64.
+  if (cmd.sectors == 0 || cmd.sectors > profile_.capacity_sectors ||
+      cmd.lba > profile_.capacity_sectors - cmd.sectors) {
     return false;
   }
   REFLEX_CHECK(cmd.op == FlashOp::kWrite ? !cmd.pin : cmd.data == nullptr);

@@ -25,8 +25,6 @@ uint64_t HashName(std::string_view name) {
   return h;
 }
 
-uint64_t Rotl(uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
 // Numerically stable log1p(x)/x.
 double Helper1(double x) {
   if (std::abs(x) > 1e-8) return std::log1p(x) / x;
@@ -48,22 +46,6 @@ Rng::Rng(uint64_t seed) {
 
 Rng::Rng(uint64_t global_seed, std::string_view stream_name)
     : Rng(global_seed ^ HashName(stream_name)) {}
-
-uint64_t Rng::Next() {
-  const uint64_t result = Rotl(s_[1] * 5, 7) * 9;
-  const uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = Rotl(s_[3], 45);
-  return result;
-}
-
-double Rng::NextDouble() {
-  return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-}
 
 uint64_t Rng::NextBounded(uint64_t bound) {
   REFLEX_CHECK(bound > 0);
@@ -108,8 +90,6 @@ double Rng::NextLognormal(double median, double sigma) {
   return median * std::exp(sigma * NextGaussian());
 }
 
-bool Rng::NextBernoulli(double p) { return NextDouble() < p; }
-
 uint64_t Rng::NextZipf(uint64_t n, double theta) {
   REFLEX_CHECK(n > 0);
   REFLEX_CHECK(theta > 0.0);
@@ -126,9 +106,16 @@ uint64_t Rng::NextZipf(uint64_t n, double theta) {
     return std::exp(Helper1(t) * x);
   };
 
-  const double h_integral_x1 = h_integral(1.5) - 1.0;
-  const double h_integral_n = h_integral(static_cast<double>(n) + 0.5);
-  const double s = 2.0 - h_integral_inverse(h_integral(2.5) - h(2.0));
+  if (n != zipf_n_ || theta != zipf_theta_) {
+    zipf_n_ = n;
+    zipf_theta_ = theta;
+    zipf_h_integral_x1_ = h_integral(1.5) - 1.0;
+    zipf_h_integral_n_ = h_integral(static_cast<double>(n) + 0.5);
+    zipf_s_ = 2.0 - h_integral_inverse(h_integral(2.5) - h(2.0));
+  }
+  const double h_integral_x1 = zipf_h_integral_x1_;
+  const double h_integral_n = zipf_h_integral_n_;
+  const double s = zipf_s_;
 
   for (;;) {
     const double u =

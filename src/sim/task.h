@@ -133,6 +133,29 @@ class Delay {
   TimeNs delay_;
 };
 
+/**
+ * A Delay whose wakeup event is recorded in `*event`, so the owner of
+ * a frame parked on it can Cancel() the wakeup before destroying the
+ * frame. Schedules exactly what Delay schedules.
+ */
+class CancellableDelay {
+ public:
+  CancellableDelay(Simulator& sim, TimeNs delay, TimerHandle* event)
+      : sim_(sim), delay_(delay), event_(event) {}
+
+  bool await_ready() const noexcept { return false; }
+  void await_suspend(std::coroutine_handle<> h) {
+    *event_ =
+        sim_.ScheduleAfter(delay_ > 0 ? delay_ : 0, [h] { h.resume(); });
+  }
+  void await_resume() const noexcept {}
+
+ private:
+  Simulator& sim_;
+  TimeNs delay_;
+  TimerHandle* event_;
+};
+
 namespace internal {
 
 template <typename T>
@@ -140,6 +163,8 @@ struct FutureState {
   Simulator* sim = nullptr;
   std::optional<T> value;
   std::coroutine_handle<> waiter;
+  /** The waiter's resume event, once Deliver() has scheduled it. */
+  TimerHandle resume;
 
   void Deliver() {
     if (waiter) {
@@ -147,7 +172,7 @@ struct FutureState {
       waiter = nullptr;
       // Resume through the event queue: keeps stack depth bounded and
       // event ordering deterministic.
-      sim->ScheduleAfter(0, [h] { h.resume(); });
+      resume = sim->ScheduleAfter(0, [h] { h.resume(); });
     }
   }
 };
@@ -186,6 +211,18 @@ class Future {
   T await_resume() {
     REFLEX_CHECK(state_->value.has_value());
     return std::move(*state_->value);
+  }
+
+  /**
+   * Forgets the coroutine parked on this future: Set() will not resume
+   * it, and a resume that Set() has already scheduled is cancelled.
+   * For an owner about to destroy() that parked frame while the
+   * promise lives on elsewhere. A no-op when nothing is parked.
+   */
+  void Abandon() {
+    internal::FutureState<T>& st = *state_;
+    st.waiter = nullptr;
+    if (st.resume.issued()) st.sim->Cancel(st.resume);
   }
 
  private:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -258,16 +259,16 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
     ConsistencyOracle::StampPayload(d.buffer.data(), d.version, d.lba,
                                     d.sectors);
     if (skip_mutation_pending) {
-      std::vector<cluster::ShardExtent> extents =
-          cluster.shard_map().Split(d.lba, d.sectors);
-      if (extents.size() >= 2) {
+      cluster::ShardSplit split;
+      cluster.shard_map().Split(d.lba, d.sectors, &split);
+      if (split.size() >= 2) {
         // Planted bug: issue every extent except the last (to all of
         // its replica placements, so the skipped *extent* is the only
         // defect), then report the write as fully successful.
         skip_mutation_pending = false;
-        extents.pop_back();
-        for (const cluster::ShardExtent& e : extents) {
-          for (const cluster::ReplicaTarget& target : e.AllTargets()) {
+        for (size_t ei = 0; ei + 1 < split.size(); ++ei) {
+          const cluster::ShardExtent& e = split[ei];
+          for (const cluster::ReplicaTarget& target : split.Targets(e)) {
             d.extent_futures.push_back(
                 d.session->shard_session(target.shard_index)
                     .Write(target.shard_lba, e.sectors,
@@ -280,17 +281,17 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
       }
     }
     if (stale_mutation_pending) {
-      std::vector<cluster::ShardExtent> extents =
-          cluster.shard_map().Split(d.lba, d.sectors);
-      if (!extents.empty() && !extents.front().replicas.empty()) {
+      cluster::ShardSplit split;
+      cluster.shard_map().Split(d.lba, d.sectors, &split);
+      if (!split.empty() && split.replication() > 1) {
         // Planted bug: write every placement except the first extent's
         // last replica, report full success, and remember the skipped
         // replica for a direct probe read once the write resolves.
         stale_mutation_pending = false;
-        for (size_t ei = 0; ei < extents.size(); ++ei) {
-          const cluster::ShardExtent& e = extents[ei];
-          const std::vector<cluster::ReplicaTarget> targets =
-              e.AllTargets();
+        for (size_t ei = 0; ei < split.size(); ++ei) {
+          const cluster::ShardExtent& e = split[ei];
+          const std::span<const cluster::ReplicaTarget> targets =
+              split.Targets(e);
           for (size_t ti = 0; ti < targets.size(); ++ti) {
             if (ei == 0 && ti + 1 == targets.size()) continue;  // skipped
             d.extent_futures.push_back(
@@ -302,9 +303,9 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
           }
         }
         d.probe_pending = true;
-        d.probe_target = extents.front().AllTargets().back();
+        d.probe_target = split.Targets(split[0]).back();
         d.probe_lba = d.lba;  // extent 0 starts at the logical LBA
-        d.probe_sectors = extents.front().sectors;
+        d.probe_sectors = split[0].sectors;
         return;
       }
     }

@@ -22,6 +22,7 @@ using cluster::ClusterClient;
 using cluster::Placement;
 using cluster::ReplicaTarget;
 using cluster::ShardExtent;
+using cluster::ShardSplit;
 using cluster::ShardMap;
 using cluster::ShardMapOptions;
 using cluster::SteeringPolicy;
@@ -89,14 +90,16 @@ TEST(ReplicationTest, ReplicationOneIsIdenticalToUnreplicatedMap) {
     const ShardMap plain = MakeMap(3, 1, p);
     EXPECT_EQ(replicated.capacity_sectors(), plain.capacity_sectors());
     for (uint64_t lba = 0; lba < 128; lba += 13) {
-      const auto a = replicated.Split(lba, 24);
-      const auto b = plain.Split(lba, 24);
+      ShardSplit a;
+      ShardSplit b;
+      replicated.Split(lba, 24, &a);
+      plain.Split(lba, 24, &b);
       ASSERT_EQ(a.size(), b.size());
+      EXPECT_EQ(a.replication(), 1u);
       for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].shard_index, b[i].shard_index);
-        EXPECT_EQ(a[i].shard_lba, b[i].shard_lba);
+        EXPECT_EQ(a.Primary(a[i]).shard_index, b.Primary(b[i]).shard_index);
+        EXPECT_EQ(a.Primary(a[i]).shard_lba, b.Primary(b[i]).shard_lba);
         EXPECT_EQ(a[i].sectors, b[i].sectors);
-        EXPECT_TRUE(a[i].replicas.empty());
       }
     }
   }
@@ -126,10 +129,11 @@ TEST(ReplicationTest, ReplicatedWriteLandsOnEveryReplica) {
 
   // Read every placement of every extent directly: each replica must
   // hold a byte-exact copy of its extent.
-  const auto extents = h.cluster.shard_map().Split(0, kSectors);
+  ShardSplit extents;
+  h.cluster.shard_map().Split(0, kSectors, &extents);
+  ASSERT_EQ(extents.replication(), 2u);
   for (const ShardExtent& e : extents) {
-    ASSERT_EQ(e.replicas.size(), 1u);
-    for (const ReplicaTarget& t : e.AllTargets()) {
+    for (const ReplicaTarget& t : extents.Targets(e)) {
       std::vector<uint8_t> in(
           static_cast<size_t>(e.sectors) * core::kSectorBytes, 0);
       auto read = session->shard_session(t.shard_index)

@@ -9,6 +9,7 @@
 #include <map>
 #include <random>
 #include <set>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,7 @@ using cluster::ReplicaTarget;
 using cluster::ShardExtent;
 using cluster::ShardMap;
 using cluster::ShardMapOptions;
+using cluster::ShardSplit;
 
 constexpr uint32_t kStripeSectors = 8;
 
@@ -80,24 +82,22 @@ void CheckMapIntegrity(const ShardMap& map) {
           << it->second << ")";
     }
 
-    const auto extents = map.Split(s * kStripeSectors, kStripeSectors);
-    ASSERT_EQ(extents.size(), 1u) << "stripe " << s;
-    EXPECT_EQ(extents[0].shard_index, targets[0].shard_index);
-    EXPECT_EQ(extents[0].shard_lba, targets[0].shard_lba);
-    EXPECT_EQ(extents[0].sectors, kStripeSectors);
-    ASSERT_EQ(extents[0].replicas.size(), static_cast<size_t>(r - 1));
-    for (int k = 1; k < r; ++k) {
-      EXPECT_EQ(extents[0].replicas[k - 1].shard_index,
-                targets[k].shard_index);
-      EXPECT_EQ(extents[0].replicas[k - 1].shard_lba, targets[k].shard_lba);
+    ShardSplit split;
+    map.Split(s * kStripeSectors, kStripeSectors, &split);
+    ASSERT_EQ(split.size(), 1u) << "stripe " << s;
+    EXPECT_EQ(split[0].sectors, kStripeSectors);
+    const std::span<const ReplicaTarget> placed = split.Targets(split[0]);
+    ASSERT_EQ(placed.size(), static_cast<size_t>(r));
+    for (int k = 0; k < r; ++k) {
+      EXPECT_EQ(placed[k].shard_index, targets[k].shard_index);
+      EXPECT_EQ(placed[k].shard_lba, targets[k].shard_lba);
     }
   }
 
   uint64_t covered = 0;
-  for (const ShardExtent& e :
-       map.Split(0, static_cast<uint32_t>(map.capacity_sectors()))) {
-    covered += e.sectors;
-  }
+  ShardSplit whole;
+  map.Split(0, static_cast<uint32_t>(map.capacity_sectors()), &whole);
+  for (const ShardExtent& e : whole) covered += e.sectors;
   EXPECT_EQ(covered, map.capacity_sectors()) << "full-volume split gap";
 }
 

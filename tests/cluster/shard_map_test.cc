@@ -16,6 +16,7 @@ using cluster::Placement;
 using cluster::ShardExtent;
 using cluster::ShardMap;
 using cluster::ShardMapOptions;
+using cluster::ShardSplit;
 
 ShardMap MakeMap(int num_shards, Placement placement,
                  uint32_t stripe_sectors = 8,
@@ -30,16 +31,23 @@ ShardMap MakeMap(int num_shards, Placement placement,
   return map;
 }
 
+ShardSplit SplitOf(const ShardMap& map, uint64_t lba, uint32_t sectors) {
+  ShardSplit split;
+  map.Split(lba, sectors, &split);
+  return split;
+}
+
 TEST(ShardMapTest, StripedRoutingIsRoundRobinWithDenseShardLbas) {
   ShardMap map = MakeMap(4, Placement::kStriped, /*stripe_sectors=*/8);
   // Stripe s lives on shard s % 4 at dense shard LBA (s / 4) * 8.
   for (uint64_t stripe = 0; stripe < 64; ++stripe) {
     EXPECT_EQ(map.ShardIndexForStripe(stripe),
               static_cast<int>(stripe % 4));
-    auto extents = map.Split(stripe * 8, 8);
+    auto extents = SplitOf(map, stripe * 8, 8);
     ASSERT_EQ(extents.size(), 1u);
-    EXPECT_EQ(extents[0].shard_index, static_cast<int>(stripe % 4));
-    EXPECT_EQ(extents[0].shard_lba, (stripe / 4) * 8);
+    EXPECT_EQ(extents.Primary(extents[0]).shard_index,
+              static_cast<int>(stripe % 4));
+    EXPECT_EQ(extents.Primary(extents[0]).shard_lba, (stripe / 4) * 8);
     EXPECT_EQ(extents[0].sectors, 8u);
     EXPECT_EQ(extents[0].buffer_offset_sectors, 0u);
   }
@@ -49,21 +57,21 @@ TEST(ShardMapTest, BoundaryCrossingIoSplitsWithExactBufferOffsets) {
   ShardMap map = MakeMap(4, Placement::kStriped, /*stripe_sectors=*/8);
   // [4, 20): tail of stripe 0 (shard 0), all of stripe 1 (shard 1),
   // head of stripe 2 (shard 2).
-  auto extents = map.Split(4, 16);
+  auto extents = SplitOf(map, 4, 16);
   ASSERT_EQ(extents.size(), 3u);
 
-  EXPECT_EQ(extents[0].shard_index, 0);
-  EXPECT_EQ(extents[0].shard_lba, 4u);
+  EXPECT_EQ(extents.Primary(extents[0]).shard_index, 0);
+  EXPECT_EQ(extents.Primary(extents[0]).shard_lba, 4u);
   EXPECT_EQ(extents[0].sectors, 4u);
   EXPECT_EQ(extents[0].buffer_offset_sectors, 0u);
 
-  EXPECT_EQ(extents[1].shard_index, 1);
-  EXPECT_EQ(extents[1].shard_lba, 0u);
+  EXPECT_EQ(extents.Primary(extents[1]).shard_index, 1);
+  EXPECT_EQ(extents.Primary(extents[1]).shard_lba, 0u);
   EXPECT_EQ(extents[1].sectors, 8u);
   EXPECT_EQ(extents[1].buffer_offset_sectors, 4u);
 
-  EXPECT_EQ(extents[2].shard_index, 2);
-  EXPECT_EQ(extents[2].shard_lba, 0u);
+  EXPECT_EQ(extents.Primary(extents[2]).shard_index, 2);
+  EXPECT_EQ(extents.Primary(extents[2]).shard_lba, 0u);
   EXPECT_EQ(extents[2].sectors, 4u);
   EXPECT_EQ(extents[2].buffer_offset_sectors, 12u);
 }
@@ -72,9 +80,9 @@ TEST(ShardMapTest, SingleShardMergesEverythingIntoOneExtent) {
   ShardMap map = MakeMap(1, Placement::kStriped, /*stripe_sectors=*/8);
   // Every stripe lands on shard 0 contiguously, so the per-stripe runs
   // merge back into a single extent.
-  auto extents = map.Split(3, 1000);
+  auto extents = SplitOf(map, 3, 1000);
   ASSERT_EQ(extents.size(), 1u);
-  EXPECT_EQ(extents[0].shard_lba, 3u);
+  EXPECT_EQ(extents.Primary(extents[0]).shard_lba, 3u);
   EXPECT_EQ(extents[0].sectors, 1000u);
 }
 
@@ -103,12 +111,12 @@ TEST(ShardMapTest, RoutingStableUnderShardAddOrder) {
       const uint64_t lba = static_cast<uint64_t>(rng.NextBounded(100000));
       const uint32_t sectors =
           static_cast<uint32_t>(rng.NextInRange(1, 200));
-      const auto a = forward.Split(lba, sectors);
-      const auto b = shuffled.Split(lba, sectors);
+      const auto a = SplitOf(forward, lba, sectors);
+      const auto b = SplitOf(shuffled, lba, sectors);
       ASSERT_EQ(a.size(), b.size());
       for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a[i].shard_id, b[i].shard_id);
-        EXPECT_EQ(a[i].shard_lba, b[i].shard_lba);
+        EXPECT_EQ(a.Primary(a[i]).shard_id, b.Primary(b[i]).shard_id);
+        EXPECT_EQ(a.Primary(a[i]).shard_lba, b.Primary(b[i]).shard_lba);
         EXPECT_EQ(a[i].sectors, b[i].sectors);
         EXPECT_EQ(a[i].buffer_offset_sectors, b[i].buffer_offset_sectors);
       }
@@ -166,18 +174,18 @@ TEST(ShardMapTest, IoEndingExactlyOnLastSectorIsServed) {
   ASSERT_EQ(capacity, uint64_t{1} << 22);
 
   // The final stripe, and the single last sector, route like any other.
-  auto last_stripe = map.Split(capacity - 8, 8);
+  auto last_stripe = SplitOf(map, capacity - 8, 8);
   ASSERT_EQ(last_stripe.size(), 1u);
   EXPECT_EQ(last_stripe[0].sectors, 8u);
 
-  auto last_sector = map.Split(capacity - 1, 1);
+  auto last_sector = SplitOf(map, capacity - 1, 1);
   ASSERT_EQ(last_sector.size(), 1u);
   EXPECT_EQ(last_sector[0].sectors, 1u);
-  EXPECT_EQ(last_sector[0].shard_index,
+  EXPECT_EQ(last_sector.Primary(last_sector[0]).shard_index,
             map.ShardIndexForStripe(capacity / 8 - 1));
 
   // A request crossing a boundary but ending exactly at capacity.
-  auto tail = map.Split(capacity - 12, 12);
+  auto tail = SplitOf(map, capacity - 12, 12);
   uint32_t total = 0;
   for (const ShardExtent& e : tail) total += e.sectors;
   EXPECT_EQ(total, 12u);
@@ -186,11 +194,11 @@ TEST(ShardMapTest, IoEndingExactlyOnLastSectorIsServed) {
 TEST(ShardMapTest, ZeroSectorRequestYieldsNoExtents) {
   for (Placement placement : {Placement::kStriped, Placement::kHashed}) {
     ShardMap map = MakeMap(4, placement, /*stripe_sectors=*/8);
-    EXPECT_TRUE(map.Split(0, 0).empty());
-    EXPECT_TRUE(map.Split(17, 0).empty());
+    EXPECT_TRUE(SplitOf(map, 0, 0).empty());
+    EXPECT_TRUE(SplitOf(map, 17, 0).empty());
     // Even at the very end of the volume: lba + 0 == capacity is not
     // out of range.
-    EXPECT_TRUE(map.Split(map.capacity_sectors(), 0).empty());
+    EXPECT_TRUE(SplitOf(map, map.capacity_sectors(), 0).empty());
   }
 }
 
@@ -199,15 +207,15 @@ TEST(ShardMapTest, SingleRequestCanSpanEveryShard) {
   ShardMap map = MakeMap(kShards, Placement::kStriped,
                          /*stripe_sectors=*/8);
   // [0, 32) covers stripes 0..3, one on each of the 4 shards.
-  auto extents = map.Split(0, 32);
+  auto extents = SplitOf(map, 0, 32);
   ASSERT_EQ(extents.size(), 4u);
   std::vector<bool> seen(kShards, false);
   for (int i = 0; i < kShards; ++i) {
-    EXPECT_EQ(extents[i].shard_index, i);
+    EXPECT_EQ(extents.Primary(extents[i]).shard_index, i);
     EXPECT_EQ(extents[i].sectors, 8u);
     EXPECT_EQ(extents[i].buffer_offset_sectors,
               static_cast<uint32_t>(i) * 8u);
-    seen[extents[i].shard_index] = true;
+    seen[extents.Primary(extents[i]).shard_index] = true;
   }
   for (int i = 0; i < kShards; ++i) EXPECT_TRUE(seen[i]);
 }
@@ -226,7 +234,7 @@ TEST(ShardMapTest, MergeNeverReordersExtents) {
       const uint32_t sectors =
           static_cast<uint32_t>(rng.NextInRange(1, 64));
       uint32_t next_offset = 0;
-      for (const ShardExtent& e : map.Split(lba, sectors)) {
+      for (const ShardExtent& e : SplitOf(map, lba, sectors)) {
         ASSERT_EQ(e.buffer_offset_sectors, next_offset)
             << "extents out of order or overlapping";
         next_offset += e.sectors;
@@ -249,7 +257,7 @@ TEST(ShardMapTest, PropertySplitTilesLogicalRangeExactly) {
       const uint64_t lba = rng.NextBounded(1 << 18);
       const uint32_t sectors =
           static_cast<uint32_t>(rng.NextInRange(1, 300));
-      const auto extents = map.Split(lba, sectors);
+      const auto extents = SplitOf(map, lba, sectors);
 
       uint64_t logical = lba;
       uint32_t buffer = 0;
@@ -261,12 +269,13 @@ TEST(ShardMapTest, PropertySplitTilesLogicalRangeExactly) {
           const uint64_t cur = logical + k;
           const uint64_t stripe = cur / 16;
           const uint32_t within = static_cast<uint32_t>(cur % 16);
-          ASSERT_EQ(map.ShardIndexForStripe(stripe), e.shard_index);
+          ASSERT_EQ(map.ShardIndexForStripe(stripe),
+                    extents.Primary(e).shard_index);
           const uint64_t want_lba =
               placement == Placement::kStriped
                   ? (stripe / 5) * 16 + within
                   : cur;
-          ASSERT_EQ(e.shard_lba + k, want_lba);
+          ASSERT_EQ(extents.Primary(e).shard_lba + k, want_lba);
         }
         logical += e.sectors;
         buffer += e.sectors;
@@ -312,8 +321,8 @@ TEST(ShardMapTest, CapacityTracksShardSetAcrossAdds) {
       << "a large shard cannot raise a min-bounded capacity";
 
   // Split still enforces the bound at the cached capacity's edge.
-  EXPECT_FALSE(hmap.Split(88, 8).empty());
-  EXPECT_TRUE(hmap.Split(90, 0).empty());
+  EXPECT_FALSE(SplitOf(hmap, 88, 8).empty());
+  EXPECT_TRUE(SplitOf(hmap, 90, 0).empty());
 }
 
 }  // namespace

@@ -103,6 +103,14 @@ TEST(AccessControlTest, NamespaceContains) {
   EXPECT_TRUE(ns.Contains(149, 1));
   EXPECT_FALSE(ns.Contains(149, 2));
   EXPECT_FALSE(ns.Contains(99, 1));
+  // lba + count wraps past 2^64 to 4, inside [100, 150) only if the
+  // check forms the sum.
+  EXPECT_FALSE(ns.Contains(~uint64_t{0} - 3, 8));
+  EXPECT_FALSE(ns.Contains(140, 51));
+  // A namespace reaching the top of the address space.
+  BlockNamespace top{2, ~uint64_t{0} - 9, 10};
+  EXPECT_TRUE(top.Contains(~uint64_t{0} - 9, 10));
+  EXPECT_FALSE(top.Contains(~uint64_t{0} - 3, 8));
 }
 
 }  // namespace

@@ -3,7 +3,8 @@
 // on the path allocates: not a server serving timing-only reads and
 // writes, not a TenantSession op carrying data, not a BlockDevice
 // request of one chunk or several, not a PageCache hit, miss, prefetch
-// or readahead. Every request-path object lives in a recycled slot or
+// or readahead, not a replicated ClusterSession read or write of one
+// extent or two. Every request-path object lives in a recycled slot or
 // a pooled block (coroutine frames, future states, page pins), and
 // every callback on the path is stored inline (DESIGN.md
 // "Request-path allocation rule").
@@ -19,9 +20,11 @@
 #include "client/block_device.h"
 #include "client/page_cache.h"
 #include "client/reflex_client.h"
+#include "cluster/cluster_client.h"
 #include "core/reflex_server.h"
 #include "sim/fault.h"
 #include "sim/task.h"
+#include "testing/cluster_harness.h"
 #include "testing/harness.h"
 
 namespace {
@@ -275,6 +278,72 @@ TEST(AllocBudgetTest, PageCacheAccessesAllocateNothingAfterWarmup) {
 
   ASSERT_TRUE(h.RunUntilReady([&] { return load.workers_done == kWorkers; }));
   EXPECT_EQ(load.errors, 0);
+}
+
+/**
+ * Closed-loop ClusterSession load carrying data: 8-sector reads and
+ * writes, alternating. Op n works in stripe pair DataPageFor(n) (two
+ * 8-sector stripes, so in-flight ops never share a page); half the ops
+ * end at the pair's inner boundary (one extent), the other half
+ * straddle it (two extents, on two shards).
+ */
+sim::Task ClusterWorker(cluster::ClusterSession* session,
+                        SessionLoad* load) {
+  std::vector<uint8_t> buffer(kSectors * 512, 0x6b);
+  while (load->issued < load->budget) {
+    const int64_t n = load->issued++;
+    const uint64_t boundary = (2 * DataPageFor(n) + 1) * kSectors;
+    const uint64_t lba = n % 4 < 2 ? boundary - kSectors
+                                   : boundary - kSectors / 2;
+    sim::Future<client::IoResult> io =
+        n % 2 == 0 ? session->Read(lba, kSectors, buffer.data())
+                   : session->Write(lba, kSectors, buffer.data());
+    const client::IoResult result = co_await io;
+    ++load->completed;
+    if (!result.ok()) ++load->errors;
+  }
+  ++load->workers_done;
+}
+
+TEST(AllocBudgetTest, ClusterSessionRequestsAllocateNothingAfterWarmup) {
+  // R=1, R=2 (power of two over two candidates: a comparison) and R=3
+  // (power of two over three: two steering draws per extent).
+  for (int replication : {1, 2, 3}) {
+    SCOPED_TRACE(::testing::Message() << "replication=" << replication);
+    cluster::ClusterClient::Options options;
+    options.steering = cluster::SteeringPolicy::kPowerOfTwo;
+    testing::ClusterHarness h(
+        testing::ClusterHarness::MakeOptions(4, kSectors, replication),
+        options);
+    std::unique_ptr<cluster::ClusterSession> session =
+        h.client.OpenSession(core::SloSpec{}, core::TenantClass::kBestEffort);
+    ASSERT_NE(session, nullptr);
+    SessionLoad load;
+    load.budget = 68000;
+    for (int i = 0; i < kQueueDepth; ++i) ClusterWorker(session.get(), &load);
+
+    // A longer warm-up than the single-server tests: four servers'
+    // queues and devices (writes stay in a device's command table until
+    // programmed) reach their high-water marks later, and until then a
+    // new peak grows a slot table or ring. No such growth happens past
+    // 46,000 requests at any R here.
+    ASSERT_TRUE(h.RunUntilReady([&] { return load.completed >= 46000; }));
+    const int64_t allocations_before = g_allocations;
+    const int64_t completed_before = load.completed;
+    const int64_t split_before = session->requests_split();
+    ASSERT_TRUE(h.RunUntilReady([&] { return load.completed >= 64000; }));
+    const int64_t allocations = g_allocations - allocations_before;
+    const int64_t requests = load.completed - completed_before;
+
+    EXPECT_GE(requests, 15000);
+    EXPECT_GT(session->requests_split() - split_before, requests / 4)
+        << "the window must include stripe-straddling requests";
+    EXPECT_EQ(allocations, 0) << "over " << requests << " requests";
+
+    ASSERT_TRUE(
+        h.RunUntilReady([&] { return load.workers_done == kQueueDepth; }));
+    EXPECT_EQ(load.errors, 0);
+  }
 }
 
 TEST(AllocBudgetTest, DroppedMessagesReturnTheirParkedSlots) {

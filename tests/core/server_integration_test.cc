@@ -194,6 +194,64 @@ TEST(ServerIntegrationTest, StrictAclDeniesIo) {
   EXPECT_EQ(read_outside.Get().status, ReqStatus::kAccessDenied);
 }
 
+/**
+ * A tenant writes 8 sectors at LBA 2^64 - 4, where lba + sectors wraps
+ * to 4: every range check must still see the request as out of range,
+ * and the victim's first sectors must keep their bytes. `strict` runs
+ * it under a strict ACL with the attacker granted only [2^20, 2^21).
+ */
+void ExpectWrappedWriteLeavesVictimIntact(bool strict) {
+  core::ServerOptions options;
+  options.strict_acl = strict;
+  Harness h(options);
+  h.server.acl().SetStrict(strict);
+  core::Tenant* victim = h.LcTenant();
+  core::Tenant* attacker = h.BeTenant();
+  h.server.acl().AddNamespace(1, 0, 1 << 20);
+  h.server.acl().AddNamespace(2, 1 << 20, 1 << 20);
+  h.server.acl().GrantTenant(victim->handle(), 1, /*read=*/true,
+                             /*write=*/true);
+  h.server.acl().GrantTenant(attacker->handle(), 2, /*read=*/true,
+                             /*write=*/true);
+  h.server.acl().AllowClient("client-0", victim->handle());
+  h.server.acl().AllowClient("client-0", attacker->handle());
+  ReflexClient client(h.sim, h.server, h.client_machine, IxClient());
+  auto victim_session = client.AttachSession(victim->handle());
+  auto attacker_session = client.AttachSession(attacker->handle());
+  ASSERT_NE(victim_session, nullptr);
+  ASSERT_NE(attacker_session, nullptr);
+
+  std::vector<uint8_t> original(4096);
+  for (size_t i = 0; i < original.size(); ++i) {
+    original[i] = static_cast<uint8_t>(i * 13 + 1);
+  }
+  auto planted = victim_session->Write(0, 8, original.data());
+  ASSERT_TRUE(h.RunUntilReady([&] { return planted.Ready(); }));
+  ASSERT_TRUE(planted.Get().ok());
+
+  std::vector<uint8_t> overwrite(4096, 0xee);
+  auto wrapped =
+      attacker_session->Write(~uint64_t{0} - 3, 8, overwrite.data());
+  ASSERT_TRUE(h.RunUntilReady([&] { return wrapped.Ready(); }));
+  EXPECT_EQ(wrapped.Get().status, strict ? ReqStatus::kAccessDenied
+                                         : ReqStatus::kInvalidRange);
+
+  std::vector<uint8_t> in(4096, 0);
+  auto check = victim_session->Read(0, 8, in.data());
+  ASSERT_TRUE(h.RunUntilReady([&] { return check.Ready(); }));
+  ASSERT_TRUE(check.Get().ok());
+  EXPECT_EQ(std::memcmp(in.data(), original.data(), in.size()), 0)
+      << "the wrapped write reached the victim's sectors";
+}
+
+TEST(ServerIntegrationTest, WrappingLbaDeniedUnderStrictAcl) {
+  ExpectWrappedWriteLeavesVictimIntact(/*strict=*/true);
+}
+
+TEST(ServerIntegrationTest, WrappingLbaRejectedAsInvalidRange) {
+  ExpectWrappedWriteLeavesVictimIntact(/*strict=*/false);
+}
+
 TEST(ServerIntegrationTest, InvalidRangeRejected) {
   Harness h;
   core::Tenant* tenant = h.LcTenant();

@@ -156,6 +156,13 @@ TEST_F(FlashDeviceTest, InvalidLbaRejected) {
   FlashCommand zero;
   zero.sectors = 0;
   EXPECT_FALSE(dev.Submit(qp, zero, nullptr));
+  // lba + sectors wraps to 4: still out of range.
+  FlashCommand wrapping;
+  wrapping.op = FlashOp::kWrite;
+  wrapping.lba = ~uint64_t{0} - 3;
+  wrapping.sectors = 8;
+  EXPECT_FALSE(dev.Submit(qp, wrapping, nullptr));
+  EXPECT_EQ(qp->Outstanding(), 0);
 }
 
 TEST_F(FlashDeviceTest, QueueDepthEnforced) {

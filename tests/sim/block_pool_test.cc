@@ -1,5 +1,6 @@
-// BlockPool (recycled coroutine frames and future states) and
-// InlineFunction (the heap-free callback of the request path).
+// BlockPool (recycled coroutine frames and future states),
+// InlineFunction (the heap-free callback of the request path) and
+// SlotPool's in-place reuse.
 
 #include "sim/block_pool.h"
 
@@ -9,9 +10,11 @@
 #include <cstdint>
 #include <memory>
 #include <utility>
+#include <vector>
 
 #include "sim/inline_function.h"
 #include "sim/simulator.h"
+#include "sim/slot_pool.h"
 #include "sim/task.h"
 
 #ifdef __SANITIZE_ADDRESS__
@@ -110,6 +113,24 @@ TEST(InlineFunctionTest, MovesAndDestroysANonTrivialTargetOnce) {
     EXPECT_EQ(token.use_count(), 2);
   }
   EXPECT_EQ(token.use_count(), 1);
+}
+
+TEST(SlotPoolTest, AcquireReusesTheReleasedValueInPlace) {
+  SlotPool<std::vector<int>> pool;
+  const uint32_t first = pool.Acquire();
+  EXPECT_TRUE(pool[first].empty()) << "a new slot is default-constructed";
+  pool[first].assign(100, 7);
+  const uint32_t second = pool.Acquire();
+  EXPECT_NE(second, first);
+  pool.Release(first);
+  EXPECT_EQ(pool.live(), 1u);
+  // Newest freed first, holding its old contents and capacity.
+  const uint32_t again = pool.Acquire();
+  EXPECT_EQ(again, first);
+  EXPECT_EQ(pool[again].size(), 100u);
+  pool[again].clear();
+  EXPECT_GE(pool[again].capacity(), 100u);
+  EXPECT_EQ(pool.capacity(), 2u);
 }
 
 }  // namespace

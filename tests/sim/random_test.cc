@@ -135,6 +135,69 @@ TEST(RngTest, ZipfStaysInRangeAndSkews) {
   EXPECT_GT(low_ranks, 15000);
 }
 
+/**
+ * NextZipf as it was before its setup constants were kept across
+ * draws: every draw recomputes them. Draws its uniforms from `rng`.
+ */
+uint64_t ReferenceZipf(Rng& rng, uint64_t n, double theta) {
+  auto helper1 = [](double x) {
+    if (std::abs(x) > 1e-8) return std::log1p(x) / x;
+    return 1.0 - x * (0.5 - x * (1.0 / 3.0 - x * 0.25));
+  };
+  auto helper2 = [](double x) {
+    if (std::abs(x) > 1e-8) return std::expm1(x) / x;
+    return 1.0 + x * 0.5 * (1.0 + x * (1.0 / 3.0) * (1.0 + x * 0.25));
+  };
+  auto h_integral = [&](double x) {
+    const double log_x = std::log(x);
+    return helper2((1.0 - theta) * log_x) * log_x;
+  };
+  auto h = [&](double x) { return std::exp(-theta * std::log(x)); };
+  auto h_integral_inverse = [&](double x) {
+    double t = x * (1.0 - theta);
+    if (t < -1.0) t = -1.0;
+    return std::exp(helper1(t) * x);
+  };
+  const double h_integral_x1 = h_integral(1.5) - 1.0;
+  const double h_integral_n = h_integral(static_cast<double>(n) + 0.5);
+  const double s = 2.0 - h_integral_inverse(h_integral(2.5) - h(2.0));
+  for (;;) {
+    const double u =
+        h_integral_n + rng.NextDouble() * (h_integral_x1 - h_integral_n);
+    const double x = h_integral_inverse(u);
+    double k = std::floor(x + 0.5);
+    if (k < 1.0) k = 1.0;
+    if (k > static_cast<double>(n)) k = static_cast<double>(n);
+    if (k - x <= s || u >= h_integral(k + 0.5) - h(k)) {
+      return static_cast<uint64_t>(k) - 1;
+    }
+  }
+}
+
+TEST(RngTest, ZipfKeepsItsConstantsAcrossAlternatingPairs) {
+  // One stream alternating two (n, theta) pairs, runs of varying
+  // length, so the kept constants are recomputed on every switch and
+  // reused within a run. Every draw must equal the formula's.
+  Rng rng(53);
+  Rng reference(53);
+  const uint64_t ns[2] = {1000, 262144};
+  const double thetas[2] = {0.99, 1.2};
+  for (int i = 0; i < 20000; ++i) {
+    const int pair = (i / (1 + i % 7)) % 2;
+    ASSERT_EQ(rng.NextZipf(ns[pair], thetas[pair]),
+              ReferenceZipf(reference, ns[pair], thetas[pair]))
+        << "draw " << i;
+  }
+  // Same n, other theta: the constants depend on both.
+  for (int i = 0; i < 1000; ++i) {
+    const double theta = i % 2 == 0 ? 0.5 : 0.99;
+    ASSERT_EQ(rng.NextZipf(1000, theta),
+              ReferenceZipf(reference, 1000, theta))
+        << "draw " << i;
+  }
+  EXPECT_EQ(rng.Next(), reference.Next()) << "streams stay in step";
+}
+
 TEST(RngTest, ZipfSmallN) {
   Rng rng(41);
   for (int i = 0; i < 1000; ++i) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <coroutine>
 #include <vector>
 
 #include "sim/simulator.h"
@@ -156,6 +157,70 @@ TEST(TaskTest, DeepChainsDoNotOverflowStack) {
   sim.Run();
   EXPECT_TRUE(p.GetFuture().Ready());
   EXPECT_EQ(p.GetFuture().Get(), 5000);
+}
+
+Task ParkOn(Future<int> f, std::coroutine_handle<>* frame, bool* resumed) {
+  co_await SelfHandle(frame);
+  co_await f;
+  *resumed = true;
+  *frame = nullptr;
+}
+
+// An owner destroying a frame parked on a future whose promise lives
+// on: after Abandon() neither a later Set() nor a resume that Set()
+// already scheduled touches the destroyed frame (ASan reports the use
+// after free otherwise).
+TEST(TaskTest, AbandonedFutureResumesNoDestroyedWaiter) {
+  for (bool set_before_teardown : {false, true}) {
+    SCOPED_TRACE(set_before_teardown ? "resume already scheduled"
+                                     : "waiter still parked");
+    Simulator sim;
+    Promise<int> promise(sim);
+    Future<int> future = promise.GetFuture();
+    std::coroutine_handle<> frame;
+    bool resumed = false;
+    ParkOn(future, &frame, &resumed);
+    ASSERT_TRUE(frame);
+    if (set_before_teardown) {
+      promise.Set(1);
+      EXPECT_EQ(sim.PendingEvents(), 1u);
+    }
+    future.Abandon();
+    frame.destroy();
+    if (!set_before_teardown) promise.Set(1);
+    EXPECT_EQ(sim.PendingEvents(), 0u);
+    sim.Run();
+    EXPECT_FALSE(resumed);
+    EXPECT_TRUE(future.Ready());
+  }
+}
+
+Task SleepOn(Simulator* sim, TimeNs delay, TimerHandle* event,
+             std::coroutine_handle<>* frame, TimeNs* woke) {
+  co_await SelfHandle(frame);
+  co_await CancellableDelay(*sim, delay, event);
+  *woke = sim->Now();
+  *frame = nullptr;
+}
+
+TEST(TaskTest, CancellableDelayWakesLikeDelayOrNotAtAll) {
+  Simulator sim;
+  TimerHandle kept;
+  TimerHandle cancelled;
+  std::coroutine_handle<> kept_frame;
+  std::coroutine_handle<> cancelled_frame;
+  TimeNs kept_woke = -1;
+  TimeNs cancelled_woke = -1;
+  SleepOn(&sim, 300, &kept, &kept_frame, &kept_woke);
+  SleepOn(&sim, 300, &cancelled, &cancelled_frame, &cancelled_woke);
+  EXPECT_TRUE(kept.issued());
+  EXPECT_TRUE(sim.Cancel(cancelled));
+  cancelled_frame.destroy();
+  sim.Run();
+  EXPECT_FALSE(kept_frame) << "the kept sleeper ran to its end";
+  EXPECT_EQ(kept_woke, 300);
+  EXPECT_EQ(cancelled_woke, -1);
+  EXPECT_FALSE(sim.Cancel(kept)) << "the wakeup already fired";
 }
 
 }  // namespace
