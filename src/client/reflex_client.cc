@@ -9,23 +9,24 @@
 namespace reflex::client {
 
 TenantSession::~TenantSession() {
+  client_.DetachBuffers(this);
   if (owns_handle_) client_.server().UnregisterTenant(handle_);
 }
 
 sim::Future<IoResult> TenantSession::Read(uint64_t lba, uint32_t sectors,
                                           uint8_t* data, int conn_index) {
-  return client_.SubmitIo(core::ReqType::kRead, handle_, lba, sectors,
-                          data, conn_index);
+  return client_.SubmitIo(this, core::ReqType::kRead, lba, sectors, data,
+                          conn_index);
 }
 
 sim::Future<IoResult> TenantSession::Write(uint64_t lba, uint32_t sectors,
                                            uint8_t* data, int conn_index) {
-  return client_.SubmitIo(core::ReqType::kWrite, handle_, lba, sectors,
-                          data, conn_index);
+  return client_.SubmitIo(this, core::ReqType::kWrite, lba, sectors, data,
+                          conn_index);
 }
 
 sim::Future<IoResult> TenantSession::Barrier(int conn_index) {
-  return client_.SubmitIo(core::ReqType::kBarrier, handle_, 0, 0, nullptr,
+  return client_.SubmitIo(this, core::ReqType::kBarrier, 0, 0, nullptr,
                           conn_index);
 }
 
@@ -152,10 +153,11 @@ sim::Future<core::ResponseMsg> ReflexClient::Unregister(uint32_t handle) {
   return future;
 }
 
-sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
-                                             uint32_t handle, uint64_t lba,
+sim::Future<IoResult> ReflexClient::SubmitIo(const TenantSession* session,
+                                             core::ReqType type, uint64_t lba,
                                              uint32_t sectors, uint8_t* data,
                                              int conn_index) {
+  const uint32_t handle = session->handle();
   core::RequestMsg msg;
   msg.type = type;
   msg.handle = handle;
@@ -187,6 +189,7 @@ sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
       type == core::ReqType::kRead ? sectors * core::kSectorBytes : 0;
   PendingOp op{std::move(promise), sim_.Now(), payload_bytes,
                std::move(trace)};
+  op.session = session;
   op.type = type;
   op.handle = handle;
   op.lba = lba;
@@ -204,6 +207,14 @@ sim::Future<IoResult> ReflexClient::SubmitIo(core::ReqType type,
   sim_.ScheduleAfter(tx_cost, [conn, parked] { conn->Send(parked); });
   if (retries_enabled()) ArmTimeout(cookie, /*attempt=*/1, tx_cost);
   return future;
+}
+
+void ReflexClient::DetachBuffers(const TenantSession* session) {
+  // Free slots keep the session of the op they last held; clearing
+  // their buffer is harmless, so no liveness check is needed.
+  for (uint32_t slot = 0; slot < ops_.capacity(); ++slot) {
+    if (ops_[slot].session == session) ops_[slot].data = nullptr;
+  }
 }
 
 void ReflexClient::AttachData(core::RequestMsg& msg, const uint8_t* data) {

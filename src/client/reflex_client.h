@@ -53,8 +53,9 @@ class TenantSession : public IoSession {
    * bytes are copied into its request at send time, and a read's
    * bytes are copied into `data` -- from the device pages its response
    * pinned, the one copy a read makes -- only when the op resolves
-   * kOk. A retransmission, a late duplicate or a request that outlives
-   * its timeout never touches `data`.
+   * kOk. A retransmission, a late duplicate, a request that outlives
+   * its timeout and a response that arrives after this session is
+   * destroyed never touch `data`.
    */
   sim::Future<IoResult> Read(uint64_t lba, uint32_t sectors,
                              uint8_t* data = nullptr,
@@ -236,13 +237,16 @@ class ReflexClient {
     uint32_t payload_bytes;
     /** Sampled-request trace; null on the untraced path. */
     std::shared_ptr<obs::TraceSpan> trace;
+    /** The issuing session; several may share one tenant handle. */
+    const TenantSession* session = nullptr;
     // Request state, kept for retransmission.
     core::ReqType type = core::ReqType::kRead;
     uint32_t handle = 0;
     uint64_t lba = 0;
     uint32_t sectors = 0;
     /** Caller memory: read only at send, written only when a read
-     * resolves kOk (see IoSession's buffer contract). */
+     * resolves kOk (see IoSession's buffer contract). Cleared when the
+     * issuing session is destroyed, since its caller may free it. */
     uint8_t* data = nullptr;
     /** A write's newest transmission payload, recycled on resolution. */
     core::Payload wire = {};
@@ -264,9 +268,13 @@ class ReflexClient {
    * connections accepted directly onto `handle`'s dataplane thread.
    */
   bool EnsureSessionConnections(uint32_t handle, core::ReqStatus* status);
-  sim::Future<IoResult> SubmitIo(core::ReqType type, uint32_t handle,
-                                 uint64_t lba, uint32_t sectors,
-                                 uint8_t* data, int conn_index);
+  sim::Future<IoResult> SubmitIo(const TenantSession* session,
+                                 core::ReqType type, uint64_t lba,
+                                 uint32_t sectors, uint8_t* data,
+                                 int conn_index);
+  /** Forgets the caller buffers of `session`'s unresolved ops: a late
+   * response to one of them copies nothing. */
+  void DetachBuffers(const TenantSession* session);
   /**
    * Fills one transmission of a `type` request from caller memory
    * `data`: a write carries a copy of the caller's bytes, a read only

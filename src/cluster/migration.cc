@@ -63,11 +63,14 @@ sim::Task MigrationCoordinator::CopyWorker(MigrationAssignment a, int gate_id,
   sim::Simulator& sim = cluster_.sim();
   std::vector<uint8_t> buf(static_cast<size_t>(stripe_sectors) *
                            CopySession(a.from.shard_index)->sector_bytes());
-  // Clear the dirty bit before reading: a write that lands during the
-  // copy re-dirties the gate and forces another round.
+  // Clear the dirty bit before reading: a write admitted during the
+  // copy re-dirties the gate and forces another round. A write admitted
+  // earlier but still in flight (queued for QoS tokens, or at the
+  // flash) may land after this read pins its pages, so while the gate
+  // counts one it stays dirty.
   if (core::RangeGate* gate =
           cluster_.server(a.from.shard_index).FindRangeGate(gate_id)) {
-    gate->dirty = false;
+    gate->dirty = gate->inflight_writes > 0;
   }
   bool copied = false;
   for (int attempt = 0; attempt <= kMaxCopyRetries && !copied; ++attempt) {

@@ -5,17 +5,6 @@
 #include "sim/logging.h"
 
 namespace reflex::cluster {
-namespace {
-
-/** splitmix64 finalizer: avalanche mix for rendezvous weights. */
-uint64_t Mix(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 ShardMap::ShardMap(ShardMapOptions options) : options_(options) {
   REFLEX_CHECK(options_.stripe_sectors > 0);
@@ -58,18 +47,12 @@ uint64_t ShardMap::ComputeCapacitySectors() const {
   const uint64_t raw_slots = min_capacity / options_.stripe_sectors;
   REFLEX_CHECK(raw_slots > options_.migration_slots);
   const uint64_t usable_slots = raw_slots - options_.migration_slots;
-  if (options_.placement == Placement::kStriped) {
-    // Each shard packs R-way replica slots densely, so R copies of
-    // every stripe shrink the usable volume by a factor of R (exact
-    // at R=1: slots == stripes).
-    const uint64_t r = static_cast<uint64_t>(replication());
-    const uint64_t slots_per_shard = usable_slots / r;
-    return shards_.size() * slots_per_shard * options_.stripe_sectors;
-  }
-  // Hashed placement addresses shards by logical LBA, so any shard
-  // must be able to back the whole volume -- replicas are identity-
-  // addressed too and cost no extra logical capacity.
-  return usable_slots * options_.stripe_sectors;
+  // Each shard packs R-way replica slots densely, so R copies of every
+  // stripe shrink the usable volume by a factor of R (exact at R=1:
+  // slots == stripes).
+  const uint64_t r = static_cast<uint64_t>(replication());
+  const uint64_t slots_per_shard = usable_slots / r;
+  return shards_.size() * slots_per_shard * options_.stripe_sectors;
 }
 
 int ShardMap::ShardIndexForStripe(uint64_t stripe) const {
@@ -79,22 +62,7 @@ int ShardMap::ShardIndexForStripe(uint64_t stripe) const {
   // ReplicasForStripe / Split.
   const auto it = overrides_.find({stripe, 0});
   if (it != overrides_.end()) return it->second.shard_index;
-  if (options_.placement == Placement::kStriped) {
-    return static_cast<int>(stripe % shards_.size());
-  }
-  // Rendezvous hashing: the shard with the highest mixed weight wins.
-  int best = 0;
-  uint64_t best_weight = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const uint64_t weight =
-        Mix(Mix(stripe ^ options_.seed) ^ shards_[i].id);
-    if (i == 0 || weight > best_weight ||
-        (weight == best_weight && shards_[i].id < shards_[best].id)) {
-      best = static_cast<int>(i);
-      best_weight = weight;
-    }
-  }
-  return best;
+  return static_cast<int>(stripe % shards_.size());
 }
 
 void ShardMap::AppendTargets(uint64_t stripe, uint32_t within,
@@ -116,43 +84,21 @@ void ShardMap::AppendBaseTargets(uint64_t stripe, uint32_t within,
   REFLEX_CHECK(!shards_.empty());
   const uint64_t n = shards_.size();
   const int r = replication();
-  if (options_.placement == Placement::kStriped) {
-    // Replica ordinal k of stripe s lives on shard (s + k) mod N, in
-    // that shard's slot (s / N) at intra-slot position k. Slot index
-    // (s/N)*R + k is unique per (shard, stripe, ordinal): two pairs
-    // collide only if both the quotient and the ordinal agree, which
-    // forces the same stripe.
-    const uint64_t primary = stripe % n;
-    const uint64_t slot_base =
-        (stripe / n) * options_.stripe_sectors * static_cast<uint64_t>(r);
-    for (int k = 0; k < r; ++k) {
-      const size_t index =
-          static_cast<size_t>((primary + static_cast<uint64_t>(k)) % n);
-      out->push_back(ReplicaTarget{
-          static_cast<int>(index), shards_[index].id,
-          slot_base + static_cast<uint64_t>(k) * options_.stripe_sectors +
-              within});
-    }
-    return;
-  }
-  // Hashed: the rendezvous top-R shards by (weight desc, id asc) --
-  // the same total order whose maximum is the primary, so adding or
-  // removing replicas never moves existing ones. Identity-addressed,
-  // like the primary.
-  std::vector<size_t> order(shards_.size());
-  for (size_t i = 0; i < order.size(); ++i) order[i] = i;
-  std::vector<uint64_t> weights(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    weights[i] = Mix(Mix(stripe ^ options_.seed) ^ shards_[i].id);
-  }
-  std::sort(order.begin(), order.end(), [&](size_t a, size_t b) {
-    if (weights[a] != weights[b]) return weights[a] > weights[b];
-    return shards_[a].id < shards_[b].id;
-  });
+  // Replica ordinal k of stripe s lives on shard (s + k) mod N, in that
+  // shard's slot (s / N) at intra-slot position k. Slot index
+  // (s/N)*R + k is unique per (shard, stripe, ordinal): two pairs
+  // collide only if both the quotient and the ordinal agree, which
+  // forces the same stripe.
+  const uint64_t primary = stripe % n;
+  const uint64_t slot_base =
+      (stripe / n) * options_.stripe_sectors * static_cast<uint64_t>(r);
   for (int k = 0; k < r; ++k) {
-    const size_t index = order[static_cast<size_t>(k)];
-    out->push_back(ReplicaTarget{static_cast<int>(index), shards_[index].id,
-                                 stripe * options_.stripe_sectors + within});
+    const size_t index =
+        static_cast<size_t>((primary + static_cast<uint64_t>(k)) % n);
+    out->push_back(ReplicaTarget{
+        static_cast<int>(index), shards_[index].id,
+        slot_base + static_cast<uint64_t>(k) * options_.stripe_sectors +
+            within});
   }
 }
 

@@ -10,28 +10,9 @@
 
 namespace reflex::cluster {
 
-/** How logical stripes are placed onto shards. */
-enum class Placement : uint8_t {
-  /** stripe i lives on shard (i mod N); shard LBAs are dense. */
-  kStriped,
-  /**
-   * Rendezvous (highest-random-weight) hashing of the stripe index:
-   * placement is stable when shards are listed in any order, and
-   * adding a shard only moves ~1/N of the stripes. Shard LBAs are the
-   * logical LBAs (thin-provisioned: each shard must be able to back
-   * any logical address it wins).
-   */
-  kHashed,
-};
-
 struct ShardMapOptions {
-  Placement placement = Placement::kStriped;
-
   /** Stripe unit in 512B sectors (default 64KB). */
   uint32_t stripe_sectors = 128;
-
-  /** Seed for hashed placement (ignored for striped). */
-  uint64_t seed = 0x5eed;
 
   /**
    * Copies of every stripe (RAIN-style): one primary plus R-1
@@ -45,9 +26,9 @@ struct ShardMapOptions {
    * Stripe-slots reserved at the top of every shard's address space as
    * landing space for live migration: a stripe moved onto a shard that
    * is not its base placement lands in one of these slots. Shrinks the
-   * logical volume by `migration_slots` stripes per shard (striped) or
-   * per volume (hashed). 0 -- the default -- reserves nothing and
-   * reproduces the immobile map bit-for-bit.
+   * logical volume by `migration_slots` stripes per shard. 0 -- the
+   * default -- reserves nothing and reproduces the immobile map
+   * bit-for-bit.
    */
   uint32_t migration_slots = 0;
 };
@@ -103,8 +84,7 @@ struct ShardExtent {
  * extent, primary first. Each placement holds the extent's `sectors`
  * run from its own shard_lba; writes go to all R, reads may be steered
  * to any. Split() refills it, and a reused ShardSplit keeps its
- * capacity, so splitting a striped request allocates nothing once
- * warm.
+ * capacity, so splitting a request allocates nothing once warm.
  */
 class ShardSplit {
  public:
@@ -138,9 +118,11 @@ class ShardSplit {
 
 /**
  * Deterministic placement of a logical volume across N shards at
- * stripe granularity. Pure routing math -- no I/O, no simulation
- * state -- so clients and the control plane can share one instance
- * and tests can exercise it exhaustively.
+ * stripe granularity. One rule: stripe s lives on shard (s mod N) at
+ * dense shard LBAs, except where a committed migration override
+ * relocates one of its placements. Pure routing math -- no I/O, no
+ * simulation state -- so clients and the control plane can share one
+ * instance and tests can exercise it exhaustively.
  *
  * Shards are kept sorted by id: the map computed from any insertion
  * order is identical, which is what makes independently-constructed
@@ -158,12 +140,10 @@ class ShardMap {
   const ShardMapOptions& options() const { return options_; }
 
   /**
-   * Logical volume capacity. Striped: every shard contributes the
-   * same whole number of stripes (bounded by the smallest shard).
-   * Hashed: identity addressing means every shard must be able to
-   * back any logical LBA, so the smallest shard bounds the volume.
-   * O(1): recomputed eagerly by AddShard, not on each call -- Split
-   * checks it per request on the cluster hot path.
+   * Logical volume capacity: every shard contributes the same whole
+   * number of stripes (bounded by the smallest shard). O(1):
+   * recomputed eagerly by AddShard, not on each call -- Split checks
+   * it per request on the cluster hot path.
    */
   uint64_t capacity_sectors() const { return capacity_cache_; }
 
@@ -176,10 +156,10 @@ class ShardMap {
 
   /**
    * All R placements of logical stripe `stripe`, primary first, with
-   * shard LBAs of the stripe's first sector. Striped placement puts
-   * replica ordinal k on shard (primary + k) mod N, each shard packing
-   * its R-way slots densely; hashed placement takes the rendezvous
-   * top-R (identity-addressed, like the primary).
+   * shard LBAs of the stripe's first sector. The base map puts
+   * replica ordinal k on shard (stripe + k) mod N, each shard packing
+   * its R-way slots densely; committed migration overrides replace
+   * individual ordinals.
    */
   std::vector<ReplicaTarget> ReplicasForStripe(uint64_t stripe) const;
 
@@ -188,8 +168,7 @@ class ShardMap {
    * logical-LBA order, merging adjacent runs whose every placement
    * continues contiguously on the same shard. A single-stripe I/O
    * yields exactly one extent; a zero-sector request yields none.
-   * Striped placement allocates nothing once `out` has grown to the
-   * request's size.
+   * Allocates nothing once `out` has grown to the request's size.
    */
   void Split(uint64_t lba, uint32_t sectors, ShardSplit* out) const;
 

@@ -316,9 +316,11 @@ sim::Task DataplaneThread::RunLoop() {
       // concurrent writes (dirty marking + in-flight accounting); a
       // moved range bounces stale-epoch requests so the client
       // refreshes its map and reissues against the new owner.
-      int gate_id = -1;
+      int first_gate = -1;
+      int last_gate = -1;
       if (msg.type != ReqType::kBarrier && server_.HasRangeGates()) {
-        const ReqStatus gs = server_.CheckRangeGates(msg, &gate_id);
+        const ReqStatus gs =
+            server_.CheckRangeGates(msg, &first_gate, &last_gate);
         if (gs != ReqStatus::kOk) {
           ResponseMsg resp;
           resp.type = msg.type == ReqType::kRead ? RespType::kResponse
@@ -333,7 +335,8 @@ sim::Task DataplaneThread::RunLoop() {
       PendingIo io;
       io.msg = std::move(msg);
       io.conn = item.conn;
-      io.gate_id = gate_id;
+      io.first_gate = first_gate;
+      io.last_gate = last_gate;
       // Route to the tenant's owning thread (tenants may have been
       // rebalanced after the connection was opened).
       DataplaneThread& owner = server_.thread(tenant->thread_index());
@@ -381,7 +384,7 @@ sim::Task DataplaneThread::RunLoop() {
       }
       io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
       SendResponse(io.conn, std::move(resp));
-      if (io.gate_id >= 0) server_.OnGatedIoDone(io.gate_id);
+      if (io.first_gate >= 0) server_.OnGatedIoDone(io);
     }
     rx_batch_.clear();
     cq_batch_.clear();
@@ -474,7 +477,7 @@ void DataplaneThread::FailIo(const PendingIo& io, ReqStatus status) {
   resp.cookie = io.msg.cookie;
   io.MarkStage(obs::Stage::kTxQueued, sim_.Now());
   SendResponse(io.conn, std::move(resp));
-  if (io.gate_id >= 0) server_.OnGatedIoDone(io.gate_id);
+  if (io.first_gate >= 0) server_.OnGatedIoDone(io);
 }
 
 }  // namespace reflex::core

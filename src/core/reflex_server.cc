@@ -278,8 +278,9 @@ RangeGate* ReflexServer::FindRangeGate(int id) {
 void ReflexServer::RemoveRangeGate(int id) { range_gates_.erase(id); }
 
 ReqStatus ReflexServer::CheckRangeGates(const RequestMsg& msg,
-                                        int* counted_gate) {
-  *counted_gate = -1;
+                                        int* first_gate, int* last_gate) {
+  *first_gate = -1;
+  *last_gate = -1;
   if (msg.map_epoch == kMapEpochBypass) return ReqStatus::kOk;
   const bool is_write = msg.type == ReqType::kWrite;
   for (const auto& [id, gate] : range_gates_) {
@@ -299,26 +300,34 @@ ReqStatus ReflexServer::CheckRangeGates(const RequestMsg& msg,
   if (!is_write) return ReqStatus::kOk;
   // Admitted: every copying gate the write touches now holds a stale
   // image and must be recopied; stopping at the first one loses the
-  // write on the others at cutover.
+  // write on the others at cutover. Each of them also counts the write
+  // until it lands, so none lets a copy pass clear its dirty bit early.
   for (auto& [id, gate] : range_gates_) {
     if (gate.state != RangeGateState::kCopying ||
         !gate.Overlaps(msg.lba, msg.sectors)) {
       continue;
     }
     gate.dirty = true;
-    if (*counted_gate < 0) {
-      ++gate.inflight_writes;
-      *counted_gate = id;
-    }
+    ++gate.inflight_writes;
+    if (*first_gate < 0) *first_gate = id;
+    *last_gate = id;
   }
   return ReqStatus::kOk;
 }
 
-void ReflexServer::OnGatedIoDone(int gate_id) {
-  RangeGate* gate = FindRangeGate(gate_id);
-  if (gate == nullptr) return;
-  REFLEX_CHECK(gate->inflight_writes > 0);
-  --gate->inflight_writes;
+void ReflexServer::OnGatedIoDone(const PendingIo& io) {
+  // The gates that counted the write are the ones it overlaps with ids
+  // in [first_gate, last_gate]: ids only grow and one migration batch
+  // runs at a time, so every gate in that range belongs to the write's
+  // batch, all of whose gates were copying when it was admitted. A
+  // gate removed since (an aborted batch) is simply gone.
+  for (auto it = range_gates_.lower_bound(io.first_gate);
+       it != range_gates_.end() && it->first <= io.last_gate; ++it) {
+    RangeGate& gate = it->second;
+    if (!gate.Overlaps(io.msg.lba, io.msg.sectors)) continue;
+    REFLEX_CHECK(gate.inflight_writes > 0);
+    --gate.inflight_writes;
+  }
 }
 
 DataplaneStats ReflexServer::AggregateStats() const {

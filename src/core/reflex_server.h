@@ -63,7 +63,9 @@ inline constexpr uint32_t kControlHandle = 0;
  *  - kCopying: the shard still owns the range. Reads and writes are
  *    admitted; each admitted write marks the gate dirty (the copied
  *    image is stale) and is counted in flight until its response is
- *    on the wire.
+ *    on the wire. A copy pass clears the dirty bit only while no
+ *    counted write is in flight: its read could pin pages from before
+ *    such a write lands.
  *  - kDraining: cutover is imminent. New writes are refused with
  *    kWrongShard (clients back off and retry; the map flips before
  *    their retry budget runs out), reads still serve. The coordinator
@@ -83,7 +85,8 @@ struct RangeGate {
   RangeGateState state = RangeGateState::kCopying;
   /** kMoved only: requests with map_epoch >= min_epoch pass. */
   uint64_t min_epoch = 0;
-  /** A write landed in the range since the last copy pass. */
+  /** A write landed in the range since the last copy pass, or may
+   * still land after it. */
   bool dirty = false;
   /** Writes admitted under kCopying whose response is not yet sent. */
   int64_t inflight_writes = 0;
@@ -216,15 +219,18 @@ class ReflexServer {
    * span several migrating stripes. Returns kWrongShard if any gate's
    * epoch floor rejects the request or, for a write, any overlapped
    * gate is draining. An admitted write marks every overlapped
-   * kCopying gate dirty and is counted in flight once, on the first of
-   * them, whose id goes to *counted_gate (else -1). Requests stamped
-   * with the bypass epoch skip gating entirely (single-server clients
-   * and the migration coordinator's own copy traffic).
+   * kCopying gate dirty and is counted in flight on each of them; the
+   * lowest and highest of their ids go to *first_gate and *last_gate
+   * (else -1). Requests stamped with the bypass epoch skip gating
+   * entirely (single-server clients and the migration coordinator's
+   * own copy traffic).
    */
-  ReqStatus CheckRangeGates(const RequestMsg& msg, int* counted_gate);
+  ReqStatus CheckRangeGates(const RequestMsg& msg, int* first_gate,
+                            int* last_gate);
 
-  /** Decrements the in-flight count of a still-installed gate. */
-  void OnGatedIoDone(int gate_id);
+  /** Decrements the in-flight count of every still-installed gate
+   * that counted `io` at admission. */
+  void OnGatedIoDone(const PendingIo& io);
 
   /** Requests parked between client submit and dataplane parse. */
   size_t parked_requests() const { return parked_requests_.live(); }

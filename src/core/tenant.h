@@ -24,12 +24,15 @@ struct PendingIo {
   /** Token cost, priced at enqueue time (section 3.2.1). */
   double cost = 0.0;
   /**
-   * Migration range gate this write was counted against at admission
-   * (-1 for ungated requests). The gate's in-flight counter must be
-   * decremented exactly once, on completion or failure, so a draining
-   * migration knows when the range has quiesced.
+   * Migration range gates this write was counted against at admission:
+   * every copying gate it overlaps, all with ids in
+   * [first_gate, last_gate] (-1 for ungated requests). Each one's
+   * in-flight counter must be decremented exactly once, on completion
+   * or failure, so neither a copy pass nor a drain mistakes the range
+   * for quiesced while the write is still on its way to flash.
    */
-  int gate_id = -1;
+  int first_gate = -1;
+  int last_gate = -1;
 
   /** Trace span of a sampled request (null on the untraced path). */
   obs::TraceSpan* trace() const { return msg.trace.get(); }

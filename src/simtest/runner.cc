@@ -109,12 +109,11 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
                                 mutation == Mutation::kServePremigrationRange;
   if (migration_canary) {
     // The canary drives its own deterministic write/migrate/read
-    // sequence against stripe 0 (shard 0 under striped placement), so
-    // the scenario is pinned: no competing workload over the probe
-    // range, no faults that could abort the migration, no replica
-    // that could mask the missing copy.
+    // sequence against stripe 0 (on shard 0), so the scenario is
+    // pinned: no competing workload over the probe range, no faults
+    // that could abort the migration, no replica that could mask the
+    // missing copy.
     spec.num_shards = std::max(spec.num_shards, 2);
-    spec.rendezvous = false;
     spec.replication = 1;
     spec.steering = cluster::SteeringPolicy::kPrimaryOnly;
     spec.migrate = true;
@@ -137,9 +136,6 @@ RunReport RunScenario(const ScenarioSpec& spec_in, Mutation mutation,
   options.calibration = flash::CannedCalibrationA();
   options.server.qos.enforce = spec.enforce_qos;
   options.server.qos.policy = spec.policy;
-  options.shard_map.placement = spec.rendezvous
-                                    ? cluster::Placement::kHashed
-                                    : cluster::Placement::kStriped;
   options.shard_map.stripe_sectors = spec.stripe_sectors;
   options.shard_map.replication = spec.replication;
   // Reserve landing slots only when this scenario can migrate: slot

@@ -21,7 +21,9 @@ ScenarioSpec GenerateScenario(uint64_t seed) {
   ScenarioSpec spec;
   spec.seed = seed;
   spec.num_shards = 1 + static_cast<int>(rng.NextBounded(4));
-  spec.rendezvous = rng.NextBernoulli(0.5);
+  // This draw once chose a placement rule. It is kept and discarded so
+  // that every later draw of every seed stays where it was.
+  (void)rng.NextBernoulli(0.5);
   spec.stripe_sectors = 4u << rng.NextBounded(3);  // 4, 8 or 16
   spec.enforce_qos = rng.NextBernoulli(0.8);
   // Drawn even when enforce_qos is false so the stream consumption --
@@ -118,8 +120,6 @@ std::string ScenarioToJson(const ScenarioSpec& spec) {
   out << "{\n";
   out << "  \"seed\": " << spec.seed << ",\n";
   out << "  \"num_shards\": " << spec.num_shards << ",\n";
-  out << "  \"placement\": \""
-      << (spec.rendezvous ? "rendezvous" : "striped") << "\",\n";
   out << "  \"stripe_sectors\": " << spec.stripe_sectors << ",\n";
   out << "  \"enforce_qos\": " << (spec.enforce_qos ? "true" : "false")
       << ",\n";

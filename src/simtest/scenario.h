@@ -51,16 +51,15 @@ struct FaultWindowSpec {
 
 /**
  * A complete stress scenario, derived deterministically from one
- * 64-bit seed: cluster topology (shard count, placement, stripe
- * width), QoS mode, tenant mix and fault schedule. Replaying a failure
- * needs only {seed, op budget} -- everything else regenerates.
+ * 64-bit seed: cluster topology (shard count, stripe width), QoS
+ * mode, tenant mix and fault schedule. Replaying a failure needs
+ * only {seed, op budget} -- everything else regenerates.
  */
 struct ScenarioSpec {
   uint64_t seed = 0;
 
   // Topology.
   int num_shards = 1;
-  bool rendezvous = false;  // striped when false
   uint32_t stripe_sectors = 8;
 
   bool enforce_qos = true;

@@ -129,53 +129,61 @@ TEST(MigrationTest, WriteRacingTheCopyIsRecopiedToTheTarget) {
       << "the target must hold the write that raced the copy";
 }
 
-// One write extent can span two stripes migrating off the same shard:
-// hashed placement is identity-addressed, so adjacent stripes on one
-// shard form a single contiguous extent. The write must dirty both
-// stripes' gates; dirtying only the first loses the write's tail on
-// the second stripe at cutover.
+// One write extent can span two stripes migrating off the same shard.
+// Base placements never form one (stripes s and s+1 live on different
+// shards), but landing slots do: two logically adjacent stripes moved
+// onto one shard take adjacent slots there. A write across both must
+// dirty both stripes' gates; dirtying only the first loses the write's
+// tail on the second stripe at cutover.
 TEST(MigrationTest, WriteStraddlingTwoMigratingStripesIsRecopiedOnBoth) {
-  FlashClusterOptions options = MobileOptions(2);
-  options.shard_map.placement = cluster::Placement::kHashed;
-  ClusterHarness h(options);
+  ClusterHarness h(MobileOptions(3));
   MigrationCoordinator coordinator(h.cluster, h.net);
   auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
   ASSERT_NE(session, nullptr);
 
-  const cluster::ShardMap& map = h.cluster.shard_map();
-  uint64_t first = 0;
-  while (map.ShardIndexForStripe(first) != 0 ||
-         map.ShardIndexForStripe(first + 1) != 0) {
-    ++first;
-  }
-  const uint64_t lba = first * kStripeSectors;
   const size_t stripe_bytes = kStripeSectors * core::kSectorBytes;
   const auto old_data = Pattern(2 * stripe_bytes, 5);
   const auto new_data = Pattern(stripe_bytes, 77);
-  auto seed_write = session->Write(lba, 2 * kStripeSectors,
+  auto seed_write = session->Write(0, 2 * kStripeSectors,
                                    const_cast<uint8_t*>(old_data.data()));
   ASSERT_TRUE(Await(h, seed_write) && seed_write.Get().ok());
 
-  // Sectors 4..11 of the pair: the back half of the first stripe and
-  // the front half of the second, in one request to shard 0.
+  // Stripes 0 and 1 live on shards 0 and 1. Move both onto shard 2,
+  // where they take its first two landing slots.
+  auto first = coordinator.MigrateRange(0, 2, 0, 1);
+  ASSERT_TRUE(Await(h, first) && first.Get());
+  auto second = coordinator.MigrateRange(1, 2, 1, 1);
+  ASSERT_TRUE(Await(h, second) && second.Get());
+  h.client.RefreshMap();
+  cluster::ShardSplit split;
+  h.client.local_map().Split(0, 2 * kStripeSectors, &split);
+  ASSERT_EQ(split.size(), 1u) << "the pair must form one extent";
+  ASSERT_EQ(split.Primary(split[0]).shard_index, 2);
+  const int64_t recopies_before = coordinator.stats().dirty_recopies;
+
+  // Sectors 4..11 of the pair: the back half of stripe 0 and the front
+  // half of stripe 1, in one request to shard 2.
   const uint32_t half = kStripeSectors / 2;
   coordinator.before_cutover = [&]() {
-    return session->Write(lba + half, kStripeSectors,
+    return session->Write(half, kStripeSectors,
                           const_cast<uint8_t*>(new_data.data()));
   };
-  auto done = coordinator.MigrateRange(0, 1, first, 2);
+  // Both leave shard 2: stripe 0 back home to shard 0, stripe 1 into a
+  // landing slot there.
+  auto done = coordinator.MigrateRange(2, 0, 0, 2);
   ASSERT_TRUE(Await(h, done));
   ASSERT_TRUE(done.Get());
-  EXPECT_GE(coordinator.stats().dirty_recopies, 2)
+  EXPECT_GE(coordinator.stats().dirty_recopies - recopies_before, 2)
       << "both stripes the write touched must be recopied";
 
   h.client.RefreshMap();
-  ASSERT_EQ(h.client.local_map().ShardIndexForStripe(first + 1), 1);
+  ASSERT_EQ(h.client.local_map().ShardIndexForStripe(0), 0);
+  ASSERT_EQ(h.client.local_map().ShardIndexForStripe(1), 0);
   std::vector<uint8_t> expected = old_data;
   std::memcpy(expected.data() + half * core::kSectorBytes, new_data.data(),
               new_data.size());
   std::vector<uint8_t> in(expected.size(), 0);
-  auto read = session->Read(lba, 2 * kStripeSectors, in.data());
+  auto read = session->Read(0, 2 * kStripeSectors, in.data());
   ASSERT_TRUE(Await(h, read) && read.Get().ok());
   EXPECT_EQ(std::memcmp(in.data(), expected.data(), in.size()), 0)
       << "the target must hold the whole straddling write";
@@ -228,6 +236,52 @@ TEST(MigrationTest, MovedStaleReplicaMarksItsNewShardDirty) {
   auto read = session->Read(0, kStripeSectors, in.data());
   ASSERT_TRUE(Await(h, read) && read.Get().ok());
   EXPECT_EQ(std::memcmp(in.data(), v2.data(), in.size()), 0);
+}
+
+// The same inheritance for a stale primary, where it decides what a
+// read returns: primary-only steering reads the moved primary unless
+// the refresh marked its new shard dirty, and that copy predates the
+// write the old shard missed.
+TEST(MigrationTest, MovedStalePrimaryServesNoPreWriteBytes) {
+  cluster::ClusterClient::Options copts;
+  copts.client = testing::RetryingClientOptions();
+  ClusterHarness h(MobileOptions(3, /*replication=*/2), copts);
+  MigrationCoordinator coordinator(h.cluster, h.net);
+  auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  ASSERT_NE(session, nullptr);
+
+  // Stripe 0 lives on shards 0 (primary) and 1 (replica).
+  const size_t bytes = kStripeSectors * core::kSectorBytes;
+  const auto v1 = Pattern(bytes, 1);
+  const auto v2 = Pattern(bytes, 2);
+  auto w1 = session->Write(0, kStripeSectors, const_cast<uint8_t*>(v1.data()));
+  ASSERT_TRUE(Await(h, w1) && w1.Get().ok());
+
+  // Shard 0's link is down while v2 is written: the primary keeps v1
+  // and the client marks shard 0 dirty; the write commits on shard 1.
+  sim::FaultPlan plan(h.sim, 3);
+  h.net.SetFaultPlan(&plan);
+  plan.ScheduleWindow(sim::FaultKind::kNetLinkFlap, h.sim.Now(),
+                      sim::Millis(5),
+                      static_cast<uint64_t>(h.cluster.machine(0)->id()));
+  auto w2 = session->Write(0, kStripeSectors, const_cast<uint8_t*>(v2.data()));
+  ASSERT_TRUE(Await(h, w2) && w2.Get().ok());
+  ASSERT_TRUE(h.client.IsDirty(0));
+  ASSERT_FALSE(h.client.IsDirty(2));
+  h.sim.RunUntil(h.sim.Now() + sim::Millis(10));  // the link is back
+
+  // Move the stale primary of stripe 0 onto shard 2.
+  auto done = coordinator.MigrateRange(0, 2, 0, 1);
+  ASSERT_TRUE(Await(h, done));
+  ASSERT_TRUE(done.Get());
+
+  h.client.RefreshMap();
+  ASSERT_EQ(h.client.local_map().ShardIndexForStripe(0), 2);
+  std::vector<uint8_t> in(bytes, 0);
+  auto read = session->Read(0, kStripeSectors, in.data());
+  ASSERT_TRUE(Await(h, read) && read.Get().ok());
+  EXPECT_EQ(std::memcmp(in.data(), v2.data(), in.size()), 0)
+      << "the read must not return the bytes from before the write";
 }
 
 TEST(MigrationTest, SecondBatchWhileBusyIsRefusedWithoutLeakingSlots) {

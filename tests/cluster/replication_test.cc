@@ -19,7 +19,6 @@ namespace reflex {
 namespace {
 
 using cluster::ClusterClient;
-using cluster::Placement;
 using cluster::ReplicaTarget;
 using cluster::ShardExtent;
 using cluster::ShardSplit;
@@ -31,10 +30,8 @@ using core::SloSpec;
 using core::TenantClass;
 using testing::ClusterHarness;
 
-ShardMap MakeMap(int num_shards, int replication, Placement placement,
-                 uint64_t capacity = 4096) {
+ShardMap MakeMap(int num_shards, int replication, uint64_t capacity = 4096) {
   ShardMapOptions options;
-  options.placement = placement;
   options.stripe_sectors = 8;
   options.replication = replication;
   ShardMap map(options);
@@ -45,7 +42,7 @@ ShardMap MakeMap(int num_shards, int replication, Placement placement,
 }
 
 TEST(ReplicationTest, StripedReplicaLayoutIsDistinctAndCollisionFree) {
-  const ShardMap map = MakeMap(3, 2, Placement::kStriped);
+  const ShardMap map = MakeMap(3, 2);
   EXPECT_EQ(map.replication(), 2);
   // Every shard donates half its stripes to replica slots.
   EXPECT_EQ(map.capacity_sectors(), 3u * (4096 / (8 * 2)) * 8);
@@ -68,45 +65,27 @@ TEST(ReplicationTest, StripedReplicaLayoutIsDistinctAndCollisionFree) {
   }
 }
 
-TEST(ReplicationTest, HashedReplicaTargetsAreDistinctIdentityAddressed) {
-  const ShardMap map = MakeMap(4, 3, Placement::kHashed);
-  for (uint64_t s = 0; s < 64; ++s) {
-    const std::vector<ReplicaTarget> targets = map.ReplicasForStripe(s);
-    ASSERT_EQ(targets.size(), 3u);
-    EXPECT_EQ(targets[0].shard_index, map.ShardIndexForStripe(s));
-    for (size_t a = 0; a < targets.size(); ++a) {
-      // Thin-provisioned identity addressing, like the primary.
-      EXPECT_EQ(targets[a].shard_lba, s * 8);
-      for (size_t b = a + 1; b < targets.size(); ++b) {
-        EXPECT_NE(targets[a].shard_index, targets[b].shard_index);
-      }
-    }
-  }
-}
-
 TEST(ReplicationTest, ReplicationOneIsIdenticalToUnreplicatedMap) {
-  for (Placement p : {Placement::kStriped, Placement::kHashed}) {
-    const ShardMap replicated = MakeMap(3, 1, p);
-    const ShardMap plain = MakeMap(3, 1, p);
-    EXPECT_EQ(replicated.capacity_sectors(), plain.capacity_sectors());
-    for (uint64_t lba = 0; lba < 128; lba += 13) {
-      ShardSplit a;
-      ShardSplit b;
-      replicated.Split(lba, 24, &a);
-      plain.Split(lba, 24, &b);
-      ASSERT_EQ(a.size(), b.size());
-      EXPECT_EQ(a.replication(), 1u);
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.Primary(a[i]).shard_index, b.Primary(b[i]).shard_index);
-        EXPECT_EQ(a.Primary(a[i]).shard_lba, b.Primary(b[i]).shard_lba);
-        EXPECT_EQ(a[i].sectors, b[i].sectors);
-      }
+  const ShardMap replicated = MakeMap(3, 1);
+  const ShardMap plain = MakeMap(3, 1);
+  EXPECT_EQ(replicated.capacity_sectors(), plain.capacity_sectors());
+  for (uint64_t lba = 0; lba < 128; lba += 13) {
+    ShardSplit a;
+    ShardSplit b;
+    replicated.Split(lba, 24, &a);
+    plain.Split(lba, 24, &b);
+    ASSERT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.replication(), 1u);
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.Primary(a[i]).shard_index, b.Primary(b[i]).shard_index);
+      EXPECT_EQ(a.Primary(a[i]).shard_lba, b.Primary(b[i]).shard_lba);
+      EXPECT_EQ(a[i].sectors, b[i].sectors);
     }
   }
 }
 
 TEST(ReplicationTest, ReplicationIsClampedToShardCount) {
-  const ShardMap map = MakeMap(2, 3, Placement::kStriped);
+  const ShardMap map = MakeMap(2, 3);
   EXPECT_EQ(map.replication(), 2);
   for (uint64_t s = 0; s < 16; ++s) {
     EXPECT_EQ(map.ReplicasForStripe(s).size(), 2u);

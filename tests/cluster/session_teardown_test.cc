@@ -4,10 +4,12 @@
 // timer. Those clients outlive the session and resolve the futures
 // later, so the destructor must make each future and timer forget its
 // frame before destroying it: a later response or wakeup must resume
-// nothing. An AddressSanitizer build reports the use after free that a
-// frame destroyed while still registered would cause; every build
-// checks that the simulation keeps running and the caller's future
-// stays unresolved.
+// nothing. A read's late response must not copy into the caller's
+// buffer either, which the caller may free once the session is gone.
+// An AddressSanitizer build reports the use after free that a frame
+// destroyed while still registered, or a copy into a freed buffer,
+// would cause; every build checks that the simulation keeps running
+// and the caller's future stays unresolved.
 
 #include <gtest/gtest.h>
 
@@ -48,6 +50,39 @@ TEST(ClusterSessionTeardownTest, ReadInFlightAtTeardownResumesNothing) {
   session.reset();
   RunPastTeardown(h);
   EXPECT_FALSE(read.Ready());
+}
+
+// A session attached to a tenant registered elsewhere leaves the
+// registration in place, so its reads still in flight at teardown
+// complete kOk at the shards. Their responses must copy nothing: one
+// buffer is freed right after the teardown (AddressSanitizer reports a
+// copy into it), the other stays alive and must stay untouched.
+TEST(ClusterSessionTeardownTest, LateReadOfAttachedSessionTouchesNoBuffer) {
+  ClusterHarness h(ClusterHarness::MakeOptions(2, kStripeSectors,
+                                               /*replication=*/2));
+  auto owner = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  ASSERT_NE(owner, nullptr);
+  // Nonzero bytes on flash, so a copy into a zeroed buffer shows.
+  const size_t bytes = kStripeSectors * core::kSectorBytes;
+  std::vector<uint8_t> pattern(2 * bytes, 0xa7);
+  auto write = owner->Write(0, 2 * kStripeSectors, pattern.data());
+  ASSERT_TRUE(h.Await(write) && write.Get().ok());
+
+  auto session = h.client.AttachSession(owner->tenant());
+  ASSERT_NE(session, nullptr);
+  auto freed = std::make_unique<uint8_t[]>(bytes);
+  std::vector<uint8_t> kept(bytes, 0);
+  // Each straddles a stripe boundary: two extents, one per shard.
+  auto read_freed =
+      session->Read(kStripeSectors / 2, kStripeSectors, freed.get());
+  auto read_kept =
+      session->Read(kStripeSectors / 2, kStripeSectors, kept.data());
+  session.reset();
+  freed.reset();
+  RunPastTeardown(h);
+  EXPECT_FALSE(read_freed.Ready());
+  EXPECT_FALSE(read_kept.Ready());
+  EXPECT_EQ(kept, std::vector<uint8_t>(bytes, 0));
 }
 
 TEST(ClusterSessionTeardownTest, WriteInFlightAtTeardownResumesNothing) {

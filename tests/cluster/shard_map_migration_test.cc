@@ -1,7 +1,7 @@
 // ShardMap live-migration property tests: plan / commit / abort never
-// lose or double-map a sector -- under striped and rendezvous
-// placement, replication factors 1..3, range handoffs, moves back
-// home, and randomized plan/commit/abort churn.
+// lose or double-map a sector -- across replication factors 1..3,
+// range handoffs, moves back home, and randomized plan/commit/abort
+// churn.
 
 #include <gtest/gtest.h>
 
@@ -19,7 +19,6 @@ namespace reflex {
 namespace {
 
 using cluster::MigrationAssignment;
-using cluster::Placement;
 using cluster::ReplicaTarget;
 using cluster::ShardExtent;
 using cluster::ShardMap;
@@ -28,10 +27,9 @@ using cluster::ShardSplit;
 
 constexpr uint32_t kStripeSectors = 8;
 
-ShardMap MakeMap(int num_shards, int replication, Placement placement,
-                 uint32_t migration_slots, uint64_t capacity = 4096) {
+ShardMap MakeMap(int num_shards, int replication, uint32_t migration_slots,
+                 uint64_t capacity = 4096) {
   ShardMapOptions options;
-  options.placement = placement;
   options.stripe_sectors = kStripeSectors;
   options.replication = replication;
   options.migration_slots = migration_slots;
@@ -102,81 +100,72 @@ void CheckMapIntegrity(const ShardMap& map) {
 }
 
 TEST(ShardMapMigrationTest, RangeHandoffNeverLosesOrDoubleMapsASector) {
-  for (Placement placement : {Placement::kStriped, Placement::kHashed}) {
-    for (int r = 1; r <= 3; ++r) {
-      SCOPED_TRACE(testing::Message()
-                   << "placement=" << static_cast<int>(placement)
-                   << " replication=" << r);
-      ShardMap map = MakeMap(4, r, placement, /*migration_slots=*/8);
-      const uint64_t capacity = map.capacity_sectors();
-      const uint32_t free0 = TotalFreeSlots(map);
-
-      // Evacuate stripes [0, 16)'s placements from shard 0 to shard 1.
-      // Moves that would co-locate two replicas of a stripe are
-      // skipped by planning, so the plan covers what CAN move safely.
-      std::vector<MigrationAssignment> plan =
-          map.PlanRangeMigration(0, 1, 0, 16);
-      ASSERT_FALSE(plan.empty());
-      // Planning reserves slots but changes no routing.
-      EXPECT_EQ(map.epoch(), 0u);
-      EXPECT_EQ(map.num_overrides(), 0u);
-      CheckMapIntegrity(map);
-
-      map.CommitMigration(plan);
-      EXPECT_EQ(map.epoch(), 1u);
-      EXPECT_EQ(map.num_overrides(), plan.size());
-      EXPECT_EQ(map.capacity_sectors(), capacity)
-          << "a migration must never change the logical volume";
-      EXPECT_EQ(TotalFreeSlots(map) + map.num_overrides(), free0)
-          << "every committed override holds exactly one landing slot";
-      for (const MigrationAssignment& a : plan) {
-        const auto targets = map.ReplicasForStripe(a.stripe);
-        EXPECT_NE(targets[static_cast<size_t>(a.ordinal)].shard_index, 0)
-            << "stripe " << a.stripe << " ordinal " << a.ordinal
-            << " still on the evacuated shard";
-      }
-      CheckMapIntegrity(map);
-
-      // Move every relocated placement back home: overrides clear and
-      // every landing slot frees.
-      std::vector<ShardMap::StripeMove> home;
-      for (const MigrationAssignment& a : plan) {
-        home.push_back(
-            ShardMap::StripeMove{a.stripe, a.ordinal, a.from.shard_index});
-      }
-      std::vector<MigrationAssignment> back = map.PlanStripeMoves(home);
-      ASSERT_EQ(back.size(), plan.size());
-      map.CommitMigration(back);
-      EXPECT_EQ(map.epoch(), 2u);
-      EXPECT_EQ(map.num_overrides(), 0u);
-      EXPECT_EQ(TotalFreeSlots(map), free0);
-      CheckMapIntegrity(map);
-    }
-  }
-}
-
-TEST(ShardMapMigrationTest, AbortReleasesSlotsAndChangesNothing) {
-  for (Placement placement : {Placement::kStriped, Placement::kHashed}) {
-    SCOPED_TRACE(testing::Message()
-                 << "placement=" << static_cast<int>(placement));
-    ShardMap map = MakeMap(4, 2, placement, /*migration_slots=*/8);
+  for (int r = 1; r <= 3; ++r) {
+    SCOPED_TRACE(testing::Message() << "replication=" << r);
+    ShardMap map = MakeMap(4, r, /*migration_slots=*/8);
+    const uint64_t capacity = map.capacity_sectors();
     const uint32_t free0 = TotalFreeSlots(map);
 
+    // Evacuate stripes [0, 16)'s placements from shard 0 to shard 1.
+    // Moves that would co-locate two replicas of a stripe are
+    // skipped by planning, so the plan covers what CAN move safely.
     std::vector<MigrationAssignment> plan =
-        map.PlanRangeMigration(0, 2, 0, 16);
+        map.PlanRangeMigration(0, 1, 0, 16);
     ASSERT_FALSE(plan.empty());
-    EXPECT_LT(TotalFreeSlots(map), free0) << "planning reserves slots";
-
-    map.AbortMigration(plan);
+    // Planning reserves slots but changes no routing.
     EXPECT_EQ(map.epoch(), 0u);
+    EXPECT_EQ(map.num_overrides(), 0u);
+    CheckMapIntegrity(map);
+
+    map.CommitMigration(plan);
+    EXPECT_EQ(map.epoch(), 1u);
+    EXPECT_EQ(map.num_overrides(), plan.size());
+    EXPECT_EQ(map.capacity_sectors(), capacity)
+        << "a migration must never change the logical volume";
+    EXPECT_EQ(TotalFreeSlots(map) + map.num_overrides(), free0)
+        << "every committed override holds exactly one landing slot";
+    for (const MigrationAssignment& a : plan) {
+      const auto targets = map.ReplicasForStripe(a.stripe);
+      EXPECT_NE(targets[static_cast<size_t>(a.ordinal)].shard_index, 0)
+          << "stripe " << a.stripe << " ordinal " << a.ordinal
+          << " still on the evacuated shard";
+    }
+    CheckMapIntegrity(map);
+
+    // Move every relocated placement back home: overrides clear and
+    // every landing slot frees.
+    std::vector<ShardMap::StripeMove> home;
+    for (const MigrationAssignment& a : plan) {
+      home.push_back(
+          ShardMap::StripeMove{a.stripe, a.ordinal, a.from.shard_index});
+    }
+    std::vector<MigrationAssignment> back = map.PlanStripeMoves(home);
+    ASSERT_EQ(back.size(), plan.size());
+    map.CommitMigration(back);
+    EXPECT_EQ(map.epoch(), 2u);
     EXPECT_EQ(map.num_overrides(), 0u);
     EXPECT_EQ(TotalFreeSlots(map), free0);
     CheckMapIntegrity(map);
   }
 }
 
+TEST(ShardMapMigrationTest, AbortReleasesSlotsAndChangesNothing) {
+  ShardMap map = MakeMap(4, 2, /*migration_slots=*/8);
+  const uint32_t free0 = TotalFreeSlots(map);
+
+  std::vector<MigrationAssignment> plan = map.PlanRangeMigration(0, 2, 0, 16);
+  ASSERT_FALSE(plan.empty());
+  EXPECT_LT(TotalFreeSlots(map), free0) << "planning reserves slots";
+
+  map.AbortMigration(plan);
+  EXPECT_EQ(map.epoch(), 0u);
+  EXPECT_EQ(map.num_overrides(), 0u);
+  EXPECT_EQ(TotalFreeSlots(map), free0);
+  CheckMapIntegrity(map);
+}
+
 TEST(ShardMapMigrationTest, CommitBumpsTheEpochExactlyOncePerBatch) {
-  ShardMap map = MakeMap(4, 1, Placement::kStriped, /*migration_slots=*/8);
+  ShardMap map = MakeMap(4, 1, /*migration_slots=*/8);
   std::vector<MigrationAssignment> plan = map.PlanRangeMigration(0, 1, 0, 8);
   ASSERT_GT(plan.size(), 1u) << "a multi-assignment batch";
   map.CommitMigration(plan);
@@ -185,54 +174,47 @@ TEST(ShardMapMigrationTest, CommitBumpsTheEpochExactlyOncePerBatch) {
 }
 
 TEST(ShardMapMigrationTest, ZeroSlotsReproducesTheImmobileMapAndPlansNothing) {
-  for (Placement placement : {Placement::kStriped, Placement::kHashed}) {
-    ShardMap mobile = MakeMap(3, 2, placement, /*migration_slots=*/0);
-    ShardMap plain = MakeMap(3, 2, placement, /*migration_slots=*/0);
-    EXPECT_EQ(mobile.capacity_sectors(), plain.capacity_sectors());
-    EXPECT_EQ(TotalFreeSlots(mobile), 0u);
-    // No landing space: every move is skipped and the plan is empty.
-    EXPECT_TRUE(mobile.PlanRangeMigration(0, 1, 0, 4).empty());
-    EXPECT_EQ(mobile.epoch(), 0u);
-    CheckMapIntegrity(mobile);
-  }
+  ShardMap mobile = MakeMap(3, 2, /*migration_slots=*/0);
+  ShardMap plain = MakeMap(3, 2, /*migration_slots=*/0);
+  EXPECT_EQ(mobile.capacity_sectors(), plain.capacity_sectors());
+  EXPECT_EQ(TotalFreeSlots(mobile), 0u);
+  // No landing space: every move is skipped and the plan is empty.
+  EXPECT_TRUE(mobile.PlanRangeMigration(0, 1, 0, 4).empty());
+  EXPECT_EQ(mobile.epoch(), 0u);
+  CheckMapIntegrity(mobile);
 }
 
 // Randomized churn: a seeded stream of stripe-move batches, each
 // randomly committed or aborted, must preserve map integrity and slot
-// accounting at every step -- across placements and R in {1,2,3}.
+// accounting at every step, for R in {1,2,3}.
 TEST(ShardMapMigrationTest, RandomizedMoveChurnKeepsIntegrity) {
-  for (Placement placement : {Placement::kStriped, Placement::kHashed}) {
-    for (int r = 1; r <= 3; ++r) {
-      SCOPED_TRACE(testing::Message()
-                   << "placement=" << static_cast<int>(placement)
-                   << " replication=" << r);
-      ShardMap map = MakeMap(4, r, placement, /*migration_slots=*/6);
-      const uint32_t free0 = TotalFreeSlots(map);
-      std::mt19937_64 rng(0xD15C0 + static_cast<uint64_t>(r) * 31 +
-                          static_cast<uint64_t>(placement));
-      uint64_t expected_epoch = 0;
+  for (int r = 1; r <= 3; ++r) {
+    SCOPED_TRACE(testing::Message() << "replication=" << r);
+    ShardMap map = MakeMap(4, r, /*migration_slots=*/6);
+    const uint32_t free0 = TotalFreeSlots(map);
+    std::mt19937_64 rng(0xD15C0 + static_cast<uint64_t>(r) * 31);
+    uint64_t expected_epoch = 0;
 
-      for (int step = 0; step < 40; ++step) {
-        std::vector<ShardMap::StripeMove> moves;
-        const int batch = 1 + static_cast<int>(rng() % 4);
-        for (int m = 0; m < batch; ++m) {
-          moves.push_back(ShardMap::StripeMove{
-              rng() % map.num_stripes(), static_cast<int>(rng() % r),
-              static_cast<int>(rng() % 4)});
-        }
-        std::vector<MigrationAssignment> plan = map.PlanStripeMoves(moves);
-        if (rng() % 2 == 0) {
-          if (!plan.empty()) ++expected_epoch;
-          map.CommitMigration(plan);
-        } else {
-          map.AbortMigration(plan);
-        }
-        ASSERT_EQ(map.epoch(), expected_epoch) << "step " << step;
-        ASSERT_EQ(TotalFreeSlots(map) + map.num_overrides(), free0)
-            << "step " << step << ": slot leak or double-free";
-        CheckMapIntegrity(map);
-        if (::testing::Test::HasFailure()) return;
+    for (int step = 0; step < 40; ++step) {
+      std::vector<ShardMap::StripeMove> moves;
+      const int batch = 1 + static_cast<int>(rng() % 4);
+      for (int m = 0; m < batch; ++m) {
+        moves.push_back(ShardMap::StripeMove{
+            rng() % map.num_stripes(), static_cast<int>(rng() % r),
+            static_cast<int>(rng() % 4)});
       }
+      std::vector<MigrationAssignment> plan = map.PlanStripeMoves(moves);
+      if (rng() % 2 == 0) {
+        if (!plan.empty()) ++expected_epoch;
+        map.CommitMigration(plan);
+      } else {
+        map.AbortMigration(plan);
+      }
+      ASSERT_EQ(map.epoch(), expected_epoch) << "step " << step;
+      ASSERT_EQ(TotalFreeSlots(map) + map.num_overrides(), free0)
+          << "step " << step << ": slot leak or double-free";
+      CheckMapIntegrity(map);
+      if (::testing::Test::HasFailure()) return;
     }
   }
 }

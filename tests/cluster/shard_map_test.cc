@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
-#include <utility>
 #include <vector>
 
 #include "sim/random.h"
@@ -12,17 +10,14 @@
 namespace reflex {
 namespace {
 
-using cluster::Placement;
 using cluster::ShardExtent;
 using cluster::ShardMap;
 using cluster::ShardMapOptions;
 using cluster::ShardSplit;
 
-ShardMap MakeMap(int num_shards, Placement placement,
-                 uint32_t stripe_sectors = 8,
+ShardMap MakeMap(int num_shards, uint32_t stripe_sectors = 8,
                  uint64_t capacity_sectors = 1 << 20) {
   ShardMapOptions options;
-  options.placement = placement;
   options.stripe_sectors = stripe_sectors;
   ShardMap map(options);
   for (int i = 0; i < num_shards; ++i) {
@@ -38,7 +33,7 @@ ShardSplit SplitOf(const ShardMap& map, uint64_t lba, uint32_t sectors) {
 }
 
 TEST(ShardMapTest, StripedRoutingIsRoundRobinWithDenseShardLbas) {
-  ShardMap map = MakeMap(4, Placement::kStriped, /*stripe_sectors=*/8);
+  ShardMap map = MakeMap(4, /*stripe_sectors=*/8);
   // Stripe s lives on shard s % 4 at dense shard LBA (s / 4) * 8.
   for (uint64_t stripe = 0; stripe < 64; ++stripe) {
     EXPECT_EQ(map.ShardIndexForStripe(stripe),
@@ -54,7 +49,7 @@ TEST(ShardMapTest, StripedRoutingIsRoundRobinWithDenseShardLbas) {
 }
 
 TEST(ShardMapTest, BoundaryCrossingIoSplitsWithExactBufferOffsets) {
-  ShardMap map = MakeMap(4, Placement::kStriped, /*stripe_sectors=*/8);
+  ShardMap map = MakeMap(4, /*stripe_sectors=*/8);
   // [4, 20): tail of stripe 0 (shard 0), all of stripe 1 (shard 1),
   // head of stripe 2 (shard 2).
   auto extents = SplitOf(map, 4, 16);
@@ -77,7 +72,7 @@ TEST(ShardMapTest, BoundaryCrossingIoSplitsWithExactBufferOffsets) {
 }
 
 TEST(ShardMapTest, SingleShardMergesEverythingIntoOneExtent) {
-  ShardMap map = MakeMap(1, Placement::kStriped, /*stripe_sectors=*/8);
+  ShardMap map = MakeMap(1, /*stripe_sectors=*/8);
   // Every stripe lands on shard 0 contiguously, so the per-stripe runs
   // merge back into a single extent.
   auto extents = SplitOf(map, 3, 1000);
@@ -87,89 +82,39 @@ TEST(ShardMapTest, SingleShardMergesEverythingIntoOneExtent) {
 }
 
 TEST(ShardMapTest, CapacityFollowsPlacement) {
-  // Striped: 4 shards x 100 whole stripes of 8 sectors each; the
-  // 7-sector remainder of each shard is unusable.
-  ShardMap striped = MakeMap(4, Placement::kStriped, 8, 807);
-  EXPECT_EQ(striped.capacity_sectors(), 4u * 100u * 8u);
-  // Hashed: identity addressing, so the volume is one shard's worth.
-  ShardMap hashed = MakeMap(4, Placement::kHashed, 8, 807);
-  EXPECT_EQ(hashed.capacity_sectors(), 100u * 8u);
+  // 4 shards x 100 whole stripes of 8 sectors each; the 7-sector
+  // remainder of each shard is unusable.
+  ShardMap map = MakeMap(4, 8, 807);
+  EXPECT_EQ(map.capacity_sectors(), 4u * 100u * 8u);
 }
 
 TEST(ShardMapTest, RoutingStableUnderShardAddOrder) {
-  for (Placement placement : {Placement::kStriped, Placement::kHashed}) {
-    ShardMapOptions options;
-    options.placement = placement;
-    options.stripe_sectors = 8;
-    ShardMap forward(options);
-    ShardMap shuffled(options);
-    for (uint32_t id : {0u, 1u, 2u, 3u, 4u}) forward.AddShard(id, 1 << 20);
-    for (uint32_t id : {3u, 0u, 4u, 2u, 1u}) shuffled.AddShard(id, 1 << 20);
-
-    sim::Rng rng(7, "add_order");
-    for (int trial = 0; trial < 500; ++trial) {
-      const uint64_t lba = static_cast<uint64_t>(rng.NextBounded(100000));
-      const uint32_t sectors =
-          static_cast<uint32_t>(rng.NextInRange(1, 200));
-      const auto a = SplitOf(forward, lba, sectors);
-      const auto b = SplitOf(shuffled, lba, sectors);
-      ASSERT_EQ(a.size(), b.size());
-      for (size_t i = 0; i < a.size(); ++i) {
-        EXPECT_EQ(a.Primary(a[i]).shard_id, b.Primary(b[i]).shard_id);
-        EXPECT_EQ(a.Primary(a[i]).shard_lba, b.Primary(b[i]).shard_lba);
-        EXPECT_EQ(a[i].sectors, b[i].sectors);
-        EXPECT_EQ(a[i].buffer_offset_sectors, b[i].buffer_offset_sectors);
-      }
-    }
-  }
-}
-
-TEST(ShardMapTest, HashedPlacementSpreadsStripesRoughlyEvenly) {
-  ShardMap map = MakeMap(4, Placement::kHashed);
-  std::map<int, int> counts;
-  const int kStripes = 4096;
-  for (uint64_t s = 0; s < kStripes; ++s) {
-    counts[map.ShardIndexForStripe(s)]++;
-  }
-  ASSERT_EQ(counts.size(), 4u);
-  for (const auto& [shard, count] : counts) {
-    // Expected 25%; a rendezvous hash should not be off by 2x.
-    EXPECT_GT(count, kStripes / 8) << "shard " << shard;
-    EXPECT_LT(count, kStripes / 2) << "shard " << shard;
-  }
-}
-
-TEST(ShardMapTest, HashedPlacementMovesFewStripesOnShardAdd) {
   ShardMapOptions options;
-  options.placement = Placement::kHashed;
-  ShardMap before(options);
-  ShardMap after(options);
-  for (uint32_t id = 0; id < 4; ++id) {
-    before.AddShard(id, 1 << 20);
-    after.AddShard(id, 1 << 20);
-  }
-  after.AddShard(4, 1 << 20);
+  options.stripe_sectors = 8;
+  ShardMap forward(options);
+  ShardMap shuffled(options);
+  for (uint32_t id : {0u, 1u, 2u, 3u, 4u}) forward.AddShard(id, 1 << 20);
+  for (uint32_t id : {3u, 0u, 4u, 2u, 1u}) shuffled.AddShard(id, 1 << 20);
 
-  const int kStripes = 4096;
-  int moved = 0;
-  for (uint64_t s = 0; s < kStripes; ++s) {
-    const uint32_t id_before = before.shard_id(before.ShardIndexForStripe(s));
-    const uint32_t id_after = after.shard_id(after.ShardIndexForStripe(s));
-    if (id_before != id_after) {
-      ++moved;
-      // Rendezvous only ever moves a stripe onto the new shard.
-      EXPECT_EQ(id_after, 4u);
+  sim::Rng rng(7, "add_order");
+  for (int trial = 0; trial < 500; ++trial) {
+    const uint64_t lba = static_cast<uint64_t>(rng.NextBounded(100000));
+    const uint32_t sectors = static_cast<uint32_t>(rng.NextInRange(1, 200));
+    const auto a = SplitOf(forward, lba, sectors);
+    const auto b = SplitOf(shuffled, lba, sectors);
+    ASSERT_EQ(a.size(), b.size());
+    for (size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.Primary(a[i]).shard_id, b.Primary(b[i]).shard_id);
+      EXPECT_EQ(a.Primary(a[i]).shard_lba, b.Primary(b[i]).shard_lba);
+      EXPECT_EQ(a[i].sectors, b[i].sectors);
+      EXPECT_EQ(a[i].buffer_offset_sectors, b[i].buffer_offset_sectors);
     }
   }
-  // Ideal is 1/5 of stripes; allow generous slack but far below the
-  // ~3/4 a mod-N remap would cause.
-  EXPECT_GT(moved, kStripes / 10);
-  EXPECT_LT(moved, kStripes * 2 / 5);
 }
 
 TEST(ShardMapTest, IoEndingExactlyOnLastSectorIsServed) {
   // 4 shards x (1<<20) sectors, stripe 8 => volume of 1<<22 sectors.
-  ShardMap map = MakeMap(4, Placement::kStriped, /*stripe_sectors=*/8);
+  ShardMap map = MakeMap(4, /*stripe_sectors=*/8);
   const uint64_t capacity = map.capacity_sectors();
   ASSERT_EQ(capacity, uint64_t{1} << 22);
 
@@ -192,20 +137,17 @@ TEST(ShardMapTest, IoEndingExactlyOnLastSectorIsServed) {
 }
 
 TEST(ShardMapTest, ZeroSectorRequestYieldsNoExtents) {
-  for (Placement placement : {Placement::kStriped, Placement::kHashed}) {
-    ShardMap map = MakeMap(4, placement, /*stripe_sectors=*/8);
-    EXPECT_TRUE(SplitOf(map, 0, 0).empty());
-    EXPECT_TRUE(SplitOf(map, 17, 0).empty());
-    // Even at the very end of the volume: lba + 0 == capacity is not
-    // out of range.
-    EXPECT_TRUE(SplitOf(map, map.capacity_sectors(), 0).empty());
-  }
+  ShardMap map = MakeMap(4, /*stripe_sectors=*/8);
+  EXPECT_TRUE(SplitOf(map, 0, 0).empty());
+  EXPECT_TRUE(SplitOf(map, 17, 0).empty());
+  // Even at the very end of the volume: lba + 0 == capacity is not out
+  // of range.
+  EXPECT_TRUE(SplitOf(map, map.capacity_sectors(), 0).empty());
 }
 
 TEST(ShardMapTest, SingleRequestCanSpanEveryShard) {
   const int kShards = 4;
-  ShardMap map = MakeMap(kShards, Placement::kStriped,
-                         /*stripe_sectors=*/8);
+  ShardMap map = MakeMap(kShards, /*stripe_sectors=*/8);
   // [0, 32) covers stripes 0..3, one on each of the 4 shards.
   auto extents = SplitOf(map, 0, 32);
   ASSERT_EQ(extents.size(), 4u);
@@ -221,14 +163,13 @@ TEST(ShardMapTest, SingleRequestCanSpanEveryShard) {
 }
 
 TEST(ShardMapTest, MergeNeverReordersExtents) {
-  // Hashed placement can land consecutive stripes on one shard (which
-  // merges) or ping-pong between shards; either way the extents must
-  // stay in logical order with monotonically increasing buffer
-  // offsets -- reassembly depends on it.
+  // One shard merges consecutive stripes; several ping-pong between
+  // shards. Either way the extents must stay in logical order with
+  // monotonically increasing buffer offsets -- reassembly depends on
+  // it.
   sim::Rng rng(123, "merge_order");
   for (int shards : {1, 2, 5}) {
-    ShardMap map = MakeMap(shards, Placement::kHashed,
-                           /*stripe_sectors=*/4);
+    ShardMap map = MakeMap(shards, /*stripe_sectors=*/4);
     for (int trial = 0; trial < 500; ++trial) {
       const uint64_t lba = rng.NextBounded(1 << 16);
       const uint32_t sectors =
@@ -251,50 +192,43 @@ TEST(ShardMapTest, MergeNeverReordersExtents) {
  */
 TEST(ShardMapTest, PropertySplitTilesLogicalRangeExactly) {
   sim::Rng rng(99, "split_property");
-  for (Placement placement : {Placement::kStriped, Placement::kHashed}) {
-    ShardMap map = MakeMap(5, placement, /*stripe_sectors=*/16);
-    for (int trial = 0; trial < 2000; ++trial) {
-      const uint64_t lba = rng.NextBounded(1 << 18);
-      const uint32_t sectors =
-          static_cast<uint32_t>(rng.NextInRange(1, 300));
-      const auto extents = SplitOf(map, lba, sectors);
+  ShardMap map = MakeMap(5, /*stripe_sectors=*/16);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const uint64_t lba = rng.NextBounded(1 << 18);
+    const uint32_t sectors = static_cast<uint32_t>(rng.NextInRange(1, 300));
+    const auto extents = SplitOf(map, lba, sectors);
 
-      uint64_t logical = lba;
-      uint32_t buffer = 0;
-      for (const ShardExtent& e : extents) {
-        ASSERT_GT(e.sectors, 0u);
-        ASSERT_EQ(e.buffer_offset_sectors, buffer);
-        // Check each sector of the extent against per-stripe routing.
-        for (uint32_t k = 0; k < e.sectors; ++k) {
-          const uint64_t cur = logical + k;
-          const uint64_t stripe = cur / 16;
-          const uint32_t within = static_cast<uint32_t>(cur % 16);
-          ASSERT_EQ(map.ShardIndexForStripe(stripe),
-                    extents.Primary(e).shard_index);
-          const uint64_t want_lba =
-              placement == Placement::kStriped
-                  ? (stripe / 5) * 16 + within
-                  : cur;
-          ASSERT_EQ(extents.Primary(e).shard_lba + k, want_lba);
-        }
-        logical += e.sectors;
-        buffer += e.sectors;
+    uint64_t logical = lba;
+    uint32_t buffer = 0;
+    for (const ShardExtent& e : extents) {
+      ASSERT_GT(e.sectors, 0u);
+      ASSERT_EQ(e.buffer_offset_sectors, buffer);
+      // Check each sector of the extent against per-stripe routing.
+      for (uint32_t k = 0; k < e.sectors; ++k) {
+        const uint64_t cur = logical + k;
+        const uint64_t stripe = cur / 16;
+        const uint32_t within = static_cast<uint32_t>(cur % 16);
+        ASSERT_EQ(map.ShardIndexForStripe(stripe),
+                  extents.Primary(e).shard_index);
+        ASSERT_EQ(extents.Primary(e).shard_lba + k,
+                  (stripe / 5) * 16 + within);
       }
-      ASSERT_EQ(logical, lba + sectors);
-      ASSERT_EQ(buffer, sectors);
+      logical += e.sectors;
+      buffer += e.sectors;
     }
+    ASSERT_EQ(logical, lba + sectors);
+    ASSERT_EQ(buffer, sectors);
   }
 }
 
-// Pins capacity_sectors() (now an O(1) cached value recomputed by
+// Pins capacity_sectors() (an O(1) cached value recomputed by
 // AddShard -- Split consults it per request on the cluster hot path):
-// it must track the shard set exactly as the on-demand min-scan did,
-// including uneven capacities and both placements.
+// it must track the shard set exactly as an on-demand min-scan would,
+// including uneven capacities.
 TEST(ShardMapTest, CapacityTracksShardSetAcrossAdds) {
-  ShardMapOptions striped;
-  striped.placement = Placement::kStriped;
-  striped.stripe_sectors = 8;
-  ShardMap map(striped);
+  ShardMapOptions options;
+  options.stripe_sectors = 8;
+  ShardMap map(options);
   EXPECT_EQ(map.capacity_sectors(), 0u) << "no shards, no capacity";
 
   // Uneven capacities: the smallest shard bounds the whole-stripe
@@ -305,24 +239,13 @@ TEST(ShardMapTest, CapacityTracksShardSetAcrossAdds) {
   EXPECT_EQ(map.capacity_sectors(), 2u * 12u * 8u);
   map.AddShard(2, 64);  // new smallest: 8 stripes per shard
   EXPECT_EQ(map.capacity_sectors(), 3u * 8u * 8u);
-
-  // Hashed placement: identity addressing means any shard must back
-  // the whole volume, so the smallest shard alone bounds it.
-  ShardMapOptions hashed;
-  hashed.placement = Placement::kHashed;
-  hashed.stripe_sectors = 8;
-  ShardMap hmap(hashed);
-  hmap.AddShard(0, 256);
-  EXPECT_EQ(hmap.capacity_sectors(), 256u);
-  hmap.AddShard(1, 100);
-  EXPECT_EQ(hmap.capacity_sectors(), 12u * 8u);
-  hmap.AddShard(2, 1 << 20);
-  EXPECT_EQ(hmap.capacity_sectors(), 12u * 8u)
-      << "a large shard cannot raise a min-bounded capacity";
+  map.AddShard(4, 1 << 20);
+  EXPECT_EQ(map.capacity_sectors(), 4u * 8u * 8u)
+      << "a large shard adds only the smallest shard's stripe count";
 
   // Split still enforces the bound at the cached capacity's edge.
-  EXPECT_FALSE(SplitOf(hmap, 88, 8).empty());
-  EXPECT_TRUE(SplitOf(hmap, 90, 0).empty());
+  EXPECT_FALSE(SplitOf(map, 4 * 8 * 8 - 8, 8).empty());
+  EXPECT_TRUE(SplitOf(map, 4 * 8 * 8, 0).empty());
 }
 
 }  // namespace

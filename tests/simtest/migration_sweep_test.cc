@@ -53,6 +53,19 @@ TEST(MigrationSweepTest, ForcedMigrationSeedsStayClean) {
       << "no seed started a migration; the sweep lost its coverage";
 }
 
+// Seeds that once lost an acknowledged write at cutover: the write was
+// admitted under a copying gate and still queued or in flight when a
+// recopy cleared the gate's dirty bit and read the range, so the
+// cutover committed a copy without it. Seed 1755 (R=2, autoscaler)
+// failed the default sweep, seed 818 the --policy qwin sweep.
+TEST(MigrationSweepTest, WritesInFlightAcrossARecopyReachTheTarget) {
+  ExpectClean(RunScenario(GenerateScenario(1755)), 1755);
+  ScenarioSpec qwin = GenerateScenario(818);
+  qwin.policy = core::QosPolicyKind::kQwin;
+  qwin.enforce_qos = true;
+  ExpectClean(RunScenario(qwin), 818);
+}
+
 TEST(MigrationSweepTest, MigrationSweepIsBitIdenticalAcrossRuns) {
   auto sweep = [] {
     std::vector<std::string> artifacts;
