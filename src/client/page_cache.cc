@@ -8,16 +8,14 @@ namespace reflex::client {
 
 PageCache::PageCache(sim::Simulator& sim, client::StorageBackend& backend,
                      uint32_t capacity_pages, int max_outstanding,
-                     int readahead_pages, RetryPolicy retry)
+                     int readahead_pages)
     : sim_(sim),
       backend_(backend),
       capacity_pages_(capacity_pages),
       readahead_pages_(readahead_pages),
-      retry_(retry),
       io_slots_(sim, max_outstanding) {
   REFLEX_CHECK(capacity_pages >= 1);
   REFLEX_CHECK(readahead_pages >= 0);
-  REFLEX_CHECK(retry.max_attempts >= 1);
 }
 
 sim::Future<const uint8_t*> PageCache::GetPage(uint64_t byte_offset) {
@@ -94,28 +92,20 @@ sim::Task PageCache::Fetch(uint32_t e) {
   uint8_t* const data = entries_[e].data.get();
   const uint64_t offset = entries_[e].page_id * kPageBytes;
   client::IoResult r;
-  int attempt = 0;
   for (;;) {
     r = co_await backend_.ReadBytes(offset, kPageBytes, data);
-    ++attempt;
     Entry& entry = entries_[e];
     // If the range was invalidated while this read was outstanding,
-    // the buffer may hold pre-invalidation data: re-read. Does not
-    // count against the failure-retry budget.
-    if (entry.invalidated) {
-      entry.invalidated = false;
-      ++stats_.invalidated_refetches;
-      continue;
-    }
-    if (r.ok() || attempt >= retry_.max_attempts) break;
-    ++stats_.fetch_retries;
-    co_await sim::Delay(sim_, retry_.backoff);
+    // the buffer may hold pre-invalidation data: re-read.
+    if (!entry.invalidated) break;
+    entry.invalidated = false;
+    ++stats_.invalidated_refetches;
   }
   io_slots_.Release();
   if (!r.ok()) {
-    // Persistent failure: surface it to the waiters instead of
-    // panicking the whole simulation; callers decide whether a
-    // missing page is fatal.
+    // Surface the failure to the waiters instead of panicking the
+    // whole simulation; callers decide whether a missing page is
+    // fatal.
     ++stats_.fetch_failures;
     ResolveWaiters(e, nullptr);
     FreeEntry(e);

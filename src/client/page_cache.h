@@ -10,7 +10,6 @@
 #include "sim/flat_index.h"
 #include "sim/slot_pool.h"
 #include "sim/task.h"
-#include "sim/time.h"
 
 namespace reflex::client {
 
@@ -29,18 +28,10 @@ class PageCache {
     int64_t misses = 0;
     int64_t evictions = 0;
     int64_t readaheads = 0;
-    /** Backend read retries before a fetch succeeded or gave up. */
-    int64_t fetch_retries = 0;
-    /** Fetches that exhausted retries (waiters received nullptr). */
+    /** Fetches whose backend read failed (waiters received nullptr). */
     int64_t fetch_failures = 0;
     /** Fetches re-issued because the page was invalidated mid-fetch. */
     int64_t invalidated_refetches = 0;
-  };
-
-  /** Fetch failure policy: attempts per page before giving up. */
-  struct RetryPolicy {
-    int max_attempts = 3;
-    sim::TimeNs backoff = sim::Micros(200);
   };
 
   /**
@@ -49,14 +40,8 @@ class PageCache {
    *        sequential readahead; 0 disables).
    */
   PageCache(sim::Simulator& sim, client::StorageBackend& backend,
-            uint32_t capacity_pages, int max_outstanding,
-            int readahead_pages, RetryPolicy retry);
-
-  PageCache(sim::Simulator& sim, client::StorageBackend& backend,
             uint32_t capacity_pages, int max_outstanding = 64,
-            int readahead_pages = 0)
-      : PageCache(sim, backend, capacity_pages, max_outstanding,
-                  readahead_pages, RetryPolicy()) {}
+            int readahead_pages = 0);
 
   /**
    * Returns a pointer to the page containing `byte_offset` (rounded
@@ -64,8 +49,11 @@ class PageCache {
    * is valid only until the caller suspends again, by any co_await at
    * all: any other process may then evict or invalidate the page, and
    * its buffer is recycled for another page. Copy or parse what you
-   * need first. Resolves to nullptr if the backend read failed
-   * persistently (after RetryPolicy::max_attempts tries).
+   * need first. Resolves to nullptr if the backend read failed. The
+   * cache does not retry: read retransmission belongs to the backend's
+   * client library (ReflexClient::RetryPolicy, also reachable through
+   * BlockDevice::Options::retry) or, over a cluster, to its
+   * ClusterSession.
    */
   sim::Future<const uint8_t*> GetPage(uint64_t byte_offset);
 
@@ -146,7 +134,6 @@ class PageCache {
   client::StorageBackend& backend_;
   uint32_t capacity_pages_;
   int readahead_pages_;
-  RetryPolicy retry_;
   sim::Semaphore io_slots_;
   /** Recent miss pages, for sequential-pattern detection. */
   std::array<uint64_t, 8> recent_misses_{};

@@ -19,6 +19,12 @@ sim::Future<IoResult> TenantSession::Read(uint64_t lba, uint32_t sectors,
                           conn_index);
 }
 
+sim::Future<IoResult> TenantSession::ReadOnce(uint64_t lba, uint32_t sectors,
+                                              uint8_t* data, int conn_index) {
+  return client_.SubmitIo(this, core::ReqType::kRead, lba, sectors, data,
+                          conn_index, /*retransmit=*/false);
+}
+
 sim::Future<IoResult> TenantSession::Write(uint64_t lba, uint32_t sectors,
                                            uint8_t* data, int conn_index) {
   return client_.SubmitIo(this, core::ReqType::kWrite, lba, sectors, data,
@@ -156,7 +162,7 @@ sim::Future<core::ResponseMsg> ReflexClient::Unregister(uint32_t handle) {
 sim::Future<IoResult> ReflexClient::SubmitIo(const TenantSession* session,
                                              core::ReqType type, uint64_t lba,
                                              uint32_t sectors, uint8_t* data,
-                                             int conn_index) {
+                                             int conn_index, bool retransmit) {
   const uint32_t handle = session->handle();
   core::RequestMsg msg;
   msg.type = type;
@@ -197,6 +203,7 @@ sim::Future<IoResult> ReflexClient::SubmitIo(const TenantSession* session,
   op.data = data;
   op.wire = msg.data;
   op.conn_index = conn_index;
+  op.max_retries = retransmit ? options_.retry.max_retries : 0;
   pending_.Insert(msg.cookie, ops_.Add(std::move(op)));
 
   // Client-side transmit processing, then ship over TCP.
@@ -288,7 +295,7 @@ void ReflexClient::OnTimeout(uint64_t cookie, int attempt) {
   }
 
   const bool idempotent = op.type == core::ReqType::kRead;
-  if (idempotent && op.attempts <= options_.retry.max_retries) {
+  if (idempotent && op.attempts <= op.max_retries) {
     Retransmit(cookie, BackoffDelay(op.attempts));
     return;
   }
@@ -402,7 +409,7 @@ void ReflexClient::OnResponse(const core::ResponseMsg& resp) {
     if (live.type == core::ReqType::kRead &&
         (resp.status == core::ReqStatus::kDeviceError ||
          resp.status == core::ReqStatus::kOutOfResources) &&
-        live.attempts <= options_.retry.max_retries) {
+        live.attempts <= live.max_retries) {
       Retransmit(resp.cookie, BackoffDelay(live.attempts));
       return;
     }

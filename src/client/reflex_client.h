@@ -61,6 +61,15 @@ class TenantSession : public IoSession {
                              uint8_t* data = nullptr,
                              int conn_index = -1) override;
 
+  /**
+   * Read() with a retransmit budget of 0: its first timeout or error
+   * reply resolves it. For a caller that owns the retry decision
+   * itself, such as a replicated read that fails over to another copy.
+   */
+  sim::Future<IoResult> ReadOnce(uint64_t lba, uint32_t sectors,
+                                 uint8_t* data = nullptr,
+                                 int conn_index = -1);
+
   /** Issues a write; see Read(). */
   sim::Future<IoResult> Write(uint64_t lba, uint32_t sectors,
                               uint8_t* data = nullptr,
@@ -124,7 +133,10 @@ class ReflexClient {
     /** 0 disables timeouts and all retry machinery. */
     sim::TimeNs request_timeout = 0;
     /** Retransmissions per read on timeout or on a kDeviceError /
-     * kOutOfResources reply. */
+     * kOutOfResources reply. A read issued by TenantSession::ReadOnce()
+     * gets none: ClusterSession sends a replicated read that way while
+     * another live copy is untried, and only its last candidate
+     * retransmits. */
     int max_retries = 0;
     /** First retransmission delay; each later one doubles it, up to
      * a fixed 5 ms cap. */
@@ -252,6 +264,9 @@ class ReflexClient {
     core::Payload wire = {};
     int conn_index = 0;
     int attempts = 1;
+    /** Retransmissions this op may make: RetryPolicy::max_retries, or
+     * 0 for a ReadOnce(). */
+    int max_retries = 0;
     /**
      * Live timeout watchdog for the newest attempt. Cancelled the
      * moment the op resolves, so completed requests no longer leave a
@@ -268,10 +283,11 @@ class ReflexClient {
    * connections accepted directly onto `handle`'s dataplane thread.
    */
   bool EnsureSessionConnections(uint32_t handle, core::ReqStatus* status);
+  /** Issues one I/O; `retransmit` false gives it no retry budget. */
   sim::Future<IoResult> SubmitIo(const TenantSession* session,
                                  core::ReqType type, uint64_t lba,
                                  uint32_t sectors, uint8_t* data,
-                                 int conn_index);
+                                 int conn_index, bool retransmit = true);
   /** Forgets the caller buffers of `session`'s unresolved ops: a late
    * response to one of them copies nothing. */
   void DetachBuffers(const TenantSession* session);

@@ -108,13 +108,8 @@ sim::Future<client::IoResult> ClusterSession::Submit(bool is_read,
   sim::Simulator& sim = client_.cluster().sim();
   sim::Promise<client::IoResult> promise(sim);
   auto future = promise.GetFuture();
-  const uint32_t slot = io_slots_.Acquire();
-  if (is_read) {
-    FanOutRead(slot, data, lane, lba, sectors, sim.Now(), std::move(promise));
-  } else {
-    FanOutWrite(slot, data, lane, lba, sectors, sim.Now(),
-                std::move(promise));
-  }
+  FanOut(is_read, io_slots_.Acquire(), data, lane, lba, sectors, sim.Now(),
+         std::move(promise));
   return future;
 }
 
@@ -128,7 +123,6 @@ void ClusterSession::Route(uint32_t slot, uint64_t lba, uint32_t sectors,
   if (attempt == 0 && s.split.size() > 1) ++requests_split_;
   s.reads.clear();
   s.candidates.clear();
-  s.tried.clear();
   s.writes.clear();
 }
 
@@ -161,37 +155,72 @@ uint32_t ClusterSession::AppendLiveTargets(
 
 size_t ClusterSession::SteerChoice(std::span<const ReplicaTarget> candidates) {
   const size_t n = candidates.size();
-  if (n == 1) return 0;
-  // Shallower estimated queue wins; ties break by shard id so the
-  // choice is deterministic for identical hints.
-  auto better = [this, candidates](size_t a, size_t b) {
-    const double da = client_.EffectiveQueueDepth(candidates[a].shard_index);
-    const double db = client_.EffectiveQueueDepth(candidates[b].shard_index);
-    if (da != db) return da < db;
-    return candidates[a].shard_id < candidates[b].shard_id;
-  };
   switch (client_.options().steering) {
     case SteeringPolicy::kPrimaryOnly:
       return 0;
-    case SteeringPolicy::kFullScan: {
-      size_t best = 0;
-      for (size_t i = 1; i < n; ++i) {
-        if (better(i, best)) best = i;
+    case SteeringPolicy::kPowerOfTwo:
+      if (n > 2) {
+        // Two distinct uniform draws; the RNG is consumed only on this
+        // path, so R<=2 configurations draw nothing and stay
+        // bit-identical to their unreplicated runs.
+        size_t i = static_cast<size_t>(steer_rng_.NextBounded(n));
+        size_t j = static_cast<size_t>(steer_rng_.NextBounded(n - 1));
+        if (j >= i) ++j;
+        return Shallower(candidates[i], candidates[j]) ? i : j;
       }
-      return best;
-    }
-    case SteeringPolicy::kPowerOfTwo: {
-      if (n <= 2) return better(0, 1) ? 0 : 1;
-      // Two distinct uniform draws; the RNG is consumed only on this
-      // path, so R<=2 configurations draw nothing and stay
-      // bit-identical to their unreplicated runs.
-      size_t i = static_cast<size_t>(steer_rng_.NextBounded(n));
-      size_t j = static_cast<size_t>(steer_rng_.NextBounded(n - 1));
-      if (j >= i) ++j;
-      return better(i, j) ? i : j;
-    }
+      // Two candidates are both sampled: the full scan picks the same.
+      [[fallthrough]];
+    case SteeringPolicy::kFullScan:
+      return Shallowest(candidates);
   }
   return 0;
+}
+
+bool ClusterSession::Shallower(const ReplicaTarget& a,
+                               const ReplicaTarget& b) const {
+  const double da = client_.EffectiveQueueDepth(a.shard_index);
+  const double db = client_.EffectiveQueueDepth(b.shard_index);
+  if (da != db) return da < db;
+  return a.shard_id < b.shard_id;
+}
+
+size_t ClusterSession::Shallowest(
+    std::span<const ReplicaTarget> candidates) const {
+  size_t best = 0;
+  for (size_t i = 1; i < candidates.size(); ++i) {
+    if (Shallower(candidates[i], candidates[best])) best = i;
+  }
+  return best;
+}
+
+void ClusterSession::SendRead(IoSlot& s, ExtentRead& st, uint32_t c,
+                              int lane) {
+  // Tried candidates stay at the front of the run, in send order. The
+  // shallowest rule ranks by depth and shard id alone, so this reorder
+  // never changes a later pick.
+  std::swap(s.candidates[st.first + st.tried], s.candidates[st.first + c]);
+  const ReplicaTarget& t = s.candidates[st.first + st.tried];
+  ++st.tried;
+  client::TenantSession& shard = *shard_sessions_[t.shard_index];
+  st.future = st.tried < st.count
+                  ? shard.ReadOnce(t.shard_lba, st.sectors, st.chunk, lane)
+                  : shard.Read(t.shard_lba, st.sectors, st.chunk, lane);
+}
+
+bool ClusterSession::FailOver(uint32_t slot, size_t extent,
+                              core::ReqStatus status, int lane) {
+  IoSlot& s = io_slots_[slot];
+  ExtentRead& st = s.reads[extent];
+  if (status == core::ReqStatus::kTimedOut) {
+    client_.PenalizeShard(s.candidates[st.first + st.tried - 1].shard_index);
+  }
+  if (st.tried == st.count) return false;
+  ++read_failovers_;
+  const std::span<const ReplicaTarget> untried(
+      s.candidates.data() + st.first + st.tried, st.count - st.tried);
+  SendRead(s, st, st.tried + static_cast<uint32_t>(Shallowest(untried)),
+           lane);
+  return true;
 }
 
 void ClusterSession::IssueReads(uint32_t slot, uint8_t* data, int lane) {
@@ -204,7 +233,6 @@ void ClusterSession::IssueReads(uint32_t slot, uint8_t* data, int lane) {
     st.first = static_cast<uint32_t>(s.candidates.size());
     st.count = AppendLiveTargets(s.split.Targets(e), &s.candidates);
     if (st.count == 0) continue;
-    s.tried.resize(s.candidates.size(), false);
     st.chunk = data == nullptr
                    ? nullptr
                    : data + static_cast<size_t>(e.buffer_offset_sectors) *
@@ -212,11 +240,7 @@ void ClusterSession::IssueReads(uint32_t slot, uint8_t* data, int lane) {
     st.sectors = e.sectors;
     const std::span<const ReplicaTarget> live(s.candidates.data() + st.first,
                                               st.count);
-    st.inflight = static_cast<uint32_t>(SteerChoice(live));
-    s.tried[st.first + st.inflight] = true;
-    const ReplicaTarget& t = live[st.inflight];
-    st.future = shard_sessions_[t.shard_index]->Read(t.shard_lba, e.sectors,
-                                                     st.chunk, lane);
+    SendRead(s, st, static_cast<uint32_t>(SteerChoice(live)), lane);
   }
 }
 
@@ -239,158 +263,104 @@ void ClusterSession::IssueWrites(uint32_t slot, uint8_t* data, int lane) {
   }
 }
 
-sim::Task ClusterSession::FanOutRead(uint32_t slot, uint8_t* data, int lane,
-                                     uint64_t lba, uint32_t sectors,
-                                     sim::TimeNs issue_time,
-                                     sim::Promise<client::IoResult> promise) {
+sim::Task ClusterSession::FanOut(bool is_read, uint32_t slot, uint8_t* data,
+                                 int lane, uint64_t lba, uint32_t sectors,
+                                 sim::TimeNs issue_time,
+                                 sim::Promise<client::IoResult> promise) {
   co_await sim::SelfHandle(&io_slots_[slot].frame);
   client::IoResult result;
   for (int attempt = 0;; ++attempt) {
     Route(slot, lba, sectors, attempt);
-    IssueReads(slot, data, lane);
-    result = client::IoResult();
-    result.issue_time = issue_time;
-    bool saw_wrong_shard = false;
-    const size_t extents = io_slots_[slot].reads.size();
-    for (size_t i = 0; i < extents; ++i) {
-      if (io_slots_[slot].reads[i].count == 0) {
-        if (result.ok()) result.status = core::ReqStatus::kDeviceError;
-        continue;
-      }
-      client::IoResult r = co_await *io_slots_[slot].reads[i].future;
-      int serving = 0;
-      // Failover: steer away from the failed replica and retry each
-      // untried one (shallowest estimated queue first, ties by shard
-      // id) until a copy serves the read or the set is exhausted.
-      for (;;) {
-        IoSlot& s = io_slots_[slot];
-        ExtentRead& st = s.reads[i];
-        const ReplicaTarget* live = s.candidates.data() + st.first;
-        serving = live[st.inflight].shard_index;
-        if (r.ok()) break;
-        if (r.status == core::ReqStatus::kWrongShard &&
-            attempt < kMaxWrongShardRetries) {
-          // Stale routing, not a replica fault: every replica in this
-          // (old) placement is equally stale, so failover is pointless.
-          // The whole request reissues off a refreshed map below. Once
-          // the budget is spent it degrades to the ordinary failure
-          // path instead.
-          saw_wrong_shard = true;
-          break;
-        }
-        if (r.status == core::ReqStatus::kTimedOut) {
-          client_.PenalizeShard(serving);
-        }
-        uint32_t next = st.count;
-        for (uint32_t c = 0; c < st.count; ++c) {
-          if (s.tried[st.first + c]) continue;
-          if (next == st.count) {
-            next = c;
-            continue;
-          }
-          const double dc = client_.EffectiveQueueDepth(live[c].shard_index);
-          const double dn =
-              client_.EffectiveQueueDepth(live[next].shard_index);
-          if (dc < dn ||
-              (dc == dn && live[c].shard_id < live[next].shard_id)) {
-            next = c;
-          }
-        }
-        if (next == st.count) break;  // all replicas tried
-        ++read_failovers_;
-        s.tried[st.first + next] = true;
-        st.inflight = next;
-        st.future = shard_sessions_[live[next].shard_index]->Read(
-            live[next].shard_lba, st.sectors, st.chunk, lane);
-        r = co_await *st.future;
-      }
-      if (r.ok()) {
-        // Attribution follows the shard that actually served this
-        // sub-read -- after steering or failover that is not
-        // necessarily the primary.
-        shard_latency_[serving].Record(r.Latency());
-        ++shard_reads_served_[serving];
-      } else if (result.ok()) {
-        // First failing extent's status wins (extents are awaited in
-        // logical-LBA order, so the reported status is deterministic).
-        result.status = r.status;
-      }
+    // Write replicas that failed while a sibling succeeded are marked
+    // dirty (they now miss `version`) and serve no reads until
+    // reinstated.
+    const uint64_t version = is_read ? 0 : client_.NextWriteVersion();
+    if (is_read) {
+      IssueReads(slot, data, lane);
+    } else {
+      IssueWrites(slot, data, lane);
     }
-    if (!saw_wrong_shard || attempt >= kMaxWrongShardRetries) break;
-    co_await WrongShardBackoff(slot, attempt);
-  }
-  result.complete_time = client_.cluster().sim().Now();
-  promise.Set(result);
-  io_slots_[slot].frame = nullptr;
-  io_slots_.Release(slot);
-}
-
-sim::Task ClusterSession::FanOutWrite(uint32_t slot, uint8_t* data, int lane,
-                                      uint64_t lba, uint32_t sectors,
-                                      sim::TimeNs issue_time,
-                                      sim::Promise<client::IoResult> promise) {
-  co_await sim::SelfHandle(&io_slots_[slot].frame);
-  client::IoResult result;
-  for (int attempt = 0;; ++attempt) {
-    Route(slot, lba, sectors, attempt);
-    // Replicas that failed while a sibling succeeded are marked dirty
-    // (they now miss `version`) and serve no reads until reinstated.
-    const uint64_t version = client_.NextWriteVersion();
-    IssueWrites(slot, data, lane);
     result = client::IoResult();
     result.issue_time = issue_time;
-    bool saw_wrong_shard = false;
+    // kWrongShard is stale routing, not a replica fault: every replica
+    // in the (old) placement is equally stale, so failover is pointless
+    // and the shard must NOT be marked dirty -- it still serves every
+    // range it does own. The whole request reissues off a refreshed
+    // map. Once the budget is spent a bounce degrades to the ordinary
+    // failure path.
+    const bool may_bounce = attempt < kMaxWrongShardRetries;
+    bool bounced = false;
     const size_t extents = io_slots_[slot].split.size();
     const size_t replicas = io_slots_[slot].split.replication();
     for (size_t e = 0; e < extents; ++e) {
-      int ok_live = 0;
-      core::ReqStatus first_fail = core::ReqStatus::kOk;
-      io_slots_[slot].failed_shards.clear();
-      for (size_t k = e * replicas; k < (e + 1) * replicas; ++k) {
-        const client::IoResult r = co_await io_slots_[slot].writes[k].future;
-        IoSlot& s = io_slots_[slot];
-        const int shard = s.writes[k].shard_index;
-        if (r.ok()) {
-          // Per-shard service latency of the copy this shard wrote.
-          shard_latency_[shard].Record(r.Latency());
-          // Only a copy on a *readable* (non-dirty) replica can commit
-          // the extent: a dirty replica serves no reads, so data held
-          // only there would make every later read stale.
-          if (!client_.IsDirty(shard)) ++ok_live;
-        } else if (r.status == core::ReqStatus::kWrongShard &&
-                   attempt < kMaxWrongShardRetries) {
-          // The shard no longer owns this placement (or is draining
-          // it). That is stale routing, not a missed write: the shard
-          // must NOT be marked dirty -- it still serves every range it
-          // does own. The whole request reissues off a refreshed map.
-          // Once the retry budget is spent the bounce degrades to the
-          // ordinary failure path (fail-closed dirty marking).
-          saw_wrong_shard = true;
-          if (first_fail == core::ReqStatus::kOk) first_fail = r.status;
-        } else {
-          if (first_fail == core::ReqStatus::kOk) first_fail = r.status;
-          s.failed_shards.push_back(shard);
+      core::ReqStatus status = core::ReqStatus::kOk;
+      if (is_read && io_slots_[slot].reads[e].count == 0) {
+        status = core::ReqStatus::kDeviceError;
+      } else if (is_read) {
+        client::IoResult r = co_await *io_slots_[slot].reads[e].future;
+        // Failover: steer away from the failed replica and retry each
+        // untried one until a copy serves the read or the set is
+        // exhausted.
+        while (!r.ok() &&
+               !(may_bounce && r.status == core::ReqStatus::kWrongShard) &&
+               FailOver(slot, e, r.status, lane)) {
+          r = co_await *io_slots_[slot].reads[e].future;
         }
-      }
-      if (ok_live == 0) {
-        // No readable copy landed: the extent fails and nobody is
+        bounced |= may_bounce && r.status == core::ReqStatus::kWrongShard;
+        if (r.ok()) {
+          // Attribution follows the shard that actually served this
+          // sub-read -- after steering or failover that is not
+          // necessarily the primary.
+          const IoSlot& s = io_slots_[slot];
+          const ExtentRead& st = s.reads[e];
+          const int serving = s.candidates[st.first + st.tried - 1].shard_index;
+          shard_latency_[serving].Record(r.Latency());
+          ++shard_reads_served_[serving];
+        }
+        status = r.status;
+      } else {
+        int ok_live = 0;
+        io_slots_[slot].failed_shards.clear();
+        for (size_t k = e * replicas; k < (e + 1) * replicas; ++k) {
+          const client::IoResult r = co_await io_slots_[slot].writes[k].future;
+          IoSlot& s = io_slots_[slot];
+          const int shard = s.writes[k].shard_index;
+          if (r.ok()) {
+            // Per-shard service latency of the copy this shard wrote.
+            shard_latency_[shard].Record(r.Latency());
+            // Only a copy on a *readable* (non-dirty) replica can
+            // commit the extent: a dirty replica serves no reads, so
+            // data held only there would make every later read stale.
+            if (!client_.IsDirty(shard)) ++ok_live;
+            continue;
+          }
+          if (status == core::ReqStatus::kOk) status = r.status;
+          if (may_bounce && r.status == core::ReqStatus::kWrongShard) {
+            bounced = true;
+          } else {
+            s.failed_shards.push_back(shard);
+          }
+        }
+        // With no readable copy landed the extent fails and nobody is
         // marked dirty (clean replicas missed nothing *committed*; any
         // copy that did land is a zombie the client never advertises).
-        if (result.ok()) {
-          result.status = first_fail != core::ReqStatus::kOk
-                              ? first_fail
-                              : core::ReqStatus::kDeviceError;
-        }
-      } else {
-        for (int shard : io_slots_[slot].failed_shards) {
-          client_.MarkDirty(shard, version);
+        if (ok_live > 0) {
+          status = core::ReqStatus::kOk;
+          for (int shard : io_slots_[slot].failed_shards) {
+            client_.MarkDirty(shard, version);
+          }
+        } else if (status == core::ReqStatus::kOk) {
+          status = core::ReqStatus::kDeviceError;
         }
       }
+      // First failing extent's status wins (extents are awaited in
+      // logical-LBA order, so the reported status is deterministic).
+      if (result.ok()) result.status = status;
     }
-    // Reissuing the whole request is idempotent (same payload, every
-    // replica rewritten) and the refreshed map routes the bounced
-    // extent to its post-migration owner.
-    if (!saw_wrong_shard || attempt >= kMaxWrongShardRetries) break;
+    // Reissuing the whole request is idempotent: a read has no effect,
+    // a write rewrites every replica with the same payload, and the
+    // refreshed map routes the bounced extent to its new owner.
+    if (!bounced) break;
     co_await WrongShardBackoff(slot, attempt);
   }
   result.complete_time = client_.cluster().sim().Now();

@@ -63,6 +63,12 @@ bool SteeringPolicyFromName(const std::string& name, SteeringPolicy* out);
  * fail closed (kDeviceError) when every replica of an extent is
  * dirty.
  *
+ * The session owns a replicated read's deadline: while an untried
+ * live replica remains, a sub-read goes out with no retransmit budget
+ * (TenantSession::ReadOnce), so its first timeout or error reply fails
+ * it over at once. Only an extent's last candidate -- and so every
+ * read at R = 1 -- retransmits under the shard client's RetryPolicy.
+ *
  * Sessions from ClusterClient::OpenSession() own the cluster-wide
  * tenant registration and unregister it on destruction (mirroring
  * client::TenantSession); AttachSession() leaves lifetime with the
@@ -141,13 +147,14 @@ class ClusterSession : public client::IoSession {
                  bool owns_tenant);
 
   /** One extent of a read: its live placements are the slot's
-   * `candidates[first, first + count)`. */
+   * `candidates[first, first + count)`, the `tried` ones first in the
+   * order they were sent to, so the last of them serves the pending
+   * sub-read. */
   struct ExtentRead {
     uint32_t first = 0;
     /** 0 when every replica is dirty: the extent fails without I/O. */
     uint32_t count = 0;
-    /** Candidate (index into the run) serving the pending sub-read. */
-    uint32_t inflight = 0;
+    uint32_t tried = 0;
     uint32_t sectors = 0;
     uint8_t* chunk = nullptr;
     std::optional<sim::Future<client::IoResult>> future;
@@ -176,7 +183,6 @@ class ClusterSession : public client::IoSession {
     /** Read: per-extent state over the flat run of live candidates. */
     std::vector<ExtentRead> reads;
     std::vector<ReplicaTarget> candidates;
-    std::vector<bool> tried;
     /** Write: one sub-write per placement, extent after extent. */
     std::vector<SubWrite> writes;
     std::vector<int> failed_shards;
@@ -197,12 +203,9 @@ class ClusterSession : public client::IoSession {
    * off (doubling per attempt) and reissues in full; once the budget is
    * spent the kWrongShard surfaces to the caller.
    */
-  sim::Task FanOutRead(uint32_t slot, uint8_t* data, int lane, uint64_t lba,
-                       uint32_t sectors, sim::TimeNs issue_time,
-                       sim::Promise<client::IoResult> promise);
-  sim::Task FanOutWrite(uint32_t slot, uint8_t* data, int lane, uint64_t lba,
-                        uint32_t sectors, sim::TimeNs issue_time,
-                        sim::Promise<client::IoResult> promise);
+  sim::Task FanOut(bool is_read, uint32_t slot, uint8_t* data, int lane,
+                   uint64_t lba, uint32_t sectors, sim::TimeNs issue_time,
+                   sim::Promise<client::IoResult> promise);
   /** Routes one attempt: splits into the slot through the local map. */
   void Route(uint32_t slot, uint64_t lba, uint32_t sectors, int attempt);
   /** Issues one routed attempt's sub-requests; never suspends. */
@@ -221,6 +224,23 @@ class ClusterSession : public client::IoSession {
    * them). Draws from steer_rng_ only for power-of-two with more than
    * two candidates, so R=1 consumes no randomness. */
   size_t SteerChoice(std::span<const ReplicaTarget> candidates);
+
+  /** The one replica comparison: the shallower estimated queue wins,
+   * ties break by shard id so the choice is deterministic for
+   * identical hints. */
+  bool Shallower(const ReplicaTarget& a, const ReplicaTarget& b) const;
+  /** Index of the shallowest of `candidates` (full-scan steering, and
+   * the failover pick among an extent's untried replicas). */
+  size_t Shallowest(std::span<const ReplicaTarget> candidates) const;
+
+  /** Sends extent `st`'s sub-read to its untried candidate `c` (an
+   * index into its live run). While another candidate stays untried
+   * the sub-read has no retransmit budget. */
+  void SendRead(IoSlot& s, ExtentRead& st, uint32_t c, int lane);
+  /** After extent `extent`'s sub-read failed with `status`: sends it to
+   * the shallowest untried replica. False once every one was tried. */
+  bool FailOver(uint32_t slot, size_t extent, core::ReqStatus status,
+                int lane);
 
   ClusterClient& client_;
   ClusterTenant tenant_;

@@ -13,6 +13,12 @@ namespace {
 /** Retries per stripe copy (read + write) before the batch aborts. */
 constexpr int kMaxCopyRetries = 3;
 
+/** Shape of the per-shard copy clients. Timeouts must stay enabled so
+ * a dead shard aborts the batch instead of parking it forever. */
+constexpr sim::TimeNs kCopyTimeout = sim::Millis(2);
+constexpr int kCopyClientRetries = 3;
+constexpr sim::TimeNs kCopyBackoffBase = sim::Micros(100);
+
 /** Stripe copies in flight at once. Copy traffic runs at best-effort
  * priority, so on a busy source shard a sequential QD-1 stream
  * stretches a rebalance across tens of milliseconds -- exactly when an
@@ -75,7 +81,7 @@ sim::Task MigrationCoordinator::CopyWorker(MigrationAssignment a, int gate_id,
   bool copied = false;
   for (int attempt = 0; attempt <= kMaxCopyRetries && !copied; ++attempt) {
     if (attempt > 0) {
-      co_await sim::Delay(sim, options_.retry.backoff_base);
+      co_await sim::Delay(sim, kCopyBackoffBase);
     }
     client::IoResult r = co_await CopySession(a.from.shard_index)
                              ->Read(a.from.shard_lba, stripe_sectors,
@@ -103,7 +109,9 @@ client::TenantSession* MigrationCoordinator::CopySession(int index) {
     client::ReflexClient::Options copts;
     copts.num_connections = 1;
     copts.seed = 0xC0117 + static_cast<uint64_t>(index);
-    copts.retry = options_.retry;
+    copts.retry.request_timeout = kCopyTimeout;
+    copts.retry.max_retries = kCopyClientRetries;
+    copts.retry.backoff_base = kCopyBackoffBase;
     path.client = std::make_unique<client::ReflexClient>(
         cluster_.sim(), cluster_.server(index), machine_, copts);
     // Copy traffic rides a best-effort tenant: it only ever gets spare

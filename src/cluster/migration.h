@@ -56,19 +56,6 @@ namespace reflex::cluster {
 class MigrationCoordinator {
  public:
   struct Options {
-    /** Shape of the coordinator's per-shard copy clients. Timeouts
-     * must stay enabled so a dead shard aborts the batch instead of
-     * parking it forever. */
-    client::ReflexClient::RetryPolicy retry = DefaultRetry();
-
-    static client::ReflexClient::RetryPolicy DefaultRetry() {
-      client::ReflexClient::RetryPolicy retry;
-      retry.request_timeout = sim::Millis(2);
-      retry.max_retries = 3;
-      retry.backoff_base = sim::Micros(100);
-      return retry;
-    }
-
     // --- Planted-mutation canaries (simtest only; see runner.h) ---
     /** Skip every dirty recopy: a write admitted during the copy is
      * silently lost at cutover. The consistency oracle must catch

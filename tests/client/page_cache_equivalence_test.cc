@@ -3,9 +3,11 @@
 // (readahead-stream pages, pages invalidated mid-fetch). The new cache
 // keeps one entry pool with an intrusive LRU, an open-addressed page
 // index and recycled page buffers. The reference below is the old
-// implementation kept verbatim but for one test-only change: it
-// retires evicted buffers instead of freeing them, so a reader resumed
-// later in the same instant can still read the bytes it was handed.
+// implementation kept verbatim but for two changes. It retires evicted
+// buffers instead of freeing them, so a reader resumed later in the
+// same instant can still read the bytes it was handed (test-only). And
+// it lost its fetch retry loop together with PageCache: a failed
+// backend read fails the fetch at once.
 //
 // Both caches run in separate but identical worlds (simulator, fake
 // backend, fault plan) and are driven by the same seeded op stream:
@@ -50,16 +52,14 @@ class RefPageCache {
  public:
   static constexpr uint32_t kPageBytes = PageCache::kPageBytes;
   using Stats = PageCache::Stats;
-  using RetryPolicy = PageCache::RetryPolicy;
 
   RefPageCache(sim::Simulator& sim, StorageBackend& backend,
                uint32_t capacity_pages, int max_outstanding,
-               int readahead_pages, RetryPolicy retry)
+               int readahead_pages)
       : sim_(sim),
         backend_(backend),
         capacity_pages_(capacity_pages),
         readahead_pages_(readahead_pages),
-        retry_(retry),
         io_slots_(sim, max_outstanding) {}
 
   sim::Future<const uint8_t*> GetPage(uint64_t byte_offset) {
@@ -146,18 +146,11 @@ class RefPageCache {
     co_await io_slots_.Acquire();
     auto data = std::make_unique<uint8_t[]>(kPageBytes);
     IoResult r;
-    int attempt = 0;
     for (;;) {
       r = co_await backend_.ReadBytes(page_id * kPageBytes, kPageBytes,
                                       data.get());
-      ++attempt;
-      if (invalidated_in_flight_.erase(page_id) > 0) {
-        ++stats_.invalidated_refetches;
-        continue;
-      }
-      if (r.ok() || attempt >= retry_.max_attempts) break;
-      ++stats_.fetch_retries;
-      co_await sim::Delay(sim_, retry_.backoff);
+      if (invalidated_in_flight_.erase(page_id) == 0) break;
+      ++stats_.invalidated_refetches;
     }
     io_slots_.Release();
     if (!r.ok()) {
@@ -205,7 +198,6 @@ class RefPageCache {
   StorageBackend& backend_;
   uint32_t capacity_pages_;
   int readahead_pages_;
-  RetryPolicy retry_;
   sim::Semaphore io_slots_;
   std::array<uint64_t, 8> recent_misses_{};
   size_t recent_cursor_ = 0;
@@ -332,7 +324,6 @@ struct Shape {
   int readahead;
   uint64_t working_set;  // pages
   double fail_prob;
-  int max_attempts;
 };
 
 void PrintTo(const Shape& s, std::ostream* os) { *os << s.name; }
@@ -342,9 +333,7 @@ struct World {
   World(const Shape& s, uint64_t seed)
       : plan(sim, seed),
         backend(sim, plan, seed + 1),
-        cache(sim, backend, s.capacity, s.max_outstanding, s.readahead,
-              typename Cache::RetryPolicy{s.max_attempts,
-                                          sim::Micros(50)}) {
+        cache(sim, backend, s.capacity, s.max_outstanding, s.readahead) {
     plan.SetProbability(sim::FaultKind::kFlashReadError, s.fail_prob);
   }
 
@@ -382,7 +371,6 @@ void ExpectSameStats(const PageCache::Stats& a, const PageCache::Stats& b,
   EXPECT_EQ(a.misses, b.misses) << "step " << step;
   EXPECT_EQ(a.evictions, b.evictions) << "step " << step;
   EXPECT_EQ(a.readaheads, b.readaheads) << "step " << step;
-  EXPECT_EQ(a.fetch_retries, b.fetch_retries) << "step " << step;
   EXPECT_EQ(a.fetch_failures, b.fetch_failures) << "step " << step;
   EXPECT_EQ(a.invalidated_refetches, b.invalidated_refetches)
       << "step " << step;
@@ -474,9 +462,6 @@ TEST_P(PageCacheEquivalenceTest, MatchesMapListReference) {
     }
     if (s.fail_prob > 0) {
       EXPECT_GT(st.fetch_failures, 0);
-      if (s.max_attempts > 1) {
-        EXPECT_GT(st.fetch_retries, 0);
-      }
     }
   }
 }
@@ -484,13 +469,13 @@ TEST_P(PageCacheEquivalenceTest, MatchesMapListReference) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, PageCacheEquivalenceTest,
     ::testing::Values(
-        Shape{"Cap1Ra0Out64", 1, 64, 0, 16, 0.0, 3},
-        Shape{"Cap1Ra8Out1Faults", 1, 1, 8, 16, 0.1, 3},
-        Shape{"CapCoversSetRa0Out64", 64, 64, 0, 48, 0.0, 3},
-        Shape{"CapCoversSetRa8Out1", 64, 1, 8, 40, 0.0, 3},
-        Shape{"Cap16Ra8Out64Faults", 16, 64, 8, 200, 0.2, 3},
-        Shape{"Cap8Ra8Out64FailFast", 8, 64, 8, 64, 0.3, 1},
-        Shape{"Cap32Ra0Out4Faults", 32, 4, 0, 100, 0.1, 2}),
+        Shape{"Cap1Ra0Out64", 1, 64, 0, 16, 0.0},
+        Shape{"Cap1Ra8Out1Faults", 1, 1, 8, 16, 0.1},
+        Shape{"CapCoversSetRa0Out64", 64, 64, 0, 48, 0.0},
+        Shape{"CapCoversSetRa8Out1", 64, 1, 8, 40, 0.0},
+        Shape{"Cap16Ra8Out64Faults", 16, 64, 8, 200, 0.2},
+        Shape{"Cap8Ra8Out64FailFast", 8, 64, 8, 64, 0.3},
+        Shape{"Cap32Ra0Out4Faults", 32, 4, 0, 100, 0.1}),
     [](const ::testing::TestParamInfo<Shape>& info) {
       return info.param.name;
     });

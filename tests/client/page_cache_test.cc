@@ -120,12 +120,12 @@ TEST_F(PageCacheTest, InvalidateCoversInFlightFetch) {
   EXPECT_EQ(cache.stats().hits, 1);
 }
 
-TEST_F(PageCacheTest, FetchRetriesBeforeSurfacingFailure) {
-  // max_attempts = 1 => a failed backend read surfaces immediately as
-  // nullptr instead of panicking (callers decide whether it is fatal).
-  PageCache::RetryPolicy retry;
-  retry.max_attempts = 1;
-  PageCache cache(sim_, backend_, 16, 64, 0, retry);
+TEST_F(PageCacheTest, FailedFetchSurfacesAtOnceAndRefetches) {
+  // The cache does not retry: one failed backend read resolves the
+  // fetch to nullptr (callers decide whether that is fatal), and read
+  // retransmission is left to the backend's client library.
+  WritePattern(2, 0xCD);
+  PageCache cache(sim_, backend_, 16);
   sim::FaultPlan plan(sim_, 11);
   device_.SetFaultPlan(&plan);
   plan.SetProbability(sim::FaultKind::kFlashReadError, 1.0);
@@ -133,15 +133,24 @@ TEST_F(PageCacheTest, FetchRetriesBeforeSurfacingFailure) {
   sim_.Run();
   ASSERT_TRUE(f.Ready());
   EXPECT_EQ(f.Get(), nullptr);
+  EXPECT_EQ(device_.stats().read_errors, 1)
+      << "a failed fetch makes exactly one backend read";
+  EXPECT_EQ(device_.stats().reads_completed, 0);
   EXPECT_EQ(cache.stats().fetch_failures, 1);
+  EXPECT_EQ(cache.stats().misses, 1);
 
-  // With retries and the fault cleared mid-backoff, the same fetch
-  // succeeds and counts its retry.
+  // The failed fetch freed its entry: with the fault cleared, the next
+  // access misses again and reads the page.
   plan.SetProbability(sim::FaultKind::kFlashReadError, 0.0);
   auto f2 = cache.GetPage(2 * 4096);
   sim_.Run();
   ASSERT_TRUE(f2.Ready());
-  EXPECT_NE(f2.Get(), nullptr);
+  ASSERT_NE(f2.Get(), nullptr);
+  EXPECT_EQ(f2.Get()[0], 0xCD);
+  EXPECT_EQ(device_.stats().read_errors, 1);
+  EXPECT_EQ(device_.stats().reads_completed, 1);
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.stats().fetch_failures, 1);
 }
 
 TEST_F(PageCacheTest, BoundsOutstandingIo) {

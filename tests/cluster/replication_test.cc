@@ -175,6 +175,62 @@ TEST(ReplicationTest, HistogramAttributionFollowsServingShard) {
       << "the failed primary must not be attributed the sample";
 }
 
+// One retry owner: while another live replica is untried, a sub-read
+// has no retransmit budget, so the first timeout on a dead primary
+// fails the read over at once -- not after the shard client's whole
+// budget (6 timeouts plus backoff) is spent on the dead link.
+TEST(ReplicationTest, ReadFailsOverAtFirstTimeout) {
+  ClusterClient::Options copts;
+  copts.client = testing::RetryingClientOptions();
+  copts.steering = SteeringPolicy::kPrimaryOnly;
+  ClusterHarness h(ClusterHarness::MakeOptions(2, 8, /*replication=*/2),
+                   copts);
+  auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  ASSERT_NE(session, nullptr);
+
+  // Stripe 0: primary shard 0 (link down), replica shard 1.
+  sim::FaultPlan plan(h.sim, 5);
+  h.net.SetFaultPlan(&plan);
+  plan.ScheduleWindow(sim::FaultKind::kNetLinkFlap, h.sim.Now(),
+                      sim::Millis(50),
+                      static_cast<uint64_t>(h.cluster.machine(0)->id()));
+  auto read = session->Read(/*lba=*/0, /*sectors=*/4);
+  ASSERT_TRUE(h.Await(read));
+  ASSERT_EQ(read.Get().status, ReqStatus::kOk);
+  EXPECT_LT(read.Get().Latency(), 2 * copts.client.retry.request_timeout)
+      << "the read must fail over at the dead primary's first timeout";
+  EXPECT_EQ(session->read_failovers(), 1);
+  EXPECT_EQ(session->shard_reads_served(1), 1);
+  EXPECT_EQ(h.client.shard_client(0).fault_stats().timeouts, 1);
+  EXPECT_EQ(h.client.shard_client(0).fault_stats().retries, 0)
+      << "the dead shard's client must not retransmit a read that has "
+         "another replica to try";
+}
+
+// The companion at R = 1: with no other copy to fail over to, the
+// read keeps the shard client's retransmit budget and rides out a link
+// flap shorter than that budget.
+TEST(ReplicationTest, UnreplicatedReadStillRetransmitsAcrossAFlap) {
+  ClusterClient::Options copts;
+  copts.client = testing::RetryingClientOptions();
+  ClusterHarness h(ClusterHarness::MakeOptions(2, 8, /*replication=*/1),
+                   copts);
+  auto session = h.client.OpenSession(SloSpec{}, TenantClass::kBestEffort);
+  ASSERT_NE(session, nullptr);
+
+  sim::FaultPlan plan(h.sim, 5);
+  h.net.SetFaultPlan(&plan);
+  plan.ScheduleWindow(sim::FaultKind::kNetLinkFlap, h.sim.Now(),
+                      sim::Millis(2),
+                      static_cast<uint64_t>(h.cluster.machine(0)->id()));
+  auto read = session->Read(/*lba=*/0, /*sectors=*/4);
+  ASSERT_TRUE(h.Await(read));
+  ASSERT_EQ(read.Get().status, ReqStatus::kOk);
+  EXPECT_GT(h.client.shard_client(0).fault_stats().retries, 0);
+  EXPECT_EQ(session->read_failovers(), 0);
+  EXPECT_EQ(session->shard_reads_served(0), 1);
+}
+
 TEST(ReplicationTest, WriteSurvivorMarksDeadReplicaDirtyAndExcludesIt) {
   ClusterHarness h(ClusterHarness::MakeOptions(2, 8, /*replication=*/2));
   sim::FaultPlan plan(h.sim, 13);

@@ -137,7 +137,7 @@ void ScanBody(const TokenVec& toks, FunctionContext* ctx) {
 size_t TryFunction(const TokenVec& toks, size_t i,
                    std::vector<FunctionContext>* out) {
   // Declarator: one or more identifiers joined by `::` (e.g.
-  // `ClusterSession :: FanOutRead`), ending directly before `(`.
+  // `ClusterSession :: FanOut`), ending directly before `(`.
   size_t j = i + 1;
   std::string name;
   while (IsIdent(toks, j)) {
